@@ -26,7 +26,6 @@ from .decomposition import (
     TreeDecomposition,
     heuristic_decompose,
     make_nice,
-    square_augment,
     square_instance,
     validate,
     validate_nice,
@@ -71,7 +70,6 @@ from .reductions import (
     gen_sat_bounded_degree,
     gen_sat_high_degree,
     gen_three_partition_star,
-    square_zero_arcs,
     witness_bin_packing,
     witness_sat_bounded_degree,
     witness_sat_high_degree,
@@ -94,7 +92,6 @@ __all__ = [
     "validate_nice",
     "heuristic_decompose",
     "make_nice",
-    "square_augment",
     "square_instance",
     "Coloring",
     "choose_k",
@@ -123,7 +120,6 @@ __all__ = [
     "witness_three_partition_star",
     "gen_bin_packing",
     "witness_bin_packing",
-    "square_zero_arcs",
     "serialize_instance",
     "parse_instance",
     "serialize_partition",

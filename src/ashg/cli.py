@@ -22,6 +22,7 @@ from .decomposition import (
     MIN_FILL,
     heuristic_decompose,
     make_nice,
+    square_instance,
     validate,
 )
 from .errors import OracleCapError, ResourceLimitError
@@ -41,7 +42,6 @@ from .reductions import (
     gen_sat_bounded_degree,
     gen_sat_high_degree,
     gen_three_partition_star,
-    square_zero_arcs,
     witness_bin_packing,
     witness_sat_bounded_degree,
     witness_sat_high_degree,
@@ -217,7 +217,7 @@ def _parse_assignment(path: str, num_vars: int) -> list[bool]:
 def cmd_gen(args) -> int:
     witness = None
     if args.generator == "square":
-        instance = square_zero_arcs(_load_instance(args.source))
+        instance = square_instance(_load_instance(args.source))
     elif args.generator in ("sat-hd", "sat-bd"):
         phi = formats.parse_cnf(_read(args.source))
         if args.generator == "sat-hd":
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance file")
     p_solve.add_argument("--mode", choices=["nash", "connected-nash", "dynamics"],
                          default="nash")
-    p_solve.add_argument("--td", help="tree decomposition file (default: heuristic)")
+    p_solve.add_argument("--td", help="tree decomposition file (default: heuristic); "
+                         "in nash mode it only fixes the color budget k")
     p_solve.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL],
                          default=MIN_DEGREE, help="heuristic when no --td is given")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,

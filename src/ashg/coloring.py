@@ -13,20 +13,15 @@ dynamic program below a complete decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from .decomposition import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
     TreeDecomposition,
+    heuristic_decompose,
     make_nice,
-    square_augment,
+    run_nice_dp,
+    square_instance,
     validate,
 )
-from .errors import ResourceLimitError
-from .game import AshgInstance, DeviationWitness, Partition, SINGLETON
+from .game import AshgInstance, DeviationWitness, Partition, _stability_witness
 
 DEFAULT_TABLE_CAP = 1_000_000
 
@@ -67,22 +62,7 @@ def is_stable_coloring(
         raise ValueError(
             f"coloring assigns {len(coloring.colors)} vertices, instance has {instance.n}"
         )
-    colors = coloring.colors
-    for v in range(1, instance.n + 1):
-        row = instance.out[v]
-        if not row:
-            continue
-        sums: dict[int, int] = {}
-        for u, w in row:
-            c = colors[u - 1]
-            sums[c] = sums.get(c, 0) + w
-        own = sums.get(colors[v - 1], 0)
-        if own < 0:
-            return False, DeviationWitness(v, own, SINGLETON, 0)
-        for c in sorted(sums):
-            if c != colors[v - 1] and sums[c] > own:
-                return False, DeviationWitness(v, own, c, sums[c])
-    return True, None
+    return _stability_witness(instance, coloring.colors)
 
 
 def coloring_to_partition(coloring: Coloring) -> Partition:
@@ -109,17 +89,19 @@ def solve_nash_via_coloring(
 ) -> Partition | None:
     """Decide Nash stability by dynamic programming over bag colorings.
 
-    The input decomposition is squared and widened (square_augment), so
-    every closed neighborhood of the original graph appears inside some
-    bag of the nice form.  A signature records how the current bag is
-    split into color classes, in canonical first-occurrence order with
-    at most k classes; color names never matter because the stability
-    test only compares sums within and across classes.  INTRODUCE
-    branches over the existing classes plus one fresh class and
-    immediately applies the stability test of every bag vertex whose
-    closed neighborhood just became fully visible; FORGET projects,
-    JOIN intersects.  k is max_bag_size(td) * max_degree, capped at n
-    (a stable coloring never needs more than n colors).
+    `td` must be a valid decomposition of the instance; it only fixes the
+    color budget k = max_bag_size(td) * max_degree, capped at n (a stable
+    coloring never needs more than n colors).  The DP itself runs on a
+    heuristic decomposition of the square G^2, where every closed
+    neighborhood N[v] is a clique and therefore lies inside some bag.  A
+    signature records how the current bag is split into color classes, in
+    canonical first-occurrence order with at most k classes; color names
+    never matter because the stability test only compares sums within and
+    across classes.  INTRODUCE branches over the existing classes plus one
+    fresh class and immediately applies the stability test of every bag
+    vertex whose closed neighborhood just became fully visible; FORGET
+    projects, JOIN intersects.  The partition returned is the first trace
+    in the tables' insertion order, so the output is deterministic.
 
     Returns a Nash Stable partition or None; raises ResourceLimitError
     when a signature table would exceed table_cap.
@@ -130,140 +112,52 @@ def solve_nash_via_coloring(
 
     n = instance.n
     k = min(choose_k(max(1, td.max_bag_size), instance.max_degree), max(1, n))
-    sq_instance, sq_td = square_augment(instance, td)
-    ntd = make_nice(sq_td)
+    ntd = make_nice(heuristic_decompose(square_instance(instance)))
+    closed = [frozenset()] + [
+        frozenset(instance.neighbors[v]) | {v} for v in range(1, n + 1)
+    ]
 
-    closed = [frozenset()] * (n + 1)
-    for v in range(1, n + 1):
-        closed[v] = frozenset(instance.neighbors[v]) | {v}
-
-    nodes = ntd.nodes
-    tables: list[set[tuple[int, ...]] | None] = [None] * len(nodes)
-    forget_back: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    peak = 0
-
-    for idx, nd in enumerate(nodes):
+    def introduce(nd, child_bag):
         bag = nd.bag
-        if nd.kind == LEAF:
-            table = {()}
-        elif nd.kind == INTRODUCE:
-            child = tables[nd.children[0]]
-            v = nd.vertex
-            p = bag.index(v)
-            # checks that can newly pass here: u with v in N[u] and N[u] in bag
-            bag_set = set(bag)
-            pos = {u: i for i, u in enumerate(bag)}
-            checks = []
-            for u in bag:
-                if (u == v or v in closed[u]) and closed[u] <= bag_set:
-                    arcs = [(pos[t], w) for t, w in instance.out[u] if t in bag_set]
-                    checks.append((pos[u], arcs))
-            table = set()
-            for sig in child:
-                blocks = (max(sig) + 1) if sig else 0
-                for color in range(min(blocks + 1, k)):
-                    cand = sig[:p] + (color,) + sig[p:]
-                    ok_sig = True
-                    for pu, arcs in checks:
-                        cu = cand[pu]
-                        sums: dict[int, int] = {}
-                        for pt, w in arcs:
-                            c = cand[pt]
-                            sums[c] = sums.get(c, 0) + w
-                        own = sums.get(cu, 0)
-                        if own < 0:
-                            ok_sig = False
-                            break
-                        for s in sums.values():
-                            if s > own:
-                                ok_sig = False
-                                break
-                        if not ok_sig:
-                            break
-                    if ok_sig:
-                        table.add(_canon(cand))
-                        if len(table) > table_cap:
-                            raise ResourceLimitError(
-                                f"signature table at introduce of {v} "
-                                f"exceeds cap {table_cap}"
-                            )
-        elif nd.kind == FORGET:
-            child = tables[nd.children[0]]
-            child_bag = nodes[nd.children[0]].bag
-            p = child_bag.index(nd.vertex)
-            back: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for sig in sorted(child):
-                proj = _canon(sig[:p] + sig[p + 1 :])
-                if proj not in back:
-                    back[proj] = sig
-            forget_back[idx] = back
-            table = set(back)
-        else:  # JOIN
-            left = tables[nd.children[0]]
-            right = tables[nd.children[1]]
-            table = left & right
-        if len(table) > table_cap:
-            raise ResourceLimitError(
-                f"signature table at node {idx} has {len(table)} entries (cap {table_cap})"
-            )
-        peak = max(peak, len(table))
-        tables[idx] = table
-        for c in nd.children:
-            tables[c] = None  # free early; forget_back keeps what traceback needs
+        v = nd.vertex
+        p = bag.index(v)
+        # checks that can newly pass here: u with v in N[u] and N[u] in bag
+        bag_set = set(bag)
+        pos = {u: i for i, u in enumerate(bag)}
+        checks = []
+        for u in bag:
+            if v in closed[u] and closed[u] <= bag_set:
+                checks.append((pos[u], [(pos[t], w) for t, w in instance.out[u]]))
 
+        def step(sig):
+            out = []
+            blocks = (max(sig) + 1) if sig else 0
+            for color in range(min(blocks + 1, k)):
+                cand = sig[:p] + (color,) + sig[p:]
+                for pu, arcs in checks:
+                    sums: dict[int, int] = {}
+                    for pt, w in arcs:
+                        c = cand[pt]
+                        sums[c] = sums.get(c, 0) + w
+                    own = sums.get(cand[pu], 0)
+                    if own < 0 or max(sums.values(), default=0) > own:
+                        break
+                else:  # every check passed
+                    out.append(_canon(cand))
+            return out
+
+        return step
+
+    def forget(nd, child_bag):
+        p = child_bag.index(nd.vertex)
+        return lambda sig: _canon(sig[:p] + sig[p + 1 :])
+
+    partition = run_nice_dp(
+        ntd, table_cap, (), introduce, forget,
+        join=lambda nd: lambda left, right: left,
+        classes=lambda sig: sig,
+        stats=stats,
+    )
     if stats is not None:
         stats["k"] = k
-        stats["peak_table"] = peak
-        stats["nice_nodes"] = len(nodes)
-
-    root_table = tables[ntd.root]
-    if not root_table:
-        return None
-    if n == 0:
-        return Partition([])
-
-    # Top-down walk: class_ids maps a signature's block labels to global
-    # coalition ids; a vertex is committed where it is forgotten.
-    assign = [0] * (n + 1)
-    fresh = 0
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(ntd.root, (), ())]
-    while stack:
-        idx, sig, class_ids = stack.pop()
-        nd = nodes[idx]
-        if nd.kind == LEAF:
-            continue
-        if nd.kind == INTRODUCE:
-            p = nd.bag.index(nd.vertex)
-            rest = sig[:p] + sig[p + 1 :]
-            relabel: dict[int, int] = {}
-            for lab in rest:
-                if lab not in relabel:
-                    relabel[lab] = len(relabel)
-            child_ids = [0] * len(relabel)
-            for old, new in relabel.items():
-                child_ids[new] = class_ids[old]
-            stack.append((nd.children[0], _canon(rest), tuple(child_ids)))
-        elif nd.kind == FORGET:
-            child_sig = forget_back[idx][sig]
-            child_bag = nodes[nd.children[0]].bag
-            p = child_bag.index(nd.vertex)
-            rest = child_sig[:p] + child_sig[p + 1 :]
-            relabel = {}
-            for lab in rest:
-                if lab not in relabel:
-                    relabel[lab] = len(relabel)
-            blocks = (max(child_sig) + 1) if child_sig else 0
-            child_ids = [0] * blocks
-            for old, new in relabel.items():
-                child_ids[old] = class_ids[new]
-            lab_v = child_sig[p]
-            if lab_v not in relabel:  # v's class has no other bag member
-                fresh += 1
-                child_ids[lab_v] = n + fresh
-            assign[nd.vertex] = child_ids[lab_v]
-            stack.append((nd.children[0], child_sig, tuple(child_ids)))
-        else:  # JOIN: both children hold this exact signature
-            stack.append((nd.children[0], sig, class_ids))
-            stack.append((nd.children[1], sig, class_ids))
-
-    return Partition(assign[1:])
+    return partition

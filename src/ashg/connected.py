@@ -22,17 +22,15 @@ sorted bag, so signatures are canonical and deduplicate exactly.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 from .decomposition import (
     FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
     NiceTreeDecomposition,
+    run_nice_dp,
     validate_nice,
 )
-from .errors import ResourceLimitError
 from .game import AshgInstance, Partition
 
 DEFAULT_TABLE_CAP = 1_000_000
@@ -220,140 +218,55 @@ def solve_connected_nash(
     """Find a connected Nash Stable partition, or prove there is none.
 
     `ntd` must be a nice decomposition of the instance's own underlying
-    graph (not of its square).  Among stable partitions the one with the
-    lexicographically least signature trace is reconstructed, so the
-    output is deterministic.  Raises ResourceLimitError when a signature
-    table would exceed table_cap.
+    graph (not of its square).  The partition returned is the first trace
+    in the tables' insertion order, so the output is deterministic.
+    Raises ResourceLimitError when a signature table would exceed
+    table_cap.
     """
     ok, violations = validate_nice(ntd, instance)
     if not ok:
         raise ValueError("invalid nice decomposition: " + "; ".join(violations))
 
-    nodes = ntd.nodes
     weight = instance.arcs.get
     nbr_sets = [set(s) for s in instance.neighbors]
 
-    tables: list[dict[ConnectedSignature, object] | None] = [None] * len(nodes)
-    peak = 0
+    def introduce(nd, child_bag):
+        v = nd.vertex
+        p = nd.bag.index(v)
+        arcs_to_v = tuple(weight((u, v), 0) for u in child_bag)
+        arcs_from_v = tuple(weight((v, u), 0) for u in child_bag)
+        adjacent = tuple(u in nbr_sets[v] for u in child_bag)
+        return lambda sig: _introduce(sig, p, arcs_to_v, arcs_from_v, adjacent)
 
-    for idx, nd in enumerate(nodes):
-        if nd.kind == LEAF:
-            table: dict[ConnectedSignature, object] = {EMPTY_SIGNATURE: None}
-        elif nd.kind == INTRODUCE:
-            child_table = tables[nd.children[0]]
-            child_bag = nodes[nd.children[0]].bag
-            v = nd.vertex
-            p = nd.bag.index(v)
-            arcs_to_v = tuple(weight((u, v), 0) for u in child_bag)
-            arcs_from_v = tuple(weight((v, u), 0) for u in child_bag)
-            adjacent = tuple(u in nbr_sets[v] for u in child_bag)
-            table = {}
-            for sig in sorted(child_table):
-                for new_sig in _introduce(sig, p, arcs_to_v, arcs_from_v, adjacent):
-                    if new_sig not in table:
-                        table[new_sig] = sig
-        elif nd.kind == FORGET:
-            child_table = tables[nd.children[0]]
-            child_bag = nodes[nd.children[0]].bag
-            p = child_bag.index(nd.vertex)
-            table = {}
-            for sig in sorted(child_table):
-                new_sig = _forget(sig, p)
-                if new_sig is not None and new_sig not in table:
-                    table[new_sig] = sig
-        else:  # JOIN
-            left_table = tables[nd.children[0]]
-            right_table = tables[nd.children[1]]
-            bag = nd.bag
-            m = len(bag)
-            arcw = [[weight((x, y), 0) for y in bag] for x in bag]
-            local_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-            by_pi1: dict[tuple[int, ...], list[ConnectedSignature]] = {}
-            for sig in sorted(right_table):
-                by_pi1.setdefault(sig.pi1, []).append(sig)
-            table = {}
-            for sigL in sorted(left_table):
-                partners = by_pi1.get(sigL.pi1)
-                if not partners:
-                    continue
-                local = local_cache.get(sigL.pi1)
-                if local is None:
-                    local = tuple(
-                        tuple(
-                            sum(arcw[x][y] for y, lab in enumerate(sigL.pi1) if lab == c and y != x)
-                            for c in range((max(sigL.pi1) + 1) if sigL.pi1 else 0)
-                        )
-                        for x in range(m)
+    def forget(nd, child_bag):
+        p = child_bag.index(nd.vertex)
+        return lambda sig: _forget(sig, p)
+
+    def join(nd):
+        bag = nd.bag
+        arcw = [[weight((x, y), 0) for y in bag] for x in bag]
+        local_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+        def step(left, right):
+            pi1 = left.pi1
+            local = local_cache.get(pi1)
+            if local is None:
+                local = local_cache[pi1] = tuple(
+                    tuple(
+                        sum(arcw[x][y] for y, lab in enumerate(pi1) if lab == c and y != x)
+                        for c in range((max(pi1) + 1) if pi1 else 0)
                     )
-                    local_cache[sigL.pi1] = local
-                for sigR in partners:
-                    new_sig = _join(sigL, sigR, local)
-                    if new_sig not in table:
-                        table[new_sig] = (sigL, sigR)
-                if len(table) > table_cap:
-                    break
-        if len(table) > table_cap:
-            raise ResourceLimitError(
-                f"signature table at node {idx} has {len(table)} entries (cap {table_cap})"
-            )
-        peak = max(peak, len(table))
-        tables[idx] = table
-
-    if stats is not None:
-        stats["peak_table"] = peak
-        stats["nice_nodes"] = len(nodes)
-
-    root_table = tables[ntd.root]
-    if EMPTY_SIGNATURE not in root_table:
-        return None
-    if instance.n == 0:
-        return Partition([])
-
-    # walk the least trace back down, naming coalitions as their last bag
-    # vertex disappears upward (i.e. at its unique forget node)
-    assign = [0] * (instance.n + 1)
-    fresh = 0
-    stack: list[tuple[int, ConnectedSignature, tuple[int, ...]]] = [
-        (ntd.root, EMPTY_SIGNATURE, ())
-    ]
-    while stack:
-        idx, sig, class_ids = stack.pop()
-        nd = nodes[idx]
-        if nd.kind == LEAF:
-            continue
-        if nd.kind == JOIN:
-            sig_left, sig_right = tables[idx][sig]
-            stack.append((nd.children[0], sig_left, class_ids))
-            stack.append((nd.children[1], sig_right, class_ids))
-            continue
-        child_sig = tables[idx][sig]
-        child_idx = nd.children[0]
-        child_bag = nodes[child_idx].bag
-        if nd.kind == FORGET:
-            p = child_bag.index(nd.vertex)
-            child_ids = []
-            for lab in range(max(child_sig.pi1) + 1 if child_sig.pi1 else 0):
-                holder = next(
-                    (q for q, lq in enumerate(child_sig.pi1) if lq == lab and q != p), None
+                    for x in range(len(bag))
                 )
-                if holder is None:
-                    fresh += 1
-                    child_ids.append(-fresh)  # negative: fresh, no parent class
-                else:
-                    shifted = holder - (1 if holder > p else 0)
-                    child_ids.append(class_ids[sig.pi1[shifted]])
-            assign[nd.vertex] = child_ids[child_sig.pi1[p]]
-            stack.append((child_idx, child_sig, tuple(child_ids)))
-        else:  # INTRODUCE
-            p = nd.bag.index(nd.vertex)
-            child_ids = []
-            for lab in range(max(child_sig.pi1) + 1 if child_sig.pi1 else 0):
-                holder = next(q for q, lq in enumerate(child_sig.pi1) if lq == lab)
-                shifted = holder + (1 if holder >= p else 0)
-                child_ids.append(class_ids[sig.pi1[shifted]])
-            stack.append((child_idx, child_sig, tuple(child_ids)))
+            return _join(left, right, local)
 
-    return Partition([assign[v] for v in range(1, instance.n + 1)])
+        return step
+
+    return run_nice_dp(
+        ntd, table_cap, EMPTY_SIGNATURE, introduce, forget, join,
+        classes=attrgetter("pi1"),
+        stats=stats,
+    )
 
 
 def signature_of(

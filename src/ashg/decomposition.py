@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, elimination heuristics, nice form, squaring.
+"""Tree decompositions: validation, heuristics, nice form, the DP engine, squaring.
 
 A decomposition is a tree of bags satisfying the usual three axioms:
 every vertex is in some bag, every underlying edge is inside some bag,
@@ -9,9 +9,10 @@ is max bag size minus one, floored at 0 for the degenerate empty case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
-from .game import AshgInstance
+from .errors import ResourceLimitError
+from .game import AshgInstance, Partition
 
 MIN_DEGREE = "min-degree"
 MIN_FILL = "min-fill"
@@ -312,6 +313,120 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     return NiceTreeDecomposition(nodes)
 
 
+def run_nice_dp(
+    ntd: NiceTreeDecomposition,
+    table_cap: int,
+    leaf: Hashable,
+    introduce: Callable[[NiceNode, tuple[int, ...]], Callable[[Hashable], Iterable[Hashable]]],
+    forget: Callable[[NiceNode, tuple[int, ...]], Callable[[Hashable], Hashable | None]],
+    join: Callable[[NiceNode], Callable[[Hashable, Hashable], Hashable | None]],
+    classes: Callable[[Hashable], tuple[int, ...]],
+    stats: dict | None = None,
+) -> Partition | None:
+    """Run a signature dynamic program bottom-up, then trace one answer back.
+
+    The solver supplies the per-node transitions; each factory is called
+    once per node and returns the step applied to that node's signatures:
+
+      leaf                           signature of the empty bag
+      introduce(node, child_bag)     sig -> signatures that add node.vertex
+      forget(node, child_bag)        sig -> projection without node.vertex, or None
+      join(node)                     (left, right) -> merged signature, or None
+      classes(sig)                   coalition label of each bag vertex, in
+                                     first-occurrence order (0, 1, 2, ...)
+
+    A JOIN pairs only child signatures with equal classes.  Each table maps
+    a signature to its back-pointer (the child signature, or the (left,
+    right) pair at a JOIN); tables keep insertion order and the first
+    derivation of a signature wins, so the traced answer is the first in
+    insertion order.  ResourceLimitError is raised as soon as an insert
+    takes a table past table_cap.
+
+    Returns None when the root table is empty.  Otherwise the first root
+    signature is followed down, coalition ids are carried through the
+    bags by their classes, and each vertex takes its coalition at its
+    FORGET node; vertices must be 1..n, as in a validated decomposition.
+    """
+    nodes = ntd.nodes
+    tables: list[dict] = []
+    peak = 0
+    for idx, nd in enumerate(nodes):
+        kind = nd.kind
+        if kind == LEAF:
+            pairs = ((leaf, None),)
+        elif kind == JOIN:
+            step2 = join(nd)
+            by_classes: dict[tuple[int, ...], list] = {}
+            for right in tables[nd.children[1]]:
+                by_classes.setdefault(classes(right), []).append(right)
+            pairs = (
+                (step2(left, right), (left, right))
+                for left in tables[nd.children[0]]
+                for right in by_classes.get(classes(left), ())
+            )
+        elif kind == INTRODUCE:
+            child = nd.children[0]
+            step = introduce(nd, nodes[child].bag)
+            pairs = ((sig, old) for old in tables[child] for sig in step(old))
+        else:  # FORGET
+            child = nd.children[0]
+            step = forget(nd, nodes[child].bag)
+            pairs = ((step(old), old) for old in tables[child])
+        table: dict = {}
+        for sig, back in pairs:
+            if sig is not None and sig not in table:
+                table[sig] = back
+                if len(table) > table_cap:
+                    raise ResourceLimitError(
+                        f"signature table at node {idx} ({kind}) exceeds cap {table_cap}"
+                    )
+        peak = max(peak, len(table))
+        tables.append(table)
+
+    if stats is not None:
+        stats["peak_table"] = peak
+        stats["nice_nodes"] = len(nodes)
+
+    root_table = tables[ntd.root]
+    if not root_table:
+        return None
+    assign: dict[int, int] = {}
+    fresh = 0
+    stack = [(ntd.root, next(iter(root_table)), [])]
+    while stack:
+        idx, sig, ids = stack.pop()
+        nd = nodes[idx]
+        back = tables[idx][sig]
+        if nd.kind == LEAF:
+            continue
+        if nd.kind == JOIN:
+            stack.append((nd.children[0], back[0], ids))
+            stack.append((nd.children[1], back[1], ids))
+            continue
+        child = nd.children[0]
+        labels = classes(sig)
+        child_labels = classes(back)
+        # parent label of each child bag position; None for a forgotten vertex
+        if nd.kind == INTRODUCE:
+            p = nd.bag.index(nd.vertex)
+            aligned = labels[:p] + labels[p + 1 :]
+        else:
+            p = nodes[child].bag.index(nd.vertex)
+            aligned = labels[:p] + (None,) + labels[p:]
+        child_ids = [0] * (max(child_labels, default=-1) + 1)
+        for lab, parent_lab in zip(child_labels, aligned):
+            if parent_lab is not None:
+                child_ids[lab] = ids[parent_lab]
+        if nd.kind == FORGET:
+            lab = child_labels[p]
+            if not child_ids[lab]:  # no other bag vertex shares the coalition
+                fresh += 1
+                child_ids[lab] = fresh
+            assign[nd.vertex] = child_ids[lab]
+        stack.append((child, back, child_ids))
+    return Partition([assign[v] for v in range(1, len(assign) + 1)])
+
+
 def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[bool, list[str]]:
     """Check nice-form structure plus the decomposition axioms.
 
@@ -383,9 +498,10 @@ def _distance_two_pairs(instance: AshgInstance) -> set[tuple[int, int]]:
 def square_instance(instance: AshgInstance) -> AshgInstance:
     """The square G^2: add zero-weight arc pairs between distance-2 vertices.
 
-    Utilities are unchanged for every partition, but coalitions that are
-    connected in G^2 may be split along distance >= 3 gaps, which is what
-    ties plain Nash stability on G to connected stability on G^2.
+    Utilities are unchanged for every partition, and a coalition can be
+    split along distance >= 3 gaps without changing anyone's utility, so G
+    has a Nash stable partition exactly when G^2 has a connected one (for
+    existence only: a stable coalition of G may be disconnected in G^2).
     """
     arcs = dict(instance.arcs)
     for u, x in _distance_two_pairs(instance):
@@ -393,25 +509,3 @@ def square_instance(instance: AshgInstance) -> AshgInstance:
         arcs[(x, u)] = 0
     return AshgInstance(instance.n, arcs)
 
-
-def square_augment(
-    instance: AshgInstance, td: TreeDecomposition
-) -> tuple[AshgInstance, TreeDecomposition]:
-    """Square the instance and widen each bag to its closed neighborhood.
-
-    The returned decomposition has the same tree and bags B ∪ N(B); it is
-    valid for the squared instance, and each new bag has at most
-    |B| * (max_degree + 1) vertices.
-    """
-    ok, violations = validate(td, instance)
-    if not ok:
-        raise ValueError("invalid decomposition: " + "; ".join(violations))
-    sq = square_instance(instance)
-    nbrs = instance.neighbors
-    new_bags = {}
-    for i, bag in td.bags.items():
-        widened = set(bag)
-        for v in bag:
-            widened.update(nbrs[v])
-        new_bags[i] = frozenset(widened)
-    return sq, TreeDecomposition(new_bags, td.edges)

@@ -12,6 +12,10 @@ from .decomposition import TreeDecomposition
 from .game import AshgInstance, Partition
 from .reductions import CnfFormula
 
+# Largest vertex count parse_instance accepts; an instance allocates
+# per-vertex tables before reading a single arc.
+MAX_VERTICES = 10**6
+
 
 def _data_lines(text: str) -> list[list[str]]:
     out = []
@@ -45,6 +49,8 @@ def parse_instance(text: str) -> AshgInstance:
     if not rows or rows[0][:2] != ["p", "ashg"] or len(rows[0]) != 4:
         raise ValueError("instance file must start with 'p ashg <n> <arc-count>'")
     n = _int(rows[0][2], "vertex count")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     arc_count = _int(rows[0][3], "arc count")
     arcs = []
     for fields in rows[1:]:

@@ -211,8 +211,11 @@ def _first_violation(
 ) -> tuple[int, int, int | None, int] | None:
     """First vertex (ascending) with an improving deviation, or None.
 
-    Returns (vertex, own_utility, target_class_or_None, target_utility).
-    Only coalitions holding an out-neighbor can beat a nonnegative own
+    Returns (vertex, own_utility, target, target_utility): target is the
+    best class that pays more than own utility, ties broken by lowest
+    class id, even when own utility is negative; it is SINGLETON (with
+    target utility 0) when only the empty coalition improves.  Only
+    coalitions holding an out-neighbor can beat a nonnegative own
     utility, so the scan per vertex is over out-arcs only.
     """
     out = instance.out
@@ -226,8 +229,6 @@ def _first_violation(
             c = labels[u - 1]
             sums[c] = sums.get(c, 0) + w
         own = sums.get(cid, 0)
-        if own < 0:
-            return (v, own, SINGLETON, 0)
         best_c = None
         best = own
         for c in sorted(sums):
@@ -236,7 +237,22 @@ def _first_violation(
                 best_c = c
         if best_c is not None:
             return (v, own, best_c, best)
+        if own < 0:
+            return (v, own, SINGLETON, 0)
     return None
+
+
+def _stability_witness(
+    instance: AshgInstance, labels: Sequence[int]
+) -> tuple[bool, DeviationWitness | None]:
+    """(stable, first deviation); a negative own utility goes to SINGLETON."""
+    hit = _first_violation(instance, labels)
+    if hit is None:
+        return True, None
+    v, own, target, gain = hit
+    if own < 0:
+        target, gain = SINGLETON, 0
+    return False, DeviationWitness(v, own, target, gain)
 
 
 def is_nash_stable(
@@ -249,11 +265,7 @@ def is_nash_stable(
     A negative own utility is reported as a move to SINGLETON.
     """
     _check_partition(instance, partition)
-    hit = _first_violation(instance, partition.labels)
-    if hit is None:
-        return True, None
-    v, own, target, gain = hit
-    return False, DeviationWitness(v, own, target, gain)
+    return _stability_witness(instance, partition.labels)
 
 
 def _connected_block(neighbors: Sequence[Sequence[int]], block: Sequence[int]) -> bool:
@@ -289,67 +301,32 @@ def is_connected_partition(
 def better_response_dynamics(
     instance: AshgInstance,
     max_steps: int = 1000,
-    schedule: str = "best",
 ) -> Partition | None:
     """Run deviation dynamics from the all-singletons partition.
 
     One step applies one deviation: the lowest-id vertex with a strictly
-    improving move deviates.  Under the "best" schedule it moves to the
-    coalition with the highest payoff (ties to lowest coalition id, with
-    an existing coalition preferred over a fresh singleton); under
-    "first" it moves to the lowest-id improving coalition, trying the
-    singleton move last.  Returns the partition once no vertex can
-    improve, or None when max_steps deviations did not reach stability.
-    Absence of a result is a normal outcome, not an error.
+    improving move deviates to the coalition with the highest payoff
+    (ties to lowest coalition id, with an existing coalition preferred
+    over a fresh singleton); when its own utility and that best payoff
+    are both negative it moves to a fresh singleton instead.  Returns the
+    partition once no vertex can improve, or None when max_steps
+    deviations did not reach stability.  Absence of a result is a normal
+    outcome, not an error.
     """
-    if schedule not in ("best", "first"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     n = instance.n
     labels = list(range(1, n + 1))
     next_id = n + 1
-    out = instance.out
     applied = 0
     while True:
-        move: tuple[int, int | None] | None = None
-        for v in range(1, n + 1):
-            row = out[v]
-            if not row:
-                continue
-            cid = labels[v - 1]
-            sums: dict[int, int] = {}
-            for u, w in row:
-                c = labels[u - 1]
-                sums[c] = sums.get(c, 0) + w
-            own = sums.get(cid, 0)
-            if schedule == "best":
-                best_val, best_target = own, None
-                for c in sorted(sums):
-                    if c != cid and sums[c] > best_val:
-                        best_val, best_target = sums[c], c
-                if best_target is not None:
-                    if own < 0 and best_val < 0:
-                        move = (v, SINGLETON)  # the empty coalition pays 0
-                    else:
-                        move = (v, best_target)
-                elif own < 0:
-                    move = (v, SINGLETON)
-            else:
-                for c in sorted(sums):
-                    if c != cid and sums[c] > own:
-                        move = (v, c)
-                        break
-                if move is None and own < 0:
-                    move = (v, SINGLETON)
-            if move is not None:
-                break
-        if move is None:
+        hit = _first_violation(instance, labels)
+        if hit is None:
             return Partition(labels)
         if applied >= max_steps:
             return None
-        v, target = move
-        if target is SINGLETON:
+        v, _, target, gain = hit
+        if target is SINGLETON or gain < 0:  # the empty coalition pays 0
             labels[v - 1] = next_id
             next_id += 1
         else:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decomposition import square_instance
 from .game import AshgInstance, Partition
 
 
@@ -693,17 +692,3 @@ def witness_bin_packing(
             blocks[home].extend(relays)
     return Partition.from_blocks(blocks.values(), instance.n)
 
-
-# ---------------------------------------------------------------------------
-# Squaring
-
-
-def square_zero_arcs(instance: AshgInstance) -> AshgInstance:
-    """Add zero-weight arc pairs between all vertices at distance two.
-
-    Utilities are untouched; the squared instance has a connected stable
-    partition exactly when the original has a plain stable one, because
-    any coalition can be split along distance >= 3 gaps without changing
-    anyone's utility.
-    """
-    return square_instance(instance)

@@ -79,6 +79,18 @@ def path_instance(n, rng=None, w_lo=-5, w_hi=5):
     return AshgInstance(n, arcs)
 
 
+def grid_instance(rows, cols, rng, w_lo=-3, w_hi=3):
+    """rows x cols grid, each direction of each edge weighted independently."""
+    arcs = {}
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j + 1
+            for u in ([v + 1] if j + 1 < cols else []) + ([v + cols] if i + 1 < rows else []):
+                arcs[(v, u)] = rng.randint(w_lo, w_hi)
+                arcs[(u, v)] = rng.randint(w_lo, w_hi)
+    return AshgInstance(rows * cols, arcs)
+
+
 # ---------------------------------------------------------------------------
 # naive oracles
 

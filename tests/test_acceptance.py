@@ -32,6 +32,7 @@ from ashg import (
     serialize_partition,
     solve_connected_nash,
     solve_nash_via_coloring,
+    square_instance,
     trace_survives_forget_filters,
     witness_sat_bounded_degree,
     witness_sat_high_degree,
@@ -197,12 +198,10 @@ def test_criterion_5_reduction_witnesses_and_feasibility(capsys):
 
 
 def test_criterion_6_squared_connected_equals_plain(capsys):
-    from ashg import square_zero_arcs
-
     mismatches = 0
     for inst in _suite():
         plain = brute_force_nash(inst) is not None
-        squared = brute_force_connected_nash(square_zero_arcs(inst)) is not None
+        squared = brute_force_connected_nash(square_instance(inst)) is not None
         if plain != squared:
             mismatches += 1
     ok = mismatches == 0

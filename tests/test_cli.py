@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ashg
 from ashg import gen_sat_bounded_degree, parse_cnf, parse_instance, parse_partition
 from ashg.cli import main
 
@@ -75,6 +77,12 @@ class TestSolve:
         bad = tmp_path / "bad.ashg"
         bad.write_text("p ashg 2 9\na 1 2 1\n", encoding="utf-8")
         assert main(["solve", str(bad)]) == 3
+
+    def test_huge_vertex_count_exits_three(self, tmp_path, capsys):
+        huge = tmp_path / "huge.ashg"
+        huge.write_text("p ashg 10000000000 0\n", encoding="utf-8")
+        assert main(["solve", str(huge)]) == 3
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_missing_file_exits_three(self, capsys):
         assert main(["solve", golden("no_such_file.ashg")]) == 3
@@ -218,10 +226,14 @@ class TestUsageErrors:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
+        # the child process imports the same package this test imported
+        package_root = str(Path(ashg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ashg.cli", "solve", golden("friends.ashg")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "c answer SOME" in proc.stdout

@@ -22,7 +22,7 @@ from ashg import (
     is_stable_coloring,
     solve_nash_via_coloring,
 )
-from helpers import naive_is_stable, path_instance, suite_instance
+from helpers import grid_instance, naive_is_stable, path_instance, suite_instance
 
 
 def stalker() -> AshgInstance:
@@ -168,3 +168,13 @@ class TestSolveNashViaColoring:
             got = solve_nash_via_coloring(inst, td, stats=stats)
             coloring = brute_force_stable_coloring(inst, stats["k"])
             assert (got is None) == (coloring is None)
+
+    def test_grid_peak_table_stays_small(self):
+        # The DP runs on a decomposition of G^2 itself; widening each bag of
+        # the caller's decomposition to B ∪ N(B) instead peaked at 16 778
+        # signatures on this grid, the direct route at 7 218.
+        inst = grid_instance(4, 5, random.Random(1))
+        stats = {}
+        solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
+        assert stats["k"] == 20
+        assert stats["peak_table"] <= 8_000

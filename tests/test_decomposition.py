@@ -1,22 +1,34 @@
-"""Tree decompositions: validation, heuristics, nice form, squaring."""
+"""Tree decompositions: validation, heuristics, nice form, the DP engine, squaring."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from ashg import (
     AshgInstance,
+    NiceNode,
+    NiceTreeDecomposition,
+    Partition,
+    ResourceLimitError,
     TreeDecomposition,
     heuristic_decompose,
     make_nice,
-    square_augment,
     square_instance,
     validate,
     validate_nice,
 )
-from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, MIN_DEGREE, MIN_FILL
+from ashg.decomposition import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    MIN_DEGREE,
+    MIN_FILL,
+    run_nice_dp,
+)
 from helpers import path_instance, suite_instance
 
 
@@ -153,6 +165,98 @@ class TestMakeNice:
         assert ntd.vertices_below(ntd.root) == frozenset(range(1, 7))
 
 
+def two_branch_ntd() -> NiceTreeDecomposition:
+    """Bag {1} with one branch adding 2 and one adding 3, joined, then emptied."""
+    return NiceTreeDecomposition(
+        [
+            NiceNode(LEAF, (), None, ()),
+            NiceNode(INTRODUCE, (1,), 1, (0,)),
+            NiceNode(INTRODUCE, (1, 2), 2, (1,)),
+            NiceNode(FORGET, (1,), 2, (2,)),
+            NiceNode(LEAF, (), None, ()),
+            NiceNode(INTRODUCE, (1,), 1, (4,)),
+            NiceNode(INTRODUCE, (1, 3), 3, (5,)),
+            NiceNode(FORGET, (1,), 3, (6,)),
+            NiceNode(JOIN, (1,), None, (3, 7)),
+            NiceNode(FORGET, (), 1, (8,)),
+        ]
+    )
+
+
+def canon(labels) -> tuple[int, ...]:
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(lab, len(first)) for lab in labels)
+
+
+def run_partition_dp(ntd, placements, table_cap=100, stats=None):
+    """Signatures are the bag's class labels; placements(v, sig, p) lists
+    the labels the introduced vertex v may take at bag position p."""
+
+    def introduce(nd, child_bag):
+        p = nd.bag.index(nd.vertex)
+        return lambda sig: [
+            canon(sig[:p] + (lab,) + sig[p:]) for lab in placements(nd.vertex, sig, p)
+        ]
+
+    def forget(nd, child_bag):
+        p = child_bag.index(nd.vertex)
+        return lambda sig: canon(sig[:p] + sig[p + 1 :])
+
+    return run_nice_dp(
+        ntd, table_cap, (), introduce, forget,
+        join=lambda nd: lambda left, right: left,
+        classes=lambda sig: sig,
+        stats=stats,
+    )
+
+
+def fresh_label(sig) -> int:
+    return max(sig, default=-1) + 1
+
+
+class TestRunNiceDp:
+    def test_traceback_carries_classes_through_join_and_forget(self):
+        # even vertices join the class of the bag's first vertex, odd ones
+        # open a class of their own
+        def placements(v, sig, p):
+            return [sig[0] if v % 2 == 0 else fresh_label(sig)]
+
+        stats = {}
+        part = run_partition_dp(two_branch_ntd(), placements, stats=stats)
+        assert part == Partition([1, 1, 2])
+        assert stats == {"peak_table": 1, "nice_nodes": 10}
+
+    def test_first_trace_in_insertion_order_wins(self):
+        ntd = make_nice(TreeDecomposition({1: [1, 2]}, []))
+        together_first = run_partition_dp(ntd, lambda v, sig, p: [*sig, fresh_label(sig)])
+        apart_first = run_partition_dp(ntd, lambda v, sig, p: [fresh_label(sig), *sig])
+        assert together_first == Partition([1, 1])
+        assert apart_first == Partition([1, 2])
+
+    def test_empty_root_table_gives_none(self):
+        def placements(v, sig, p):
+            return [] if v == 3 else [fresh_label(sig)]
+
+        assert run_partition_dp(two_branch_ntd(), placements) is None
+
+    def test_empty_decomposition_gives_empty_partition(self):
+        ntd = make_nice(TreeDecomposition({1: []}, []))
+        assert run_partition_dp(ntd, lambda v, sig, p: []) == Partition([])
+
+    def test_cap_checked_on_every_insert(self):
+        # the step never ends; only a per-insert check stops the node
+        def endless(nd, child_bag):
+            return lambda sig: ((i,) for i in itertools.count())
+
+        ntd = make_nice(TreeDecomposition({1: [1]}, []))
+        with pytest.raises(ResourceLimitError):
+            run_nice_dp(
+                ntd, 5, (), endless, lambda nd, bag: lambda sig: (),
+                join=lambda nd: lambda left, right: left,
+                classes=lambda sig: sig,
+            )
+
+
 class TestSquareInstance:
     def test_path_gains_zero_arcs_between_endpoints(self):
         sq = square_instance(path3())
@@ -188,38 +292,3 @@ class TestSquareInstance:
                     if dist2:
                         assert sq.weight(u, v) == 0
 
-
-class TestSquareAugment:
-    def test_star_becomes_clique_with_full_bags(self):
-        inst = AshgInstance(
-            4, {(1, v): 1 for v in (2, 3, 4)} | {(v, 1): 1 for v in (2, 3, 4)}
-        )
-        td = heuristic_decompose(inst)
-        sq, sq_td = square_augment(inst, td)
-        assert sq.underlying_edges() == {
-            (u, v) for u in range(1, 5) for v in range(u + 1, 5)
-        }
-        for bag_id, bag in td.bags.items():
-            if 1 in bag:
-                assert sq_td.bags[bag_id] == frozenset({1, 2, 3, 4})
-
-    def test_augmented_decomposition_valid_for_square(self):
-        rng = random.Random(71)
-        for t in range(100):
-            inst = suite_instance(rng, t, n_max=7)
-            td = heuristic_decompose(inst)
-            sq, sq_td = square_augment(inst, td)
-            ok, problems = validate(sq_td, sq)
-            assert ok, problems
-
-    def test_bags_grow_by_neighborhoods(self):
-        inst = path3()
-        td = TreeDecomposition({1: [1, 2], 2: [2, 3]}, [(1, 2)])
-        _, sq_td = square_augment(inst, td)
-        assert sq_td.bags[1] == frozenset({1, 2, 3})
-        assert sq_td.bags[2] == frozenset({1, 2, 3})
-
-    def test_invalid_decomposition_rejected(self):
-        td = TreeDecomposition({1: [1, 2]}, [])
-        with pytest.raises(ValueError):
-            square_augment(path3(), td)

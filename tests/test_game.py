@@ -171,15 +171,6 @@ class TestBetterResponseDynamics:
     def test_empty_instance(self):
         assert better_response_dynamics(AshgInstance(0)) == Partition([])
 
-    def test_first_schedule_also_reaches_stability(self):
-        result = better_response_dynamics(path3(), schedule="first")
-        assert result is not None
-        assert is_nash_stable(path3(), result)[0]
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            better_response_dynamics(friends(), schedule="greedy")
-
     def test_converged_results_are_stable(self):
         rng = random.Random(88)
         for t in range(120):
@@ -187,3 +178,37 @@ class TestBetterResponseDynamics:
             result = better_response_dynamics(inst, max_steps=400)
             if result is not None:
                 assert is_nash_stable(inst, result)[0]
+
+    def test_step_rule_matches_reference(self):
+        # lowest improving vertex moves to its best class (lowest id on
+        # ties); to a fresh singleton when that class and its own both pay < 0
+        def reference(inst, max_steps):
+            labels = list(range(1, inst.n + 1))
+            fresh = iter(range(inst.n + 1, inst.n + max_steps + 2))
+            for step in range(max_steps + 1):
+                move = None
+                for v in range(1, inst.n + 1):
+                    sums = {}
+                    for u, w in inst.out[v]:
+                        sums[labels[u - 1]] = sums.get(labels[u - 1], 0) + w
+                    own = sums.get(labels[v - 1], 0)
+                    better = [c for c, s in sums.items() if c != labels[v - 1] and s > own]
+                    if better:
+                        top = max(sums[c] for c in better)
+                        best = min(c for c in better if sums[c] == top)
+                        move = (v, best if own >= 0 or top >= 0 else None)
+                    elif own < 0:
+                        move = (v, None)
+                    if move:
+                        break
+                if move is None:
+                    return Partition(labels)
+                if step == max_steps:
+                    return None
+                v, target = move
+                labels[v - 1] = next(fresh) if target is None else target
+
+        rng = random.Random(91)
+        for t in range(150):
+            inst = suite_instance(rng, t, n_max=6)
+            assert better_response_dynamics(inst, max_steps=60) == reference(inst, 60)

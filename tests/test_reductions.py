@@ -19,7 +19,6 @@ from ashg import (
     is_connected_partition,
     is_nash_stable,
     square_instance,
-    square_zero_arcs,
     witness_bin_packing,
     witness_sat_bounded_degree,
     witness_sat_high_degree,
@@ -328,14 +327,9 @@ class TestBinPacking:
 
 
 class TestSquareZeroArcs:
-    def test_alias_of_square_instance(self):
-        inst = AshgInstance(3, [(1, 2, 1), (2, 3, -1)])
-        sq, ref = square_zero_arcs(inst), square_instance(inst)
-        assert sq.n == ref.n and dict(sq.arcs) == dict(ref.arcs)
-
     def test_path_gains_zero_weight_chords(self):
         inst = AshgInstance(3, [(1, 2, 1), (2, 3, 2)])
-        sq = square_zero_arcs(inst)
+        sq = square_instance(inst)
         assert sq.weight(1, 3) == 0 and sq.weight(3, 1) == 0
         assert (1, 3) in sq.arcs and (3, 1) in sq.arcs
         assert sq.weight(1, 2) == 1 and sq.weight(2, 3) == 2
@@ -347,7 +341,7 @@ class TestSquareZeroArcs:
         for t in range(60):
             inst = suite_instance(rng, t, n_max=6)
             plain = brute_force_nash(inst)
-            squared = brute_force_connected_nash(square_zero_arcs(inst))
+            squared = brute_force_connected_nash(square_instance(inst))
             assert (plain is None) == (squared is None)
             if squared is not None:
                 assert is_nash_stable(inst, squared)[0]
