@@ -23,7 +23,6 @@ from .decomposition import (
     heuristic_decompose,
     make_nice,
     square_instance,
-    validate,
 )
 from .errors import OracleCapError, ResourceLimitError
 from .game import (
@@ -71,6 +70,7 @@ class RunReport:
     wall_time: float
     width: int | None = None
     peak_table: int | None = None
+    steps: int | None = None
 
     def lines(self) -> list[str]:
         out = [
@@ -84,6 +84,8 @@ class RunReport:
             out.append(f"c width {self.width}")
         if self.peak_table is not None:
             out.append(f"c peak-table {self.peak_table}")
+        if self.steps is not None:
+            out.append(f"c steps {self.steps}")
         out.append(f"c answer {self.answer}")
         out.append(f"c wall-time {self.wall_time:.3f}s")
         return out
@@ -109,7 +111,8 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _report_for(command: str, instance: AshgInstance, answer: str, t0: float,
-                width: int | None = None, peak: int | None = None) -> RunReport:
+                width: int | None = None, peak: int | None = None,
+                steps: int | None = None) -> RunReport:
     return RunReport(
         command=command,
         n=instance.n,
@@ -120,6 +123,7 @@ def _report_for(command: str, instance: AshgInstance, answer: str, t0: float,
         wall_time=time.perf_counter() - t0,
         width=width,
         peak_table=peak,
+        steps=steps,
     )
 
 
@@ -128,12 +132,9 @@ def _report_for(command: str, instance: AshgInstance, answer: str, t0: float,
 
 
 def _load_or_build_td(args, instance):
+    # a --td file is validated by the solver, once
     if args.td:
-        td = formats.parse_decomposition(_read(args.td))
-        ok, problems = validate(td, instance)
-        if not ok:
-            raise ValueError("invalid decomposition: " + "; ".join(problems))
-        return td
+        return formats.parse_decomposition(_read(args.td))
     return heuristic_decompose(instance, args.strategy)
 
 
@@ -144,7 +145,9 @@ def cmd_solve(args) -> int:
     width = None
     partition = None
     if args.mode == "dynamics":
-        partition = better_response_dynamics(instance, max_steps=args.max_steps)
+        partition = better_response_dynamics(
+            instance, max_steps=args.max_steps, stats=stats
+        )
         answer = "SOME" if partition is not None else "UNKNOWN"
         if partition is None:
             print(f"c no convergence within {args.max_steps} steps", file=sys.stderr)
@@ -165,7 +168,7 @@ def cmd_solve(args) -> int:
             print(f"c resource limit: {exc}", file=sys.stderr)
             answer = "UNKNOWN"
     report = _report_for("solve", instance, answer, t0, width,
-                         stats.get("peak_table"))
+                         stats.get("peak_table"), stats.get("steps"))
     _print_report(report)
     if partition is not None:
         _emit(args.out, formats.serialize_partition(partition))

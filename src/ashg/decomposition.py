@@ -8,6 +8,7 @@ is max bag size minus one, floored at 0 for the degenerate empty case.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -68,7 +69,12 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
     """Check the three decomposition axioms plus tree shape.
 
     Returns (ok, violations); violations are human-readable strings and
-    the list is empty iff ok.
+    the list is empty iff ok.  One pass lists, per vertex, the bags that
+    hold it, and one traversal roots the tree.  An edge is then checked
+    against the shorter holder list of its two ends, and the bags holding
+    v form a connected subtree iff exactly one of them has a parent that
+    does not hold v.  Cost O(sum |bag| * max degree + m), plus sorting
+    the bag ids and the instance's edges.
     """
     violations: list[str] = []
     ids = sorted(td.bags)
@@ -76,9 +82,14 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
         violations.append("decomposition has no bags")
         return False, violations
 
+    n = instance.n
+    bags = td.bags
+    holders: list[list[int]] = [[] for _ in range(n + 1)]
     for i in ids:
-        for v in td.bags[i]:
-            if not (1 <= v <= instance.n):
+        for v in bags[i]:
+            if 1 <= v <= n:
+                holders[v].append(i)
+            else:
                 violations.append(f"bag {i} contains unknown vertex {v}")
 
     # tree shape: connected and acyclic
@@ -86,44 +97,34 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
         violations.append(
             f"{len(td.edges)} tree edges for {len(ids)} bags (a tree needs {len(ids) - 1})"
         )
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        x = stack.pop()
+    parent: dict[int, int | None] = {ids[0]: None}
+    order = [ids[0]]
+    for x in order:
         for y in td.neighbors_of(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(ids):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    if len(parent) != len(ids):
         violations.append("tree is not connected")
 
-    covered: set[int] = set()
-    for b in td.bags.values():
-        covered |= b
-    for v in range(1, instance.n + 1):
-        if v not in covered:
+    for v in range(1, n + 1):
+        if not holders[v]:
             violations.append(f"vertex {v} is in no bag")
 
     for u, v in sorted(instance.underlying_edges()):
-        if not any(u in b and v in b for b in td.bags.values()):
+        short, other = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
+        if not any(other in bags[i] for i in holders[short]):
             violations.append(f"edge {{{u},{v}}} is in no bag")
 
     # connected subtree per vertex (only meaningful if the tree itself is ok)
-    if len(seen) == len(ids) and len(td.edges) == len(ids) - 1:
-        for v in range(1, instance.n + 1):
-            holding = [i for i in ids if v in td.bags[i]]
-            if not holding:
-                continue
-            reach = {holding[0]}
-            stack = [holding[0]]
-            hold_set = set(holding)
-            while stack:
-                x = stack.pop()
-                for y in td.neighbors_of(x):
-                    if y in hold_set and y not in reach:
-                        reach.add(y)
-                        stack.append(y)
-            if len(reach) != len(holding):
+    if len(parent) == len(ids) and len(td.edges) == len(ids) - 1:
+        for v in range(1, n + 1):
+            tops = 0
+            for i in holders[v]:
+                p = parent[i]
+                if p is None or v not in bags[p]:
+                    tops += 1
+            if tops > 1:
                 violations.append(f"bags holding vertex {v} are not connected in the tree")
 
     return not violations, violations
@@ -137,6 +138,11 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
     ties toward the lowest vertex id.  Bags are the closed neighborhoods
     at elimination time; each bag hangs off the bag of its earliest
     later-eliminated neighbor.
+
+    MIN_DEGREE keeps a lazy-deletion heap of (degree, vertex) entries,
+    one pushed whenever a degree changes, so its cost is
+    O(sum |bag|^2 log n).  MIN_FILL still scores every remaining vertex
+    at every step, which is quadratic in n; the benchmark does not run it.
     """
     if strategy not in (MIN_DEGREE, MIN_FILL):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -158,14 +164,19 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
             if b not in adj[a]
         )
 
+    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     bags: list[frozenset[int]] = []
-    remaining = set(adj)
-    while remaining:
+    while adj:
         if strategy == MIN_DEGREE:
-            v = min(remaining, key=lambda x: (len(adj[x]), x))
+            # an entry is stale once its vertex is gone or its degree moved
+            while True:
+                d, v = heapq.heappop(heap)
+                if v in adj and len(adj[v]) == d:
+                    break
         else:
-            v = min(remaining, key=lambda x: (fill_count(x), x))
+            v = min(adj, key=lambda x: (fill_count(x), x))
         nbrs = sorted(adj[v])
         bags.append(frozenset([v] + nbrs))
         for i, a in enumerate(nbrs):
@@ -175,8 +186,10 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
         for a in nbrs:
             adj[a].discard(v)
         del adj[v]
-        remaining.discard(v)
         order.append(v)
+        if strategy == MIN_DEGREE:
+            for a in nbrs:
+                heapq.heappush(heap, (len(adj[a]), a))
 
     pos = {v: i for i, v in enumerate(order)}
     bag_ids = {i: i + 1 for i in range(n)}
@@ -252,11 +265,17 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     the out-of-parent vertices are forgotten in ascending order and the
     new ones introduced in ascending order, leaves grow from an empty
     LEAF, and multiple children fold left-to-right through JOIN nodes.
-    The final root forgets the root bag down to empty.
+    The final root forgets the root bag down to empty.  Raises
+    ValueError when the bags do not form a tree; the other axioms are
+    left to validate_nice.
     """
     ids = sorted(td.bags)
     if not ids:
         raise ValueError("decomposition has no bags")
+    if len(td.edges) != len(ids) - 1:
+        raise ValueError(
+            f"{len(td.edges)} tree edges for {len(ids)} bags (a tree needs {len(ids) - 1})"
+        )
     root = ids[0]
 
     parent: dict[int, int | None] = {root: None}

@@ -131,7 +131,8 @@ def parse_decomposition(text: str) -> TreeDecomposition:
             edges.append((_int(fields[0], "edge end"), _int(fields[1], "edge end")))
         else:
             raise ValueError(f"expected bag or edge line, got {' '.join(fields)!r}")
-    if sorted(bags) != list(range(1, num_bags + 1)):
+    # compare counts first: the header's bag count is not trusted to size a list
+    if len(bags) != num_bags or sorted(bags) != list(range(1, num_bags + 1)):
         raise ValueError(f"bag ids must be exactly 1..{num_bags}")
     td = TreeDecomposition(bags, edges)
     if td.max_bag_size != max_bag:

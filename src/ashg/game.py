@@ -8,6 +8,7 @@ bounds and connectivity even though they never change a utility sum.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -207,19 +208,20 @@ def utility_toward(instance: AshgInstance, v: int, coalition: Iterable[int]) -> 
 
 
 def _first_violation(
-    instance: AshgInstance, labels: Sequence[int]
+    instance: AshgInstance, labels: Sequence[int], vertices: Iterable[int] | None = None
 ) -> tuple[int, int, int | None, int] | None:
-    """First vertex (ascending) with an improving deviation, or None.
+    """First vertex with an improving deviation, or None.
 
-    Returns (vertex, own_utility, target, target_utility): target is the
-    best class that pays more than own utility, ties broken by lowest
-    class id, even when own utility is negative; it is SINGLETON (with
-    target utility 0) when only the empty coalition improves.  Only
-    coalitions holding an out-neighbor can beat a nonnegative own
-    utility, so the scan per vertex is over out-arcs only.
+    Scans `vertices` in the order given (default: 1..n ascending) and
+    stops at the first hit.  Returns (vertex, own_utility, target,
+    target_utility): target is the best class that pays more than own
+    utility, ties broken by lowest class id, even when own utility is
+    negative; it is SINGLETON (with target utility 0) when only the empty
+    coalition improves.  Only coalitions holding an out-neighbor can beat
+    a nonnegative own utility, so the scan per vertex is over out-arcs only.
     """
     out = instance.out
-    for v in range(1, instance.n + 1):
+    for v in range(1, instance.n + 1) if vertices is None else vertices:
         row = out[v]
         if not row:
             continue
@@ -301,6 +303,7 @@ def is_connected_partition(
 def better_response_dynamics(
     instance: AshgInstance,
     max_steps: int = 1000,
+    stats: dict | None = None,
 ) -> Partition | None:
     """Run deviation dynamics from the all-singletons partition.
 
@@ -311,20 +314,41 @@ def better_response_dynamics(
     are both negative it moves to a fresh singleton instead.  Returns the
     partition once no vertex can improve, or None when max_steps
     deviations did not reach stability.  Absence of a result is a normal
-    outcome, not an error.
+    outcome, not an error.  When `stats` is given, stats["steps"] is set
+    to the number of deviations applied.
+
+    A vertex's options depend only on its own label and its
+    out-neighbors' labels, so only the moved vertex and its in-neighbors
+    can turn unstable after a step.  A min-heap holds the vertices not
+    known to be stable; popping it yields the lowest-id improving vertex
+    without rescanning the stable ones.  Cost O(n + m) to reach the first
+    step, then O((outdeg(v) + indeg(v)) log n) per move of v, plus the
+    stable vertices that move wakes.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     n = instance.n
     labels = list(range(1, n + 1))
+    into: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in instance.arcs:
+        into[v].append(u)
+    dirty = list(range(1, n + 1))  # ascending, so already a heap
+    queued = [True] * (n + 1)
+
+    def pop_dirty() -> Iterator[int]:
+        # resumed by every scan below; it sees the pushes made between scans
+        while dirty:
+            v = heapq.heappop(dirty)
+            queued[v] = False
+            yield v
+
+    scan = pop_dirty()
     next_id = n + 1
     applied = 0
     while True:
-        hit = _first_violation(instance, labels)
-        if hit is None:
-            return Partition(labels)
-        if applied >= max_steps:
-            return None
+        hit = _first_violation(instance, labels, scan)
+        if hit is None or applied >= max_steps:
+            break
         v, _, target, gain = hit
         if target is SINGLETON or gain < 0:  # the empty coalition pays 0
             labels[v - 1] = next_id
@@ -332,3 +356,10 @@ def better_response_dynamics(
         else:
             labels[v - 1] = target
         applied += 1
+        for u in (v, *into[v]):
+            if not queued[u]:
+                queued[u] = True
+                heapq.heappush(dirty, u)
+    if stats is not None:
+        stats["steps"] = applied
+    return Partition(labels) if hit is None else None

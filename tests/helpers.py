@@ -113,6 +113,91 @@ def naive_is_stable(instance, partition):
     return True
 
 
+def naive_validate(td, instance):
+    """Quadratic decomposition check: every vertex and edge scans every bag.
+
+    Reference for `validate`: same violation strings in the same order.
+    """
+    violations = []
+    ids = sorted(td.bags)
+    if not ids:
+        return False, ["decomposition has no bags"]
+    for i in ids:
+        for v in td.bags[i]:
+            if not (1 <= v <= instance.n):
+                violations.append(f"bag {i} contains unknown vertex {v}")
+    if len(td.edges) != len(ids) - 1:
+        violations.append(
+            f"{len(td.edges)} tree edges for {len(ids)} bags (a tree needs {len(ids) - 1})"
+        )
+    seen = {ids[0]}
+    stack = [ids[0]]
+    while stack:
+        x = stack.pop()
+        for y in td.neighbors_of(x):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(ids):
+        violations.append("tree is not connected")
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    for v in range(1, instance.n + 1):
+        if v not in covered:
+            violations.append(f"vertex {v} is in no bag")
+    for u, v in sorted(instance.underlying_edges()):
+        if not any(u in b and v in b for b in td.bags.values()):
+            violations.append(f"edge {{{u},{v}}} is in no bag")
+    if len(seen) == len(ids) and len(td.edges) == len(ids) - 1:
+        for v in range(1, instance.n + 1):
+            holding = [i for i in ids if v in td.bags[i]]
+            if not holding:
+                continue
+            reach = {holding[0]}
+            stack = [holding[0]]
+            while stack:
+                x = stack.pop()
+                for y in td.neighbors_of(x):
+                    if y in holding and y not in reach:
+                        reach.add(y)
+                        stack.append(y)
+            if len(reach) != len(holding):
+                violations.append(f"bags holding vertex {v} are not connected in the tree")
+    return not violations, violations
+
+
+def naive_min_degree_bags(instance):
+    """Min-degree elimination by a min() over all remaining vertices.
+
+    Reference for `heuristic_decompose(..., MIN_DEGREE)`: returns the
+    (bags, edges) pair it must produce.
+    """
+    n = instance.n
+    if n == 0:
+        return {1: frozenset()}, ()
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in instance.underlying_edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    order, bags = [], []
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nbrs = adj.pop(v)
+        bags.append(frozenset(nbrs | {v}))
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+        order.append(v)
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i in range(n - 1):
+        later = [pos[u] for u in bags[i] if pos[u] > i]
+        parent = min(later) if later else i + 1
+        edges.append((min(i, parent) + 1, max(i, parent) + 1))
+    return {i + 1: bags[i] for i in range(n)}, tuple(sorted(edges))
+
+
 def naive_stable_exists(instance):
     """Label-product search over all n^n assignments; only for tiny n."""
     n = instance.n

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -54,9 +55,53 @@ class TestSolve:
         assert main(args) == 3
         assert "invalid decomposition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    @pytest.mark.parametrize("tree", ["1 2\n2 3\n1 3\n", "1 2\n"])
+    def test_cyclic_or_disconnected_decomposition_rejected(self, mode, tree, tmp_path):
+        td = tmp_path / "bad.td"
+        td.write_text("s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 2\n" + tree, encoding="utf-8")
+        assert main(["solve", golden("path3.ashg"), "--mode", mode, "--td", str(td)]) == 3
+
+    @pytest.mark.parametrize("mode, expected", [
+        ("nash", ["validate"]),
+        # validate_nice checks the nice form, then the axioms through validate
+        ("connected-nash", ["validate_nice", "validate"]),
+    ])
+    def test_decomposition_validated_once(self, mode, expected, monkeypatch, capsys):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (ashg.cli, ashg.coloring, ashg.connected, ashg.decomposition):
+            for name in ("validate", "validate_nice"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        args = ["solve", golden("path5.ashg"), "--mode", mode, "--td", golden("path5.td")]
+        assert main(args) == 0
+        assert calls == expected
+
+    def test_huge_bag_count_exits_three(self, tmp_path, capsys):
+        td = tmp_path / "huge.td"
+        td.write_text("s td 10000000000 1 1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["solve", golden("path3.ashg"), "--td", str(td)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "bag ids must be exactly" in capsys.readouterr().err
+        assert peak < 10**6  # nothing sized by the header's bag count
+
     def test_dynamics_converges_on_friends(self, capsys):
         assert main(["solve", golden("friends.ashg"), "--mode", "dynamics"]) == 0
-        assert "c answer SOME" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "c answer SOME" in out
+        assert "c steps 1\n" in out
 
     def test_dynamics_reports_unknown_when_cycling(self, capsys):
         args = ["solve", golden("stalker.ashg"), "--mode", "dynamics",
@@ -64,6 +109,7 @@ class TestSolve:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert "c answer UNKNOWN" in captured.out
+        assert "c steps 7\n" in captured.out
         assert "no convergence" in captured.err
 
     def test_table_cap_reports_unknown(self, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from ashg import (
     Partition,
     ResourceLimitError,
     TreeDecomposition,
+    better_response_dynamics,
     heuristic_decompose,
     make_nice,
     square_instance,
@@ -29,7 +31,13 @@ from ashg.decomposition import (
     MIN_FILL,
     run_nice_dp,
 )
-from helpers import path_instance, suite_instance
+from helpers import (
+    naive_min_degree_bags,
+    naive_validate,
+    path_instance,
+    suite_instance,
+    uniform_instance,
+)
 
 
 def path3() -> AshgInstance:
@@ -56,6 +64,32 @@ class TestTreeDecomposition:
     def test_self_edge_rejected(self):
         with pytest.raises(ValueError):
             TreeDecomposition({1: [1]}, [(1, 1)])
+
+
+def corrupted_decompositions(rng, inst, td):
+    """(kind, bags, edges) for td itself and five ways of breaking it."""
+    bags = {i: set(b) for i, b in td.bags.items()}
+    edges = list(td.edges)
+    ids = sorted(bags)
+    yield "valid", bags, edges
+
+    edge = rng.choice(sorted(inst.underlying_edges()))
+    dropped = {i: b - {edge[1]} if edge[0] in b else b for i, b in bags.items()}
+    yield "dropped edge", dropped, edges
+
+    i, v = rng.choice([(i, v) for i in ids for v in range(1, inst.n + 1) if v not in bags[i]])
+    broken = {j: set(b) for j, b in bags.items()}
+    broken[i].add(v)
+    yield "broken subtree", broken, edges
+
+    unknown = {i: set(b) for i, b in bags.items()}
+    unknown[rng.choice(ids)].add(rng.choice([0, inst.n + 1]))
+    yield "unknown vertex", unknown, edges
+
+    a, b = rng.choice([(a, b) for a, b in itertools.combinations(ids, 2) if (a, b) not in edges])
+    yield "cycle", bags, edges + [(a, b)]
+
+    yield "disconnected", bags, edges[:-1] if rng.random() < 0.5 else edges[1:]
 
 
 class TestValidate:
@@ -87,6 +121,28 @@ class TestValidate:
         ok, problems = validate(td, path3())
         assert not ok
 
+    def test_matches_naive_validate(self):
+        rng = random.Random(47)
+        failing = set()
+        for t in range(200):
+            if t % 2:
+                inst = uniform_instance(rng, n_max=25, max_degree=5)
+            else:
+                inst = path_instance(rng.randint(3, 30), rng)
+            if not inst.arcs:
+                continue
+            td = heuristic_decompose(inst, MIN_DEGREE if t % 3 else MIN_FILL)
+            if len(td.bags) < 3:
+                continue
+            for kind, bags, edges in corrupted_decompositions(rng, inst, td):
+                cand = TreeDecomposition(bags, edges)
+                got = validate(cand, inst)
+                assert got == naive_validate(cand, inst), kind
+                if not got[0]:
+                    failing.add(kind)
+        assert failing == {"dropped edge", "broken subtree", "unknown vertex",
+                           "cycle", "disconnected"}
+
 
 class TestHeuristicDecompose:
     def test_path_of_five_has_width_one(self):
@@ -114,6 +170,13 @@ class TestHeuristicDecompose:
                 ok, problems = validate(td, inst)
                 assert ok, problems
 
+    def test_min_degree_matches_min_loop_reference(self):
+        rng = random.Random(53)
+        for t in range(60):
+            inst = uniform_instance(rng, n_max=60, max_degree=2 + t % 7)
+            td = heuristic_decompose(inst, MIN_DEGREE)
+            assert (dict(td.bags), td.edges) == naive_min_degree_bags(inst)
+
     def test_deterministic(self):
         inst = suite_instance(random.Random(5), 1, n_max=8)
         a = heuristic_decompose(inst)
@@ -135,6 +198,13 @@ class TestMakeNice:
         ntd = make_nice(td)
         assert validate_nice(ntd, path3())[0]
         assert ntd.width == td.width == 1
+
+    def test_cyclic_or_disconnected_tree_rejected(self):
+        bags = {1: [1, 2], 2: [2, 3], 3: [2]}
+        with pytest.raises(ValueError, match="a tree needs 2"):
+            make_nice(TreeDecomposition(bags, [(1, 2), (2, 3), (1, 3)]))
+        with pytest.raises(ValueError, match="not connected"):
+            make_nice(TreeDecomposition(bags | {4: [3]}, [(1, 2), (2, 3), (1, 3)]))
 
     def test_empty_graph_leaf_only(self):
         ntd = make_nice(TreeDecomposition({1: []}, []))
@@ -292,3 +362,19 @@ class TestSquareInstance:
                     if dist2:
                         assert sq.weight(u, v) == 0
 
+
+def test_layers_outside_the_dp_scale_linearly():
+    # width-1 path, n = 20 000: the decomposition, both validations and the
+    # dynamics (19 999 moves into one coalition) each stay near-linear; a
+    # quadratic layer takes minutes here
+    n = 20_000
+    inst = path_instance(n)
+    start = time.perf_counter()
+    td = heuristic_decompose(inst)
+    assert validate(td, inst) == (True, [])
+    ntd = make_nice(td)
+    assert validate_nice(ntd, inst) == (True, [])
+    stats = {}
+    assert better_response_dynamics(inst, max_steps=4 * n, stats=stats) == Partition([1] * n)
+    assert stats["steps"] == n - 1
+    assert time.perf_counter() - start < 10.0

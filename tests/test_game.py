@@ -10,12 +10,13 @@ from ashg import (
     AshgInstance,
     Partition,
     better_response_dynamics,
+    game,
     is_connected_partition,
     is_nash_stable,
     utility,
     utility_toward,
 )
-from helpers import naive_is_stable, suite_instance
+from helpers import frustrated_instance, naive_is_stable, suite_instance
 
 
 def stalker() -> AshgInstance:
@@ -179,13 +180,24 @@ class TestBetterResponseDynamics:
             if result is not None:
                 assert is_nash_stable(inst, result)[0]
 
-    def test_step_rule_matches_reference(self):
+    def test_steps_count_the_moves_applied(self):
+        stats = {}
+        assert better_response_dynamics(friends(), max_steps=2, stats=stats) is not None
+        assert stats == {"steps": 1}  # vertex 1 joins vertex 2, then both are content
+        stats = {}
+        assert better_response_dynamics(stalker(), max_steps=100, stats=stats) is None
+        assert stats == {"steps": 100}  # the budget is spent, one move per step
+
+    def test_step_rule_matches_reference(self, monkeypatch):
         # lowest improving vertex moves to its best class (lowest id on
         # ties); to a fresh singleton when that class and its own both pay < 0
         def reference(inst, max_steps):
+            """(partition or None, labels before each scan), rescanning all vertices."""
             labels = list(range(1, inst.n + 1))
             fresh = iter(range(inst.n + 1, inst.n + max_steps + 2))
+            states = []
             for step in range(max_steps + 1):
+                states.append(tuple(labels))
                 move = None
                 for v in range(1, inst.n + 1):
                     sums = {}
@@ -202,13 +214,36 @@ class TestBetterResponseDynamics:
                     if move:
                         break
                 if move is None:
-                    return Partition(labels)
+                    return Partition(labels), states
                 if step == max_steps:
-                    return None
+                    return None, states
                 v, target = move
                 labels[v - 1] = next(fresh) if target is None else target
 
+        # record the labels at every scan, so runs that never converge are
+        # compared move by move too
+        states = []
+        scan = game._first_violation
+
+        def recording_scan(instance, labels, vertices=None):
+            states.append(tuple(labels))
+            return scan(instance, labels, vertices)
+
+        monkeypatch.setattr(game, "_first_violation", recording_scan)
+
+        def check(inst, max_steps):
+            states.clear()
+            stats = {}
+            got = better_response_dynamics(inst, max_steps=max_steps, stats=stats)
+            want, want_states = reference(inst, max_steps)
+            assert (got, states) == (want, want_states)
+            assert stats["steps"] == len(states) - 1  # one move between scans
+
         rng = random.Random(91)
         for t in range(150):
-            inst = suite_instance(rng, t, n_max=6)
-            assert better_response_dynamics(inst, max_steps=60) == reference(inst, 60)
+            check(suite_instance(rng, t, n_max=6), 60)
+        # chase-heavy digraphs up to n = 40: long runs whose moves wake
+        # vertices far below the mover
+        rng = random.Random(93)
+        for _ in range(40):
+            check(frustrated_instance(rng, n_max=40), 150)
