@@ -10,11 +10,19 @@ vertex set B+ ("below") holds:
   pi2   refinement of pi1: x, y are together iff some path inside their
         coalition's part of B+ already connects them,
   util  for every x in B and every pi1 class c, the utility of x toward
-        (class c's coalition) ∩ B+,
+        the members of class c's coalition already forgotten below the
+        node, (class c's coalition) ∩ (B+ minus B); one flat row-major
+        tuple, util[q * ncls + c] for bag position q, ncls = max(pi1) + 1,
   best  for every x in B, the best utility x could get by deviating into
         a coalition already completed strictly below B, floored at 0
         (the floor is sound because own utility >= 0 is enforced at
         forget time anyway).
+
+Counting forgotten members only makes every transition a few C-level
+tuple operations: an introduced vertex has no forgotten neighbour, so
+its row is all zeros; the forgotten sets of a JOIN's two children are
+disjoint, so their rows add; and a FORGET adds the leaving vertex's
+in-bag class sums to its row only to run the stability filter.
 
 Partitions (pi1, pi2) are stored as restricted growth strings over the
 sorted bag, so signatures are canonical and deduplicate exactly.
@@ -22,8 +30,8 @@ sorted bag, so signatures are canonical and deduplicate exactly.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import NamedTuple
+from operator import add, attrgetter, itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import (
     FORGET,
@@ -39,15 +47,17 @@ DEFAULT_TABLE_CAP = 1_000_000
 class ConnectedSignature(NamedTuple):
     pi1: tuple[int, ...]
     pi2: tuple[int, ...]
-    util: tuple[tuple[int, ...], ...]
+    util: tuple[int, ...]
     best: tuple[int, ...]
 
 
 EMPTY_SIGNATURE = ConnectedSignature((), (), (), ())
+_ZERO = (0,)
 
 
 def _canon(labels) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Relabel to first-occurrence order; also return old -> new map."""
+    """Relabel to first-occurrence order; also return the old -> new map,
+    whose keys are in new-label order."""
     remap: dict[int, int] = {}
     out = []
     for lab in labels:
@@ -57,129 +67,105 @@ def _canon(labels) -> tuple[tuple[int, ...], dict[int, int]]:
     return tuple(out), remap
 
 
-def forget_filter_passes(sig: ConnectedSignature, p: int) -> bool:
-    """Stability-and-connectivity test applied when bag position p is forgotten.
+def _gather(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """C-level tuple -> tuple of the entries at `indices`, in that order."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
-    The vertex leaving the bag has its whole neighborhood inside B+, so
-    the checks are exact: own utility nonnegative, no better pi1 class,
-    no better completed coalition, and its pi2 component must still
-    touch the bag if the coalition is supposed to have other members.
+
+def _in_bag_sums(pi1: tuple[int, ...], p: int, arcs_from_x: Sequence[int]) -> list[int]:
+    """Utility of the vertex at bag position p toward each pi1 class's other bag members.
+
+    arcs_from_x[q] is w(x, bag[q]); position p itself is skipped.
     """
-    cls = sig.pi1[p]
-    own = sig.util[p][cls]
-    if own < 0:
-        return False
-    for c, val in enumerate(sig.util[p]):
-        if c != cls and val > own:
-            return False
-    if sig.best[p] > own:
-        return False
-    if sig.pi2.count(sig.pi2[p]) == 1:
-        if any(q != p and lab == cls for q, lab in enumerate(sig.pi1)):
-            return False
-    return True
+    sums = [0] * (max(pi1) + 1)
+    for q, lab in enumerate(pi1):
+        if q != p:
+            sums[lab] += arcs_from_x[q]
+    return sums
 
 
-def _introduce(
+def forget_filter_passes(
     sig: ConnectedSignature,
     p: int,
-    arcs_to_v: tuple[int, ...],
-    arcs_from_v: tuple[int, ...],
-    adjacent: tuple[bool, ...],
-) -> list[ConnectedSignature]:
-    """All placements of a new vertex at bag position p.
+    arcs_from_x: Sequence[int],
+    in_bag: Sequence[int] | None = None,
+) -> bool:
+    """Stability-and-connectivity test applied when bag position p is forgotten.
 
-    arcs_to_v[q] is w(child_bag[q], v), arcs_from_v[q] is w(v, child_bag[q]),
-    adjacent[q] marks underlying adjacency; all indexed by child position.
+    arcs_from_x[q] is w(x, bag[q]) for the leaving vertex x.  `in_bag`,
+    when given, must be x's utility toward each class's other bag
+    members as computed from arcs_from_x; the DP passes its cached copy.
+    The vertex leaving the bag has its whole neighborhood inside B+, so
+    its stored row plus its in-bag class sums is its exact utility
+    toward every class, and the checks are exact: own utility
+    nonnegative, no better pi1 class, no better completed coalition, and
+    its pi2 component must still touch the bag if the coalition is
+    supposed to have other members.
     """
     pi1, pi2, util, best = sig
-    nclasses = max(pi1) + 1 if pi1 else 0
-    npi2 = max(pi2) + 1 if pi2 else 0
-    results = []
-    for t in range(nclasses + 1):
-        raw1 = list(pi1[:p]) + [t] + list(pi1[p:])
-        new_pi1, cmap = _canon(raw1)
-        ncols = nclasses + (1 if t == nclasses else 0)
-
-        # pi2: v merges every already-realized component of its class that
-        # it is adjacent to; with none it starts its own component.
-        merged = {pi2[q] for q, lab in enumerate(pi1) if lab == t and adjacent[q]}
-        if merged:
-            target = min(merged)
-            raw2 = [target if lab in merged else lab for lab in pi2]
-        else:
-            target = npi2
-            raw2 = list(pi2)
-        raw2 = raw2[:p] + [target] + raw2[p:]
-        new_pi2, _ = _canon(raw2)
-
-        vrow = [0] * ncols
-        for q, lab in enumerate(pi1):
-            vrow[cmap[lab]] += arcs_from_v[q]
-        new_util = []
-        for q, row in enumerate(util):
-            nrow = [0] * ncols
-            for c, val in enumerate(row):
-                nrow[cmap[c]] = val
-            nrow[cmap[t]] += arcs_to_v[q]
-            new_util.append(nrow)
-        new_util.insert(p, vrow)
-
-        new_best = list(best)
-        new_best.insert(p, 0)
-        results.append(
-            ConnectedSignature(
-                new_pi1,
-                new_pi2,
-                tuple(tuple(r) for r in new_util),
-                tuple(new_best),
-            )
-        )
-    return results
+    if in_bag is None:
+        in_bag = _in_bag_sums(pi1, p, arcs_from_x)
+    ncls = len(in_bag)
+    full = tuple(map(add, util[p * ncls : (p + 1) * ncls], in_bag))
+    cls = pi1[p]
+    own = full[cls]
+    if own < 0 or own < best[p] or max(full) > own:
+        return False
+    return pi2.count(pi2[p]) > 1 or pi1.count(cls) == 1
 
 
-def _forget(sig: ConnectedSignature, p: int) -> ConnectedSignature | None:
-    """Project out bag position p, or None when the filter rejects it."""
-    if not forget_filter_passes(sig, p):
-        return None
-    pi1, pi2, util, best = sig
+def _introduce_plan(pi1: tuple[int, ...], p: int) -> list[tuple[int, tuple[int, ...], Callable]]:
+    """(class t, new pi1, util gather) for each placement of a vertex at position p.
+
+    The gather reads the old util extended by one trailing zero: the new
+    vertex's row and a new class's column come from that zero, every
+    other entry moves to its relabelled column.
+    """
+    m = len(pi1)
+    ncls = max(pi1) + 1 if pi1 else 0
+    zero = m * ncls
+    plan = []
+    for t in range(ncls + 1):
+        new_pi1, cmap = _canon(pi1[:p] + (t,) + pi1[p:])
+        old_class = list(cmap)  # old label of each new label; ncls is v's new class
+        indices = []
+        for q in range(m + 1):
+            if q == p:
+                indices.extend([zero] * len(cmap))
+            else:
+                row = (q - (q > p)) * ncls
+                indices.extend(row + c if c < ncls else zero for c in old_class)
+        plan.append((t, new_pi1, _gather(indices)))
+    return plan
+
+
+def _forget_plan(pi1: tuple[int, ...], p: int) -> tuple:
+    """(new pi1, util gather, new column of the leaving class, its column gather).
+
+    The gather keeps the survivors' rows with relabelled columns.  When
+    the leaving vertex was its class's last bag member the class leaves
+    the bag: the column is then None and the last entry gathers the
+    survivors' stored values toward it; otherwise that entry is None.
+    """
+    ncls = max(pi1) + 1
     cls = pi1[p]
     survivors = [q for q in range(len(pi1)) if q != p]
-    completing = all(pi1[q] != cls for q in survivors)
-
-    raw1 = [pi1[q] for q in survivors]
-    new_pi1, cmap = _canon(raw1)
-    raw2 = [pi2[q] for q in survivors]
-    new_pi2, _ = _canon(raw2)
-
-    new_util = []
-    new_best = []
-    for q in survivors:
-        row = util[q]
-        nrow = [0] * len(cmap)
-        for c, nc in cmap.items():
-            nrow[nc] = row[c]
-        new_util.append(tuple(nrow))
-        b = best[q]
-        if completing:
-            b = max(b, row[cls])
-        new_best.append(b)
-    return ConnectedSignature(new_pi1, new_pi2, tuple(new_util), tuple(new_best))
+    new_pi1, cmap = _canon([pi1[q] for q in survivors])
+    old_class = list(cmap)  # old label of each new label
+    gather = _gather([q * ncls + c for q in survivors for c in old_class])
+    if cls in cmap:
+        return new_pi1, gather, cmap[cls], None
+    return new_pi1, gather, None, _gather([q * ncls + cls for q in survivors])
 
 
-def _join(
-    left: ConnectedSignature,
-    right: ConnectedSignature,
-    local: tuple[tuple[int, ...], ...],
-) -> ConnectedSignature:
-    """Combine equal-pi1 signatures of two subtrees sharing only the bag.
-
-    local[x][c] is x's utility toward class c inside the bag itself,
-    which both children counted; pi2 is the transitive closure of the
-    union of the two realized-connectivity relations.
-    """
-    m = len(left.pi1)
-    parent = list(range(m))
+def _pi2_union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical transitive closure of two partitions of the same bag."""
+    parent = list(range(len(a)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -187,7 +173,7 @@ def _join(
             x = parent[x]
         return x
 
-    for labels in (left.pi2, right.pi2):
+    for labels in (a, b):
         first: dict[int, int] = {}
         for q, lab in enumerate(labels):
             if lab in first:
@@ -196,17 +182,7 @@ def _join(
                     parent[rb] = ra
             else:
                 first[lab] = q
-    new_pi2, _ = _canon([find(q) for q in range(m)])
-
-    util = tuple(
-        tuple(
-            lv + rv - dv
-            for lv, rv, dv in zip(lrow, rrow, drow)
-        )
-        for lrow, rrow, drow in zip(left.util, right.util, local)
-    )
-    best = tuple(max(lb, rb) for lb, rb in zip(left.best, right.best))
-    return ConnectedSignature(left.pi1, new_pi2, util, best)
+    return _canon([find(q) for q in range(len(a))])[0]
 
 
 def solve_connected_nash(
@@ -226,47 +202,122 @@ def solve_connected_nash(
     ok, violations = validate_nice(ntd, instance)
     if not ok:
         raise ValueError("invalid nice decomposition: " + "; ".join(violations))
-
-    weight = instance.arcs.get
-    nbr_sets = [set(s) for s in instance.neighbors]
-
-    def introduce(nd, child_bag):
-        v = nd.vertex
-        p = nd.bag.index(v)
-        arcs_to_v = tuple(weight((u, v), 0) for u in child_bag)
-        arcs_from_v = tuple(weight((v, u), 0) for u in child_bag)
-        adjacent = tuple(u in nbr_sets[v] for u in child_bag)
-        return lambda sig: _introduce(sig, p, arcs_to_v, arcs_from_v, adjacent)
-
-    def forget(nd, child_bag):
-        p = child_bag.index(nd.vertex)
-        return lambda sig: _forget(sig, p)
-
-    def join(nd):
-        bag = nd.bag
-        arcw = [[weight((x, y), 0) for y in bag] for x in bag]
-        local_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-
-        def step(left, right):
-            pi1 = left.pi1
-            local = local_cache.get(pi1)
-            if local is None:
-                local = local_cache[pi1] = tuple(
-                    tuple(
-                        sum(arcw[x][y] for y, lab in enumerate(pi1) if lab == c and y != x)
-                        for c in range((max(pi1) + 1) if pi1 else 0)
-                    )
-                    for x in range(len(bag))
-                )
-            return _join(left, right, local)
-
-        return step
-
+    introduce, forget, join = _transitions(instance)
     return run_nice_dp(
         ntd, table_cap, EMPTY_SIGNATURE, introduce, forget, join,
         classes=attrgetter("pi1"),
         stats=stats,
     )
+
+
+def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
+    """The INTRODUCE, FORGET and JOIN step factories of run_nice_dp for one solve.
+
+    Their plans are keyed by bag labels and positions and shared by
+    every node of the solve.
+    """
+    weight = instance.arcs.get
+    nbr_sets = [set(s) for s in instance.neighbors]
+    introduce_plans: dict[tuple, list] = {}
+    placements: dict[tuple, list] = {}
+    forget_plans: dict[tuple, tuple] = {}
+    drop_pi2: dict[tuple, tuple[int, ...]] = {}
+    unions: dict[tuple, tuple[int, ...]] = {}
+
+    def introduce(nd, child_bag):
+        v = nd.vertex
+        p = nd.bag.index(v)
+        adjacent = tuple(u in nbr_sets[v] for u in child_bag)
+
+        def build(key):
+            pi1, pi2 = key[:2]
+            plan = introduce_plans.get((pi1, p))
+            if plan is None:
+                plan = introduce_plans[pi1, p] = _introduce_plan(pi1, p)
+            npi2 = max(pi2) + 1 if pi2 else 0
+            out = []
+            for t, new_pi1, gather in plan:
+                # v merges every already-realized component of its class that
+                # it is adjacent to; with none it starts its own component
+                merged = {pi2[q] for q, lab in enumerate(pi1) if lab == t and adjacent[q]}
+                target = min(merged) if merged else npi2
+                raw2 = [target if lab in merged else lab for lab in pi2]
+                raw2.insert(p, target)
+                out.append((new_pi1, _canon(raw2)[0], gather))
+            placements[key] = out
+            return out
+
+        def step(sig):
+            pi1, pi2, util, best = sig
+            key = (pi1, pi2, p, adjacent)
+            ext = util + _ZERO
+            new_best = best[:p] + _ZERO + best[p:]
+            return [
+                ConnectedSignature(new_pi1, new_pi2, gather(ext), new_best)
+                for new_pi1, new_pi2, gather in placements.get(key) or build(key)
+            ]
+
+        return step
+
+    def forget(nd, child_bag):
+        x = nd.vertex
+        p = child_bag.index(x)
+        arcs_from_x = tuple(weight((x, u), 0) for u in child_bag)
+        wcol = tuple(weight((u, x), 0) for u in child_bag[:p] + child_bag[p + 1 :])
+        plans: dict[tuple[int, ...], tuple] = {}
+
+        def build(pi1):
+            shape = forget_plans.get((pi1, p))
+            if shape is None:
+                shape = forget_plans[pi1, p] = _forget_plan(pi1, p)
+            new_pi1, gather, col, column = shape
+            addvec = None
+            if column is None:
+                # x's class stays in the bag: survivors gain w(q, x) toward it
+                ncls = max(new_pi1) + 1
+                vec = [0] * (len(wcol) * ncls)
+                vec[col::ncls] = wcol
+                addvec = tuple(vec)
+            plan = plans[pi1] = (_in_bag_sums(pi1, p, arcs_from_x), new_pi1, gather, addvec, column)
+            return plan
+
+        def step(sig):
+            pi1, pi2, util, best = sig
+            in_bag, new_pi1, gather, addvec, column = plans.get(pi1) or build(pi1)
+            if not forget_filter_passes(sig, p, arcs_from_x, in_bag):
+                return None
+            new_pi2 = drop_pi2.get((pi2, p))
+            if new_pi2 is None:
+                new_pi2 = drop_pi2[pi2, p] = _canon(pi2[:p] + pi2[p + 1 :])[0]
+            rest = best[:p] + best[p + 1 :]
+            if addvec is None:
+                # x's class completes: each survivor's final value toward it feeds best
+                return ConnectedSignature(
+                    new_pi1, new_pi2, gather(util),
+                    tuple(map(max, rest, map(add, column(util), wcol))),
+                )
+            return ConnectedSignature(
+                new_pi1, new_pi2, tuple(map(add, gather(util), addvec)), rest
+            )
+
+        return step
+
+    def join_step(left, right):
+        key = (left.pi2, right.pi2)
+        pi2 = unions.get(key)
+        if pi2 is None:
+            pi2 = unions[key] = _pi2_union(*key)
+        return ConnectedSignature(
+            left.pi1,
+            pi2,
+            tuple(map(add, left.util, right.util)),
+            tuple(map(max, left.best, right.best)),
+        )
+
+    def join(nd):
+        return join_step
+
+    return introduce, forget, join
 
 
 def signature_of(
@@ -279,6 +330,9 @@ def signature_of(
 
     This is the independent reference for the DP transitions: it looks
     at the real coalitions, restricted to the vertices below the node.
+    `util` counts only coalition members already forgotten below the
+    node (below it but not in its bag), flat and row-major by bag
+    position, as in the module docstring.
     """
     if not (0 <= node_id < len(ntd.nodes)):
         raise ValueError(f"node id {node_id} out of range")
@@ -286,6 +340,7 @@ def signature_of(
         raise ValueError("partition does not cover the instance")
     bag = ntd.nodes[node_id].bag
     below = ntd.vertices_below(node_id)
+    forgotten = below - set(bag)
 
     pi1_raw = [partition.class_of(v) for v in bag]
     pi1, _ = _canon(pi1_raw)
@@ -317,11 +372,9 @@ def signature_of(
     pi2, _ = _canon([comp_of[v] for v in bag])
 
     util = tuple(
-        tuple(
-            sum(w for u, w in instance.out[x] if u in (class_block[c] & below))
-            for c in range(nclasses)
-        )
+        sum(w for u, w in instance.out[x] if u in class_block[c] and u in forgotten)
         for x in bag
+        for c in range(nclasses)
     )
 
     best = []
@@ -353,6 +406,7 @@ def trace_survives_forget_filters(
             continue
         child_bag = ntd.nodes[nd.children[0]].bag
         sig = signature_of(instance, ntd, nd.children[0], partition)
-        if not forget_filter_passes(sig, child_bag.index(nd.vertex)):
+        arcs_from_x = tuple(instance.arcs.get((nd.vertex, u), 0) for u in child_bag)
+        if not forget_filter_passes(sig, child_bag.index(nd.vertex), arcs_from_x):
             return False
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .game import AshgInstance, Partition
@@ -69,32 +69,18 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
     """Check the three decomposition axioms plus tree shape.
 
     Returns (ok, violations); violations are human-readable strings and
-    the list is empty iff ok.  One pass lists, per vertex, the bags that
-    hold it, and one traversal roots the tree.  An edge is then checked
-    against the shorter holder list of its two ends, and the bags holding
-    v form a connected subtree iff exactly one of them has a parent that
-    does not hold v.  Cost O(sum |bag| * max degree + m), plus sorting
-    the bag ids and the instance's edges.
+    the list is empty iff ok.  One traversal roots the tree; the axioms
+    are then checked by _axiom_violations.  Cost O(sum |bag| * max degree
+    + m), plus sorting the bag ids and the instance's edges.
     """
-    violations: list[str] = []
     ids = sorted(td.bags)
     if not ids:
-        violations.append("decomposition has no bags")
-        return False, violations
-
-    n = instance.n
-    bags = td.bags
-    holders: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in ids:
-        for v in bags[i]:
-            if 1 <= v <= n:
-                holders[v].append(i)
-            else:
-                violations.append(f"bag {i} contains unknown vertex {v}")
+        return False, ["decomposition has no bags"]
 
     # tree shape: connected and acyclic
+    shape: list[str] = []
     if len(td.edges) != len(ids) - 1:
-        violations.append(
+        shape.append(
             f"{len(td.edges)} tree edges for {len(ids)} bags (a tree needs {len(ids) - 1})"
         )
     parent: dict[int, int | None] = {ids[0]: None}
@@ -105,7 +91,38 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
                 parent[y] = x
                 order.append(y)
     if len(parent) != len(ids):
-        violations.append("tree is not connected")
+        shape.append("tree is not connected")
+
+    violations = _axiom_violations(ids, td.bags, parent, shape, instance)
+    return not violations, violations
+
+
+def _axiom_violations(
+    ids: Iterable[int],
+    bags: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    parent: Mapping[int, int | None] | Sequence[int | None],
+    shape: list[str],
+    instance: AshgInstance,
+) -> list[str]:
+    """The three axioms over the bags bags[i], i in ids, of a tree.
+
+    `shape` holds the tree-shape violations, reported after any unknown
+    vertex; parent[i] is bag i's parent (None at the root) and is read
+    only when `shape` is empty.  One pass lists, per vertex, the bags
+    that hold it.  An edge is then checked against the shorter holder
+    list of its two ends, and the bags holding v form a connected
+    subtree iff exactly one of them has a parent that does not hold v.
+    """
+    violations: list[str] = []
+    n = instance.n
+    holders: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in ids:
+        for v in bags[i]:
+            if 1 <= v <= n:
+                holders[v].append(i)
+            else:
+                violations.append(f"bag {i} contains unknown vertex {v}")
+    violations.extend(shape)
 
     for v in range(1, n + 1):
         if not holders[v]:
@@ -117,7 +134,7 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
             violations.append(f"edge {{{u},{v}}} is in no bag")
 
     # connected subtree per vertex (only meaningful if the tree itself is ok)
-    if len(parent) == len(ids) and len(td.edges) == len(ids) - 1:
+    if not shape:
         for v in range(1, n + 1):
             tops = 0
             for i in holders[v]:
@@ -126,8 +143,7 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
                     tops += 1
             if tops > 1:
                 violations.append(f"bags holding vertex {v} are not connected in the tree")
-
-    return not violations, violations
+    return violations
 
 
 def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> TreeDecomposition:
@@ -450,8 +466,10 @@ def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[b
     """Check nice-form structure plus the decomposition axioms.
 
     Structure: leaves and the root have empty bags, INTRODUCE adds its
-    vertex to the child bag, FORGET removes it, JOIN has two children
-    with bags equal to its own.
+    vertex to the child bag, FORGET removes it, JOIN has two distinct
+    children with bags equal to its own.  The axioms are checked on the
+    nodes themselves, with the same violations in the same order as
+    validate reports for the tree of nodes and child links.
     """
     violations: list[str] = []
     nodes = ntd.nodes
@@ -480,6 +498,8 @@ def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[b
         elif nd.kind == JOIN:
             if len(nd.children) != 2:
                 violations.append(f"node {i}: join needs two children")
+            elif nd.children[0] == nd.children[1]:
+                violations.append(f"node {i}: join children are the same node")
             elif any(nodes[c].bag != nd.bag for c in nd.children):
                 violations.append(f"node {i}: join children bags differ")
         else:
@@ -492,12 +512,49 @@ def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[b
     if violations:
         return False, violations
 
-    as_td = TreeDecomposition(
-        {i: nd.bag for i, nd in enumerate(nodes)},
-        [(i, c) for i, nd in enumerate(nodes) for c in nd.children],
-    )
-    ok, axiom_violations = validate(as_td, instance)
-    return ok, axiom_violations
+    # tree shape: child links only point to earlier nodes, so when every
+    # node but the root is somebody's child, all of them reach the root
+    count = len(nodes)
+    edges = 0
+    parent: list[int | None] = [None] * count
+    for i, nd in enumerate(nodes):
+        edges += len(nd.children)
+        for c in nd.children:
+            parent[c] = i
+    shape = []
+    if edges != count - 1:
+        shape.append(f"{edges} tree edges for {count} bags (a tree needs {count - 1})")
+    if None in parent[:-1]:
+        parent = _root_links(nodes)
+        if None in parent[1:]:
+            shape.append("tree is not connected")
+    # frozen bags iterate and dedupe as a TreeDecomposition's do
+    bags = [frozenset(nd.bag) for nd in nodes]
+    violations = _axiom_violations(range(count), bags, parent, shape, instance)
+    return not violations, violations
+
+
+def _root_links(nodes: Sequence[NiceNode]) -> list[int | None]:
+    """Parents of the nodes reached from node 0 along child links taken both ways.
+
+    Node 0 and every node not reached get None.
+    """
+    adj: list[list[int]] = [[] for _ in nodes]
+    for i, nd in enumerate(nodes):
+        for c in nd.children:
+            adj[i].append(c)
+            adj[c].append(i)
+    parent: list[int | None] = [None] * len(nodes)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                stack.append(y)
+    return parent
 
 
 def _distance_two_pairs(instance: AshgInstance) -> set[tuple[int, int]]:

@@ -15,6 +15,11 @@ from .reductions import CnfFormula
 # Largest vertex count parse_instance accepts; an instance allocates
 # per-vertex tables before reading a single arc.
 MAX_VERTICES = 10**6
+# Largest variable count parse_cnf accepts.  The SAT generators size
+# their gadgets by it: at 1024 variables `gen sat-bd` already builds
+# about 250 000 vertices, at the next power of four (4096) about 3
+# million, past MAX_VERTICES.
+MAX_CNF_VARIABLES = 1024
 
 
 def _data_lines(text: str) -> list[list[str]]:
@@ -153,6 +158,8 @@ def parse_cnf(text: str) -> CnfFormula:
     if not rows or rows[0][:2] != ["p", "cnf"] or len(rows[0]) != 4:
         raise ValueError("CNF file must start with 'p cnf <vars> <clauses>'")
     num_vars = _int(rows[0][2], "variable count")
+    if num_vars > MAX_CNF_VARIABLES:
+        raise ValueError(f"variable count {num_vars} exceeds the limit {MAX_CNF_VARIABLES}")
     num_clauses = _int(rows[0][3], "clause count")
     stream = [_int(t, "literal") for fields in rows[1:] for t in fields]
     clauses: list[list[int]] = []

@@ -91,6 +91,57 @@ def grid_instance(rows, cols, rng, w_lo=-3, w_hi=3):
     return AshgInstance(rows * cols, arcs)
 
 
+def tree_instance(n, rng, max_degree=3, w_lo=-3, w_hi=3, symmetric=False):
+    """Random tree on 1..n with every degree <= max_degree, grown by attaching
+    each new vertex to a uniformly chosen vertex that still has room."""
+    arcs = {}
+    degree = [0] * (n + 1)
+    open_vertices = [1]
+    for v in range(2, n + 1):
+        i = rng.randrange(len(open_vertices))
+        u = open_vertices[i]
+        w = rng.randint(w_lo, w_hi)
+        arcs[(u, v)] = w
+        arcs[(v, u)] = w if symmetric else rng.randint(w_lo, w_hi)
+        degree[u] += 1
+        degree[v] = 1
+        if degree[u] == max_degree:
+            open_vertices[i] = open_vertices[-1]
+            open_vertices.pop()
+        open_vertices.append(v)
+    return AshgInstance(n, arcs)
+
+
+def cycle_instance(n, rng, w_lo=-3, w_hi=3):
+    """Cycle 1-2-...-n-1, each direction of each edge weighted independently."""
+    arcs = {}
+    for v in range(1, n + 1):
+        u = v % n + 1
+        arcs[(v, u)] = rng.randint(w_lo, w_hi)
+        arcs[(u, v)] = rng.randint(w_lo, w_hi)
+    return AshgInstance(n, arcs)
+
+
+def caterpillar_instance(n, rng, w_lo=-3, w_hi=3):
+    """Path on the first n // 2 vertices (at least 2), each other vertex a
+    leaf hung off a random spine vertex of degree < 3."""
+    spine = max(2, n // 2)
+    arcs = {}
+    degree = [0] * (n + 1)
+    edges = [(v, v + 1) for v in range(1, spine)]
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    for leaf in range(spine + 1, n + 1):
+        u = rng.choice([v for v in range(1, spine + 1) if degree[v] < 3])
+        degree[u] += 1
+        edges.append((u, leaf))
+    for u, v in edges:
+        arcs[(u, v)] = rng.randint(w_lo, w_hi)
+        arcs[(v, u)] = rng.randint(w_lo, w_hi)
+    return AshgInstance(n, arcs)
+
+
 # ---------------------------------------------------------------------------
 # naive oracles
 

@@ -21,12 +21,22 @@ from ashg import (
     make_nice,
     signature_of,
     solve_connected_nash,
+    solve_nash_via_coloring,
+    square_instance,
     trace_survives_forget_filters,
     validate_nice,
 )
-from ashg.connected import EMPTY_SIGNATURE
-from ashg.decomposition import FORGET, INTRODUCE, LEAF
-from helpers import naive_is_stable, path_instance, suite_instance
+from ashg.connected import EMPTY_SIGNATURE, _in_bag_sums, _transitions
+from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF
+from helpers import (
+    caterpillar_instance,
+    cycle_instance,
+    grid_instance,
+    naive_is_stable,
+    path_instance,
+    suite_instance,
+    tree_instance,
+)
 
 
 def stalker() -> AshgInstance:
@@ -70,7 +80,7 @@ class TestSignatureOf:
         sig = signature_of(inst, ntd, node, part)
         assert sig.pi1 == (0,)
         assert sig.best == (1,)
-        assert sig.util == ((0,),)  # vertex 1 is alone in its class
+        assert sig.util == (0,)  # vertex 1 is alone in its class
 
     def test_cross_class_utilities_tracked(self):
         inst = AshgInstance(3, [(1, 2, 2), (1, 3, -1), (2, 3, 0), (2, 1, 0), (3, 1, 0)])
@@ -80,31 +90,54 @@ class TestSignatureOf:
         sig = signature_of(inst, ntd, node, part)
         # classes: vertex 1 alone (class 0), vertex 3 with forgotten 2 (class 1)
         assert sig.pi1 == (0, 1)
-        assert sig.util[0] == (0, 1)  # w(1,2)+w(1,3) toward class 1
+        # row of vertex 1 counts the forgotten member only: w(1,2) toward class 1
+        assert sig.util[0:2] == (0, 2)
+        # adding its in-bag sums, w(1,3), gives the whole class: w(1,2)+w(1,3)
+        arcs_from_1 = (0, inst.weight(1, 3))
+        full = [a + b for a, b in zip(sig.util[0:2], _in_bag_sums(sig.pi1, 0, arcs_from_1))]
+        assert full == [0, 1]
 
 
 class TestForgetFilter:
+    # util is flat and row-major: util[q * ncls + c]
     def test_negative_own_rejected(self):
-        sig = ConnectedSignature((0,), (0,), ((-1,),), (0,))
-        assert not forget_filter_passes(sig, 0)
+        sig = ConnectedSignature((0,), (0,), (-1,), (0,))
+        assert not forget_filter_passes(sig, 0, (0,))
+
+    def test_negative_own_from_in_bag_arcs_rejected(self):
+        # stored row is 0, but the in-bag partner at position 1 is disliked
+        sig = ConnectedSignature((0, 0), (0, 0), (0, 0), (0, 0))
+        assert not forget_filter_passes(sig, 0, (0, -1))
 
     def test_better_cross_class_rejected(self):
-        sig = ConnectedSignature((0, 1), (0, 1), ((0, 2), (0, 0)), (0, 0))
-        assert not forget_filter_passes(sig, 0)
+        sig = ConnectedSignature((0, 1), (0, 1), (0, 2, 0, 0), (0, 0))
+        assert not forget_filter_passes(sig, 0, (0, 0))
+
+    def test_better_cross_class_from_in_bag_arcs_rejected(self):
+        # the other class's bag member at position 1 is worth 2 to position 0
+        sig = ConnectedSignature((0, 1), (0, 1), (0, 0, 0, 0), (0, 0))
+        assert not forget_filter_passes(sig, 0, (0, 2))
+        assert forget_filter_passes(sig, 0, (0, 0))
 
     def test_better_completed_coalition_rejected(self):
-        sig = ConnectedSignature((0,), (0,), ((1,),), (2,))
-        assert not forget_filter_passes(sig, 0)
+        sig = ConnectedSignature((0,), (0,), (1,), (2,))
+        assert not forget_filter_passes(sig, 0, (0,))
 
     def test_unreachable_component_rejected(self):
-        # vertex at position 0 shares its class with position 1 but sits in
+        # vertex at position 1 shares its class with position 0 but sits in
         # its own connectivity component: it can never reconnect
-        sig = ConnectedSignature((0, 0), (0, 1), ((1, 1), (1, 1)), (0, 0))
-        assert not forget_filter_passes(sig, 1)
+        sig = ConnectedSignature((0, 0), (0, 1), (1, 1), (0, 0))
+        assert not forget_filter_passes(sig, 1, (0, 0))
 
     def test_happy_path_passes(self):
-        sig = ConnectedSignature((0, 0), (0, 0), ((1, 1), (1, 1)), (0, 0))
-        assert forget_filter_passes(sig, 0)
+        sig = ConnectedSignature((0, 0), (0, 0), (1, 1), (0, 0))
+        assert forget_filter_passes(sig, 0, (0, 0))
+
+    def test_cached_in_bag_sums_agree(self):
+        sig = ConnectedSignature((0, 1, 0), (0, 1, 2), (1, 0, 0, 0, 0, 0), (0, 0, 0))
+        for arcs in ((0, 0, 0), (0, 3, 0), (0, 0, -2), (0, -1, 1)):
+            in_bag = _in_bag_sums(sig.pi1, 0, arcs)
+            assert forget_filter_passes(sig, 0, arcs, in_bag) == forget_filter_passes(sig, 0, arcs)
 
 
 class TestTraceSurvival:
@@ -199,3 +232,166 @@ class TestSolveConnectedNash:
             if got is not None:
                 assert is_nash_stable(inst, got)[0]
                 assert is_connected_partition(inst, got)[0]
+
+
+def stable_traces(count):
+    """(instance, nice decomposition, connected stable partition) triples:
+    suite games and weighted stars, the stars so that JOIN nodes occur."""
+    rng = random.Random(2718)
+    found = []
+    t = 0
+    while len(found) < count:
+        if t % 3 == 2:
+            leaves = rng.randint(3, 5)
+            arcs = {}
+            for v in range(2, leaves + 2):
+                arcs[(1, v)] = rng.randint(-1, 3)
+                arcs[(v, 1)] = rng.randint(-1, 3)
+            inst = AshgInstance(leaves + 1, arcs)
+        else:
+            inst = suite_instance(rng, t, n_max=7)
+        t += 1
+        part = brute_force_connected_nash(inst)
+        if part is not None:
+            found.append((inst, make_nice(heuristic_decompose(inst)), part))
+    return found
+
+
+class TestTransitions:
+    """The DP's transitions reproduce signature_of along stable traces."""
+
+    def test_transitions_match_signature_of(self):
+        kinds = {INTRODUCE: 0, FORGET: 0, JOIN: 0}
+        for inst, ntd, part in stable_traces(60):
+            introduce, forget, join = _transitions(inst)
+            sigs = [signature_of(inst, ntd, i, part) for i in range(len(ntd.nodes))]
+            for i, nd in enumerate(ntd.nodes):
+                if nd.kind == LEAF:
+                    assert sigs[i] == EMPTY_SIGNATURE
+                    continue
+                kinds[nd.kind] += 1
+                if nd.kind == JOIN:
+                    left, right = nd.children
+                    assert join(nd)(sigs[left], sigs[right]) == sigs[i]
+                    continue
+                child = nd.children[0]
+                child_bag = ntd.nodes[child].bag
+                if nd.kind == INTRODUCE:
+                    assert sigs[i] in introduce(nd, child_bag)(sigs[child])
+                else:
+                    assert forget(nd, child_bag)(sigs[child]) == sigs[i]
+        assert min(kinds.values()) > 0, kinds
+
+    def test_introduced_row_is_zero(self):
+        # no neighbour of a vertex is forgotten below its INTRODUCE node
+        for inst, ntd, part in stable_traces(30):
+            introduce, _, _ = _transitions(inst)
+            for i, nd in enumerate(ntd.nodes):
+                if nd.kind != INTRODUCE:
+                    continue
+                p = nd.bag.index(nd.vertex)
+                child = nd.children[0]
+                for sig in introduce(nd, ntd.nodes[child].bag)(
+                    signature_of(inst, ntd, child, part)
+                ):
+                    ncls = max(sig.pi1) + 1
+                    assert sig.util[p * ncls : (p + 1) * ncls] == (0,) * ncls
+                    assert sig.best[p] == 0
+
+    def test_join_adds_utilities(self):
+        # the two children's forgotten sets are disjoint, so their rows add
+        joins = 0
+        for inst, ntd, part in stable_traces(60):
+            for i, nd in enumerate(ntd.nodes):
+                if nd.kind != JOIN:
+                    continue
+                joins += 1
+                left, right = (signature_of(inst, ntd, c, part) for c in nd.children)
+                here = signature_of(inst, ntd, i, part)
+                assert here.util == tuple(a + b for a, b in zip(left.util, right.util))
+                assert here.best == tuple(max(a, b) for a, b in zip(left.best, right.best))
+        assert joins > 0
+
+    def test_in_bag_sums_complete_the_forgotten_row(self):
+        # at a FORGET, stored row + in-bag sums = utility toward (class ∩ below)
+        for inst, ntd, part in stable_traces(30):
+            for nd in ntd.nodes:
+                if nd.kind != FORGET:
+                    continue
+                child = nd.children[0]
+                bag = ntd.nodes[child].bag
+                below = ntd.vertices_below(child)
+                x = nd.vertex
+                p = bag.index(x)
+                sig = signature_of(inst, ntd, child, part)
+                ncls = max(sig.pi1) + 1
+                arcs = tuple(inst.weight(x, u) for u in bag)
+                full = [
+                    a + b
+                    for a, b in zip(sig.util[p * ncls : (p + 1) * ncls], _in_bag_sums(sig.pi1, p, arcs))
+                ]
+                first = {lab: bag[q] for q, lab in reversed(list(enumerate(sig.pi1)))}
+                expected = [
+                    sum(
+                        inst.weight(x, u)
+                        for u in part.members(part.class_of(first[c]))
+                        if u in below and u != x
+                    )
+                    for c in range(ncls)
+                ]
+                assert full == expected
+
+
+# Peak table and node count of the connected DP, recorded before utilities
+# counted forgotten members only; a change to the transitions must not move them.
+# (shape, size, weight low, weight high, seed, peak_table, nice_nodes, answer is SOME)
+PINNED_TABLE_WORK = [
+    ("grid", 5, -3, 3, 0, 40, 49, False),
+    ("grid", 5, -3, 3, 1, 25, 49, False),
+    ("grid", 5, -3, 3, 2, 25, 49, False),
+    ("grid", 5, 0, 3, 0, 199, 49, True),
+    ("grid", 5, 0, 3, 1, 126, 49, True),
+    ("grid", 5, 0, 3, 2, 57, 49, True),
+    ("tree", 800, -3, 3, 0, 8, 2785, True),
+    ("tree", 800, -3, 3, 1, 16, 2825, True),
+]
+
+
+@pytest.mark.parametrize("shape, size, lo, hi, seed, peak, nodes, some", PINNED_TABLE_WORK)
+def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some):
+    rng = random.Random(seed)
+    if shape == "grid":
+        inst = grid_instance(3, size, rng, lo, hi)  # 3 x size grid
+    else:
+        inst = tree_instance(size, rng, w_lo=lo, w_hi=hi, symmetric=True)
+    stats = {}
+    part = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)), stats=stats)
+    assert (stats["peak_table"], stats["nice_nodes"]) == (peak, nodes)
+    assert (part is not None) == some
+    if part is not None:
+        assert is_nash_stable(inst, part)[0]
+        assert is_connected_partition(inst, part)[0]
+
+
+def test_coloring_dp_agrees_with_connected_dp_on_square_beyond_oracle_cap():
+    # G has a Nash stable partition iff G^2 has a connected one, so the
+    # connected DP on G^2 is a second exact route for n = 13..20, where the
+    # brute-force oracle (n <= 12) cannot follow
+    rng = random.Random(1313)
+    shapes = (tree_instance, cycle_instance, caterpillar_instance)
+    answers = {True: 0, False: 0}
+    for t in range(300):
+        n = rng.randint(13, 20)
+        lo, hi = rng.choice(((-3, 3), (-1, 3), (-3, 1), (0, 2)))
+        inst = shapes[t % 3](n, rng, w_lo=lo, w_hi=hi)
+        assert max(len(nbrs) for nbrs in inst.neighbors[1:]) <= 3
+        plain = solve_nash_via_coloring(inst, heuristic_decompose(inst))
+        sq = square_instance(inst)
+        connected = solve_connected_nash(sq, make_nice(heuristic_decompose(sq)))
+        assert (plain is None) == (connected is None), (t, dict(inst.arcs))
+        if plain is not None:
+            assert naive_is_stable(inst, plain)
+            assert naive_is_stable(sq, connected)
+            assert is_connected_partition(sq, connected)[0]
+        answers[plain is not None] += 1
+    assert min(answers.values()) >= 50, answers

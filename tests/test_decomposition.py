@@ -235,6 +235,77 @@ class TestMakeNice:
         assert ntd.vertices_below(ntd.root) == frozenset(range(1, 7))
 
 
+def axioms_via_copy(ntd, inst):
+    """The decomposition axioms of the nice nodes, checked by validate on a
+    TreeDecomposition copy of the nodes and their child links."""
+    td = TreeDecomposition(
+        {i: nd.bag for i, nd in enumerate(ntd.nodes)},
+        [(i, c) for i, nd in enumerate(ntd.nodes) for c in nd.children],
+    )
+    return validate(td, inst)
+
+
+def shifted(ntd):
+    """The same nodes behind one extra LEAF that no node has as its child."""
+    nodes = [NiceNode(LEAF, (), None, ())]
+    for nd in ntd.nodes:
+        nodes.append(NiceNode(nd.kind, nd.bag, nd.vertex, tuple(c + 1 for c in nd.children)))
+    return NiceTreeDecomposition(nodes)
+
+
+class TestValidateNice:
+    def test_matches_validate_on_a_copy(self):
+        rng = random.Random(53)
+        seen = set()
+        for t in range(150):
+            inst = uniform_instance(rng, n_max=14, max_degree=4) if t % 2 else path_instance(
+                rng.randint(3, 20), rng
+            )
+            td = heuristic_decompose(inst)
+            if not inst.arcs or len(td.bags) < 3:
+                continue
+            fewer = AshgInstance(inst.n - 2, {
+                a: w for a, w in inst.arcs.items() if max(a) <= inst.n - 2
+            })
+            for kind, bags, edges in corrupted_decompositions(rng, inst, td):
+                if kind in ("cycle", "disconnected"):
+                    continue  # make_nice needs a tree
+                ntd = make_nice(TreeDecomposition(bags, edges))
+                for target in (inst, fewer):
+                    for cand in (ntd, shifted(ntd)):
+                        got = validate_nice(cand, target)
+                        assert got == axioms_via_copy(cand, target), kind
+                        seen.update(got[1])
+        for text in ("is in no bag", "unknown vertex", "not connected in the tree",
+                     "tree edges for", "tree is not connected"):
+            assert any(text in p for p in seen), text
+
+    def test_child_shared_by_two_nodes(self):
+        # node 0 is the child of nodes 1 and 3 and node 2 of nobody: the links
+        # still form a tree, rooted elsewhere than at the last node
+        inst = AshgInstance(1)
+        nodes = [
+            NiceNode(LEAF, (), None, ()),
+            NiceNode(INTRODUCE, (1,), 1, (0,)),
+            NiceNode(FORGET, (), 1, (1,)),
+            NiceNode(INTRODUCE, (1,), 1, (0,)),
+            NiceNode(FORGET, (), 1, (3,)),
+        ]
+        ntd = NiceTreeDecomposition(nodes)
+        got = validate_nice(ntd, inst)
+        assert got == axioms_via_copy(ntd, inst)
+        assert got == (False, ["bags holding vertex 1 are not connected in the tree"])
+
+    def test_join_with_one_child_twice_rejected(self):
+        nodes = [
+            NiceNode(LEAF, (), None, ()),
+            NiceNode(JOIN, (), None, (0, 0)),
+        ]
+        ok, problems = validate_nice(NiceTreeDecomposition(nodes), AshgInstance(0))
+        assert not ok
+        assert problems == ["node 1: join children are the same node"]
+
+
 def two_branch_ntd() -> NiceTreeDecomposition:
     """Bag {1} with one branch adding 2 and one adding 3, joined, then emptied."""
     return NiceTreeDecomposition(

@@ -20,6 +20,7 @@ from ashg import (
     serialize_instance,
     serialize_partition,
 )
+from ashg.formats import MAX_CNF_VARIABLES
 from helpers import suite_instance
 
 
@@ -186,6 +187,12 @@ class TestCnfFormat:
     def test_missing_header(self):
         with pytest.raises(ValueError, match="p cnf"):
             parse_cnf("1 0\n")
+
+    def test_variable_count_limit(self):
+        top = MAX_CNF_VARIABLES
+        assert parse_cnf(f"p cnf {top} 1\n1 -{top} 0\n").num_vars == top
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_cnf(f"p cnf {top + 1} 1\n1 0\n")
 
 
 class TestIntListFormat:
