@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -297,3 +298,45 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "c answer SOME" in proc.stdout
+
+
+class TestCollectorPause:
+    def test_command_runs_with_collector_paused(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(ashg.cli, "cmd_solve",
+                            lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(["solve", golden("friends.ashg")]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_state_is_restored(self, capsys):
+        assert gc.isenabled()
+        assert main(["solve", golden("friends.ashg")]) == 0
+        assert gc.isenabled()
+        assert main(["solve", golden("friends.ashg"), "--nope"]) == 3
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert main(["solve", golden("friends.ashg")]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash", "dynamics"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, mode, tmp_path, capsys):
+        # pausing the collector during a command is safe only if the cycles
+        # a call makes (its argument parser's) do not scale with the instance
+        def garbage_after_solve(n: int) -> int:
+            path = tmp_path / f"path{n}.ashg"
+            arcs = [f"a {v} {v + 1} 1\na {v + 1} {v} 1" for v in range(1, n)]
+            path.write_text(f"p ashg {n} {2 * (n - 1)}\n" + "\n".join(arcs) + "\n",
+                            encoding="utf-8")
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(["solve", str(path), "--mode", mode]) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert garbage_after_solve(8) == garbage_after_solve(300)
