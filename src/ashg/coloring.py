@@ -13,8 +13,11 @@ dynamic program below a complete decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 from .decomposition import (
     TreeDecomposition,
+    canonical_labels,
     heuristic_decompose,
     make_nice,
     run_nice_dp,
@@ -70,17 +73,6 @@ def coloring_to_partition(coloring: Coloring) -> Partition:
     return Partition(coloring.colors)
 
 
-def _canon(labels) -> tuple[int, ...]:
-    """Relabel block ids to first-occurrence order 0,1,2,..."""
-    seen: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
-
-
 def solve_nash_via_coloring(
     instance: AshgInstance,
     td: TreeDecomposition,
@@ -98,8 +90,12 @@ def solve_nash_via_coloring(
     canonical first-occurrence order with at most k classes; color names
     never matter because the stability test only compares sums within and
     across classes.  INTRODUCE branches over the existing classes plus one
-    fresh class and immediately applies the stability test of every bag
-    vertex whose closed neighborhood just became fully visible; FORGET
+    fresh class and applies at once the stability test of every bag vertex
+    u whose closed neighborhood just became fully visible.  Those tests
+    read u's class sums once per child signature; every color c is then
+    decided from the sums alone (v joining u's class adds w(u, v) to u's
+    own sum, v joining class c adds it to c's), and a surviving color is
+    inserted into the canonical signature in closed form.  FORGET
     projects, JOIN intersects.  The partition returned is the first trace
     in the tables' insertion order, so the output is deterministic.
 
@@ -113,45 +109,7 @@ def solve_nash_via_coloring(
     n = instance.n
     k = min(choose_k(max(1, td.max_bag_size), instance.max_degree), max(1, n))
     ntd = make_nice(heuristic_decompose(square_instance(instance)))
-    closed = [frozenset()] + [
-        frozenset(instance.neighbors[v]) | {v} for v in range(1, n + 1)
-    ]
-
-    def introduce(nd, child_bag):
-        bag = nd.bag
-        v = nd.vertex
-        p = bag.index(v)
-        # checks that can newly pass here: u with v in N[u] and N[u] in bag
-        bag_set = set(bag)
-        pos = {u: i for i, u in enumerate(bag)}
-        checks = []
-        for u in bag:
-            if v in closed[u] and closed[u] <= bag_set:
-                checks.append((pos[u], [(pos[t], w) for t, w in instance.out[u]]))
-
-        def step(sig):
-            out = []
-            blocks = (max(sig) + 1) if sig else 0
-            for color in range(min(blocks + 1, k)):
-                cand = sig[:p] + (color,) + sig[p:]
-                for pu, arcs in checks:
-                    sums: dict[int, int] = {}
-                    for pt, w in arcs:
-                        c = cand[pt]
-                        sums[c] = sums.get(c, 0) + w
-                    own = sums.get(cand[pu], 0)
-                    if own < 0 or max(sums.values(), default=0) > own:
-                        break
-                else:  # every check passed
-                    out.append(_canon(cand))
-            return out
-
-        return step
-
-    def forget(nd, child_bag):
-        p = child_bag.index(nd.vertex)
-        return lambda sig: _canon(sig[:p] + sig[p + 1 :])
-
+    introduce, forget = _transitions(instance, k)
     partition = run_nice_dp(
         ntd, table_cap, (), introduce, forget,
         join=lambda nd: lambda left, right: left,
@@ -161,3 +119,98 @@ def solve_nash_via_coloring(
     if stats is not None:
         stats["k"] = k
     return partition
+
+
+def _transitions(instance: AshgInstance, k: int) -> tuple[Callable, Callable]:
+    """The INTRODUCE and FORGET step factories of run_nice_dp for one solve.
+
+    A signature is the bag's color classes as a canonical label tuple
+    with at most k classes.
+    """
+    weight = instance.arcs.get
+    closed = [frozenset()] + [
+        frozenset(instance.neighbors[v]) | {v} for v in range(1, instance.n + 1)
+    ]
+
+    def introduce(nd, child_bag):
+        v = nd.vertex
+        p = nd.bag.index(v)
+        size = len(nd.bag)
+        # the checks that can newly pass here: u in N[v] (so v in N[u]) with
+        # N[u] in the bag, as (u's child position or -1 for v, arcs to
+        # targets other than v by child position, w(u, v))
+        bag_set = set(nd.bag)
+        pos = {u: q for q, u in enumerate(child_bag)}
+        checks = []
+        for u in closed[v]:
+            if closed[u] <= bag_set:
+                arcs = [(pos[t], w) for t, w in instance.out[u] if t != v]
+                checks.append((pos.get(u, -1), arcs, weight((u, v), 0)))
+        shifts: dict[tuple[int, int], tuple[int, ...]] = {}
+
+        def step(sig):
+            blocks = (max(sig) + 1) if sig else 0
+            alive = range(min(blocks + 1, k))
+            for pu, arcs, w in checks:
+                # the check's class sums over the child signature; the last
+                # entry, a class with no member, stands for the empty class
+                sums = [0] * (blocks + 1)
+                for q, a in arcs:
+                    sums[sig[q]] += a
+                if pu < 0:
+                    # v's own check: v's class must be a best one
+                    top = max(sums)
+                    alive = [c for c in alive if sums[c] == top]
+                else:
+                    cu = sig[pu]
+                    own = sums[cu]
+                    # v joins u's class: own + w must match every other class
+                    sums[cu] = own + w
+                    stay = max(sums) == own + w
+                    sums[cu] = own
+                    # v goes to another class c: u keeps own, which no class
+                    # but c may beat, and c gains w (w < 0 can pull c below own)
+                    ranked = sorted(sums)
+                    if own < 0 or ranked[-2] > own:
+                        alive = [cu] if stay and cu in alive else []
+                    elif ranked[-1] > own:
+                        b = sums.index(ranked[-1])
+                        fixed = sums[b] + w <= own
+                        alive = [c for c in alive if (stay if c == cu else c == b and fixed)]
+                    else:
+                        alive = [c for c in alive if (stay if c == cu else sums[c] + w <= own)]
+                if not alive:
+                    return alive
+            # head already uses exactly the labels 0..m-1, so a color c <= m
+            # inserts as is; otherwise c becomes m and m..c-1 move up by one
+            head = sig[:p]
+            tail = sig[p:]
+            m = (max(head) + 1) if head else 0
+            out = []
+            for c in alive:
+                if c <= m:
+                    out.append(head + (c,) + tail)
+                else:
+                    shift = shifts.get((m, c))
+                    if shift is None:
+                        shift = shifts[m, c] = (
+                            tuple(range(m)) + tuple(range(m + 1, c + 1)) + (m,)
+                            + tuple(range(c + 1, size))
+                        )
+                    out.append(head + (m,) + tuple([shift[x] for x in tail]))
+            return out
+
+        return step
+
+    def forget(nd, child_bag):
+        p = child_bag.index(nd.vertex)
+
+        def step(sig):
+            head = sig[:p]
+            rest = head + sig[p + 1 :]
+            # when the dropped label occurs before p, no first occurrence moves
+            return rest if sig[p] in head else canonical_labels(rest)[0]
+
+        return step
+
+    return introduce, forget

@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 from .decomposition import (
     FORGET,
     NiceTreeDecomposition,
+    canonical_labels,
     run_nice_dp,
     validate_nice,
 )
@@ -53,18 +54,6 @@ class ConnectedSignature(NamedTuple):
 
 EMPTY_SIGNATURE = ConnectedSignature((), (), (), ())
 _ZERO = (0,)
-
-
-def _canon(labels) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Relabel to first-occurrence order; also return the old -> new map,
-    whose keys are in new-label order."""
-    remap: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out.append(remap[lab])
-    return tuple(out), remap
 
 
 def _gather(indices: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -131,7 +120,7 @@ def _introduce_plan(pi1: tuple[int, ...], p: int) -> list[tuple[int, tuple[int, 
     zero = m * ncls
     plan = []
     for t in range(ncls + 1):
-        new_pi1, cmap = _canon(pi1[:p] + (t,) + pi1[p:])
+        new_pi1, cmap = canonical_labels(pi1[:p] + (t,) + pi1[p:])
         old_class = list(cmap)  # old label of each new label; ncls is v's new class
         indices = []
         for q in range(m + 1):
@@ -155,7 +144,7 @@ def _forget_plan(pi1: tuple[int, ...], p: int) -> tuple:
     ncls = max(pi1) + 1
     cls = pi1[p]
     survivors = [q for q in range(len(pi1)) if q != p]
-    new_pi1, cmap = _canon([pi1[q] for q in survivors])
+    new_pi1, cmap = canonical_labels([pi1[q] for q in survivors])
     old_class = list(cmap)  # old label of each new label
     gather = _gather([q * ncls + c for q in survivors for c in old_class])
     if cls in cmap:
@@ -182,7 +171,7 @@ def _pi2_union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
                     parent[rb] = ra
             else:
                 first[lab] = q
-    return _canon([find(q) for q in range(len(a))])[0]
+    return canonical_labels([find(q) for q in range(len(a))])[0]
 
 
 def solve_connected_nash(
@@ -243,7 +232,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
                 target = min(merged) if merged else npi2
                 raw2 = [target if lab in merged else lab for lab in pi2]
                 raw2.insert(p, target)
-                out.append((new_pi1, _canon(raw2)[0], gather))
+                out.append((new_pi1, canonical_labels(raw2)[0], gather))
             placements[key] = out
             return out
 
@@ -288,7 +277,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
                 return None
             new_pi2 = drop_pi2.get((pi2, p))
             if new_pi2 is None:
-                new_pi2 = drop_pi2[pi2, p] = _canon(pi2[:p] + pi2[p + 1 :])[0]
+                new_pi2 = drop_pi2[pi2, p] = canonical_labels(pi2[:p] + pi2[p + 1 :])[0]
             rest = best[:p] + best[p + 1 :]
             if addvec is None:
                 # x's class completes: each survivor's final value toward it feeds best
@@ -343,7 +332,7 @@ def signature_of(
     forgotten = below - set(bag)
 
     pi1_raw = [partition.class_of(v) for v in bag]
-    pi1, _ = _canon(pi1_raw)
+    pi1, _ = canonical_labels(pi1_raw)
     nclasses = max(pi1) + 1 if pi1 else 0
     class_block: list[set[int]] = [set() for _ in range(nclasses)]
     for q, v in enumerate(bag):
@@ -369,7 +358,7 @@ def signature_of(
                     if y in part_set and y not in seen:
                         seen.add(y)
                         stack.append(y)
-    pi2, _ = _canon([comp_of[v] for v in bag])
+    pi2, _ = canonical_labels([comp_of[v] for v in bag])
 
     util = tuple(
         sum(w for u, w in instance.out[x] if u in class_block[c] and u in forgotten)

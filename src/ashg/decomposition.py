@@ -348,6 +348,18 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     return NiceTreeDecomposition(nodes)
 
 
+def canonical_labels(labels: Iterable[int]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Relabel to first-occurrence order 0, 1, 2, ...; also return the old -> new
+    map, whose keys are in new-label order."""
+    remap: dict[int, int] = {}
+    out = []
+    for lab in labels:
+        if lab not in remap:
+            remap[lab] = len(remap)
+        out.append(remap[lab])
+    return tuple(out), remap
+
+
 def run_nice_dp(
     ntd: NiceTreeDecomposition,
     table_cap: int,
@@ -478,20 +490,24 @@ def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[b
     for i, nd in enumerate(nodes):
         if tuple(sorted(nd.bag)) != nd.bag:
             violations.append(f"node {i}: bag not sorted")
+        # the checks below read child bags only when every child precedes i
+        late = [c for c in nd.children if not (0 <= c < i)]
+        for c in late:
+            violations.append(f"node {i}: child {c} does not precede it")
         if nd.kind == LEAF:
             if nd.bag or nd.children:
                 violations.append(f"node {i}: leaf must have empty bag and no children")
         elif nd.kind == INTRODUCE:
             if len(nd.children) != 1:
                 violations.append(f"node {i}: introduce needs one child")
-            else:
+            elif not late:
                 child = nodes[nd.children[0]]
                 if nd.vertex in child.bag or set(nd.bag) != set(child.bag) | {nd.vertex}:
                     violations.append(f"node {i}: introduce of {nd.vertex} inconsistent")
         elif nd.kind == FORGET:
             if len(nd.children) != 1:
                 violations.append(f"node {i}: forget needs one child")
-            else:
+            elif not late:
                 child = nodes[nd.children[0]]
                 if nd.vertex not in child.bag or set(nd.bag) != set(child.bag) - {nd.vertex}:
                     violations.append(f"node {i}: forget of {nd.vertex} inconsistent")
@@ -500,13 +516,10 @@ def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[b
                 violations.append(f"node {i}: join needs two children")
             elif nd.children[0] == nd.children[1]:
                 violations.append(f"node {i}: join children are the same node")
-            elif any(nodes[c].bag != nd.bag for c in nd.children):
+            elif not late and any(nodes[c].bag != nd.bag for c in nd.children):
                 violations.append(f"node {i}: join children bags differ")
         else:
             violations.append(f"node {i}: unknown kind {nd.kind!r}")
-        for c in nd.children:
-            if not (0 <= c < i):
-                violations.append(f"node {i}: child {c} does not precede it")
     if nodes[ntd.root].bag:
         violations.append("root bag is not empty")
     if violations:

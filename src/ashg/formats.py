@@ -9,12 +9,9 @@ comment lines and raise ValueError on anything malformed.
 from __future__ import annotations
 
 from .decomposition import TreeDecomposition
-from .game import AshgInstance, Partition
+from .game import MAX_VERTICES, AshgInstance, Partition
 from .reductions import CnfFormula
 
-# Largest vertex count parse_instance accepts; an instance allocates
-# per-vertex tables before reading a single arc.
-MAX_VERTICES = 10**6
 # Largest variable count parse_cnf accepts.  The SAT generators size
 # their gadgets by it: at 1024 variables `gen sat-bd` already builds
 # about 250 000 vertices, at the next power of four (4096) about 3

@@ -15,6 +15,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 # Constructor guard: utility sums stay below this with room for 4x slack.
 _MAX_REPRESENTABLE = sys.maxsize
+# Largest vertex count parse_instance and the reduction generators accept;
+# both check it before allocating per-vertex tables.
+MAX_VERTICES = 10**6
 
 
 class AshgInstance:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .game import AshgInstance, Partition
+from .game import _MAX_REPRESENTABLE, MAX_VERTICES, AshgInstance, Partition
 
 
 @dataclass(frozen=True)
@@ -123,29 +123,45 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
     `degree` row-coalitions seeded by an anchor pair; consistency
     vertices force equal choices across columns, and each clause column
     has a hub that a literal vertex can only leave when its literal is
-    satisfied by the encoded assignment.
+    satisfied by the encoded assignment.  Raises ValueError, before
+    building anything, when the construction would have more than
+    MAX_VERTICES vertices or break AshgInstance's n*W guard.
     """
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     d = 1 << (degree - 1).bit_length()
     n, m = phi.num_vars, len(phi.clauses)
+    log_d = d.bit_length() - 1
+    block = d * log_d
+    rows = -(-n // block)  # ceil; encoding rows 0..rows-1, anchor row = rows
+    # size the construction before building any of it: palette pair,
+    # selection grid, consistency vertices and five vertices per clause
+    vertices = 2 + (rows + 1) * (d * m + max(m - 1, 0)) + 5 * m
+    if vertices > MAX_VERTICES:
+        raise ValueError(
+            f"degree {d} needs {vertices} vertices, above the limit {MAX_VERTICES}"
+        )
+    # consistency arcs (two or more clauses) weigh up to 4^d
+    if m >= 2 and vertices * 4**d > _MAX_REPRESENTABLE // 4:
+        raise ValueError(
+            f"degree {d} needs weights up to 4^{d}, past the arithmetic guard "
+            f"for {vertices} vertices"
+        )
     if n >= 2 and d >= n / math.log2(n):
         warnings.warn(
             f"degree {d} is not below n/log2(n) = {n / math.log2(n):.2f}; "
             "the construction is emitted anyway",
             stacklevel=2,
         )
-    log_d = d.bit_length() - 1
-    block = d * log_d
-    rows = -(-n // block)  # ceil; encoding rows 0..rows-1, anchor row = rows
 
     b = _Builder()
     p = b.vertex("palette")
     pp = b.vertex("palette-partner")
+    row_ids = range(d if m >= 1 else 0)  # no clause, no selection vertex
     sel = {
         (i1, i2, j): b.vertex("selection")
         for i1 in range(rows + 1)
-        for i2 in range(d)
+        for i2 in row_ids
         for j in range(1, m + 1)
     }
     cons = {
@@ -164,10 +180,9 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
 
     b.arc(p, pp, 1)
     b.arc(pp, p, 1)
-    for i2 in range(d):
-        if m >= 1:
-            b.arc(p, sel[(rows, i2, 1)], 1)
-            b.arc(sel[(rows, i2, 1)], p, -1)
+    for i2 in row_ids:
+        b.arc(p, sel[(rows, i2, 1)], 1)
+        b.arc(sel[(rows, i2, 1)], p, -1)
 
     for (i1, j), c in cons.items():
         for i2 in range(d):
@@ -231,11 +246,12 @@ def witness_sat_high_degree(
 
     blocks: list[list[int]] = [[lay.palette, lay.palette_partner]]
     blocks.extend([c] for c in lay.consistency.values())
+    row_ids = range(d if m >= 1 else 0)  # no clause, no selection vertex
     row_block: dict[int, list[int]] = {
-        i2: [lay.selection[(lay.rows, i2, j)] for j in range(1, m + 1)] for i2 in range(d)
+        i2: [lay.selection[(lay.rows, i2, j)] for j in range(1, m + 1)] for i2 in row_ids
     }
     for i1 in range(lay.rows):
-        for i2 in range(d):
+        for i2 in row_ids:
             choice = _encoded_row_choice(lay, assignment, i1, i2)
             row_block[choice].extend(
                 lay.selection[(i1, i2, j)] for j in range(1, m + 1)
@@ -253,8 +269,7 @@ def witness_sat_high_degree(
             [lay.clause_hub[j], lay.clause_partner[j]]
             + [lay.literal[(j, a)] for a in range(3) if a != chosen]
         )
-    if m >= 1:
-        blocks.extend(row_block.values())
+    blocks.extend(row_block.values())
     return Partition.from_blocks(blocks, instance.n)
 
 

@@ -206,6 +206,22 @@ class TestGen:
         assert "exceeds the limit" in capsys.readouterr().err
         assert peak < 10**6  # no gadget sized by the header's variable count
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_sat_high_degree_huge_degree_exits_three(self, tmp_path, capsys):
+        args = ["gen", "sat-hd", golden("phi.cnf"), "--degree", "1000000000",
+                "--out", str(tmp_path / "i.ashg"), "--witness", golden("assign.txt"),
+                "--witness-out", str(tmp_path / "w.part")]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "above the limit" in capsys.readouterr().err
+        assert peak < 10**6  # no gadget sized by the degree
+        assert not (tmp_path / "i.ashg").exists()
+
     def test_sat_high_degree_bad_degree_exits_three(self, capsys):
         args = ["gen", "sat-hd", golden("phi.cnf"), "--degree", "1"]
         assert main(args) == 3

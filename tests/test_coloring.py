@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ashg import (
     AshgInstance,
@@ -22,7 +25,9 @@ from ashg import (
     is_stable_coloring,
     solve_nash_via_coloring,
 )
-from helpers import grid_instance, naive_is_stable, path_instance, suite_instance
+from ashg.coloring import _transitions
+from ashg.decomposition import FORGET, INTRODUCE, NiceNode, canonical_labels
+from helpers import grid_instance, naive_is_stable, path_instance, suite_instance, tree_instance
 
 
 def stalker() -> AshgInstance:
@@ -178,3 +183,132 @@ class TestSolveNashViaColoring:
         solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
         assert stats["k"] == 20
         assert stats["peak_table"] <= 8_000
+
+
+ONES = (1,) * 15
+PINNED_TABLE_WORK = [
+    # shape, size, weights lo..hi, seed, peak_table, nice_nodes, k, the
+    # partition's labels (a digest of them for the 800-vertex tree) or None
+    ("grid", (3, 5), -3, 3, 0, 523, 40, 15, None),
+    ("grid", (3, 5), -3, 3, 1, 302, 40, 15, None),
+    ("grid", (3, 5), -3, 3, 2, 305, 40, 15, None),
+    ("grid", (3, 5), 0, 3, 0, 354, 40, 15, ONES),
+    ("grid", (3, 5), 0, 3, 1, 203, 40, 15, ONES),
+    ("grid", (3, 5), 0, 3, 2, 280, 40, 15, ONES),
+    ("grid", (3, 5), -1, 3, 1, 203, 40, 15, (1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1)),
+    ("grid", (3, 5), -1, 3, 2, 203, 40, 15, (1,) + (2,) * 14),
+    ("grid", (4, 4), -3, 3, 0, 877, 64, 16, None),
+    ("tree", 800, -3, 3, 0, 10, 2656, 6, None),
+    ("symmetric tree", 800, -3, 3, 1, 15, 2686, 6, "6d7b0faa19e1ef98"),
+]
+
+
+@pytest.mark.parametrize("shape, size, lo, hi, seed, peak, nodes, k, answer", PINNED_TABLE_WORK)
+def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, k, answer):
+    rng = random.Random(seed)
+    if shape == "grid":
+        inst = grid_instance(*size, rng, lo, hi)
+    else:
+        inst = tree_instance(size, rng, w_lo=lo, w_hi=hi, symmetric=shape == "symmetric tree")
+    stats = {}
+    part = solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
+    assert (stats["peak_table"], stats["nice_nodes"], stats["k"]) == (peak, nodes, k)
+    labels = None if part is None else part.labels
+    if isinstance(answer, str):
+        labels = hashlib.sha256(repr(labels).encode()).hexdigest()[:16]
+    assert labels == answer
+    if part is not None:
+        assert is_nash_stable(inst, part)[0]
+
+
+def class_sums_stable(instance, label, u) -> bool:
+    """u's stability from its full class sums; label maps each of u's
+    out-neighbours to its class."""
+    sums: dict[int, int] = {}
+    for t, w in instance.out[u]:
+        sums[label[t]] = sums.get(label[t], 0) + w
+    own = sums.get(label[u], 0)
+    return own >= 0 and all(s <= own for s in sums.values())
+
+
+def reference_introduce(instance, k, bag, v, sig, checked):
+    """Insert every color, relabel, then run the full class-sum check of
+    every vertex in `checked`."""
+    p = bag.index(v)
+    blocks = max(sig) + 1 if sig else 0
+    out = []
+    for color in range(min(blocks + 1, k)):
+        cand = canonical_labels(sig[:p] + (color,) + sig[p:])[0]
+        label = dict(zip(bag, cand))
+        if all(class_sums_stable(instance, label, u) for u in checked):
+            out.append(cand)
+    return out
+
+
+@st.composite
+def introduce_cases(draw):
+    """An instance whose bag is 1..b, the vertex the bag introduces, k and
+    a canonical child signature with at most k classes.  Arcs inside the
+    bag are dense; up to two vertices outside it touch a few bag vertices,
+    whose closed neighbourhoods then stay incomplete."""
+    b = draw(st.integers(1, 7))
+    n = b + draw(st.integers(0, 2))
+    pairs = [(u, x) for u in range(1, b + 1) for x in range(1, b + 1) if u != x]
+    pairs += [(u, x) for u in range(b + 1, n + 1)
+              for x in draw(st.sets(st.integers(1, b), max_size=2))]
+    weights = draw(st.lists(st.sampled_from((None, -3, -2, -1, 0, 1, 2, 3)),
+                            min_size=len(pairs), max_size=len(pairs)))
+    inst = AshgInstance(n, {a: w for a, w in zip(pairs, weights) if w is not None})
+    bag = tuple(range(1, b + 1))
+    v = draw(st.sampled_from(bag))
+    k = draw(st.integers(1, b))
+    raw = draw(st.lists(st.integers(0, k - 1), min_size=b - 1, max_size=b - 1))
+    return inst, bag, v, k, canonical_labels(raw)[0]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(introduce_cases())
+def test_introduce_matches_reference(case):
+    inst, bag, v, k, sig = case
+    child_bag = tuple(u for u in bag if u != v)
+    introduce, _ = _transitions(inst, k)
+    got = introduce(NiceNode(INTRODUCE, bag, v, (0,)), child_bag)(sig)
+
+    def complete(u, within):
+        return set(inst.neighbors[u]) <= set(within)
+
+    # the DP checks the vertices whose closed neighbourhood just became
+    # complete; every other vertex has the same verdict for every color
+    fresh = [u for u in bag if complete(u, bag) and (u == v or v in inst.neighbors[u])]
+    assert got == reference_introduce(inst, k, bag, v, sig, fresh)
+    # on a signature the child table can hold, that is the check of every
+    # vertex whose closed neighbourhood lies in the bag
+    child_label = dict(zip(child_bag, sig))
+    if all(class_sums_stable(inst, child_label, u) for u in child_bag if complete(u, child_bag)):
+        settled = [u for u in bag if complete(u, bag)]
+        assert got == reference_introduce(inst, k, bag, v, sig, settled)
+
+
+def test_introduce_negative_weight_pulls_other_class_below_own():
+    # vertex 1 has own sum 1 (vertex 2) and class sum 2 toward vertex 3;
+    # v = 4 joining 3's class brings that class to 2 - 2 = 0, so 1 is stable
+    inst = AshgInstance(4, {(1, 2): 1, (1, 3): 2, (1, 4): -2})
+    introduce, _ = _transitions(inst, 4)
+    step = introduce(NiceNode(INTRODUCE, (1, 2, 3, 4), 4, (0,)), (1, 2, 3))
+    assert step((0, 0, 1)) == [(0, 0, 1, 1)]
+    # with a second class beating vertex 1's own sum, v can pull down only one
+    inst = AshgInstance(5, {(1, 2): 1, (1, 3): 2, (1, 4): 2, (1, 5): -2})
+    introduce, _ = _transitions(inst, 5)
+    step = introduce(NiceNode(INTRODUCE, (1, 2, 3, 4, 5), 5, (0,)), (1, 2, 3, 4))
+    assert step((0, 0, 1, 2)) == []
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=9), st.data())
+def test_forget_matches_reference(raw, data):
+    sig = canonical_labels(raw)[0]
+    p = data.draw(st.integers(0, len(sig) - 1))
+    child_bag = tuple(range(1, len(sig) + 1))
+    _, forget = _transitions(AshgInstance(len(sig)), len(sig))
+    step = forget(NiceNode(FORGET, child_bag[:p] + child_bag[p + 1 :], p + 1, (0,)), child_bag)
+    assert step(sig) == canonical_labels(sig[:p] + sig[p + 1 :])[0]

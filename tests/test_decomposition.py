@@ -296,6 +296,19 @@ class TestValidateNice:
         assert got == axioms_via_copy(ntd, inst)
         assert got == (False, ["bags holding vertex 1 are not connected in the tree"])
 
+    @pytest.mark.parametrize("at", [1, 2])
+    @pytest.mark.parametrize("child", [5, -1])
+    def test_child_out_of_range_reported_not_read(self, at, child):
+        # child 5 is past the last node, and nodes[-1] would read the last node
+        nodes = [
+            NiceNode(LEAF, (), None, ()),
+            NiceNode(INTRODUCE, (1,), 1, (0,)),
+            NiceNode(FORGET, (), 1, (1,)),
+        ]
+        nodes[at] = NiceNode(nodes[at].kind, nodes[at].bag, 1, (child,))
+        got = validate_nice(NiceTreeDecomposition(nodes), AshgInstance(1))
+        assert got == (False, [f"node {at}: child {child} does not precede it"])
+
     def test_join_with_one_child_twice_rejected(self):
         nodes = [
             NiceNode(LEAF, (), None, ()),

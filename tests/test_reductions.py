@@ -87,6 +87,27 @@ class TestSatHighDegree:
         with pytest.raises(ValueError):
             gen_sat_high_degree(phi, 1)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_size_checked_before_building(self):
+        # one clause: 2 + 2 * d + 5 vertices; two clauses: weights up to 4^d
+        one = CnfFormula.from_clauses(1, [(1,)])
+        with pytest.raises(ValueError, match="vertices, above the limit"):
+            gen_sat_high_degree(one, 10**9)
+        assert gen_sat_high_degree(one, 8)[0].n == 2 + 2 * 8 + 5
+        two = CnfFormula.from_clauses(1, [(1,), (-1,)])
+        with pytest.raises(ValueError, match="arithmetic guard"):
+            gen_sat_high_degree(two, 64)
+        with pytest.raises(ValueError, match="above the limit"):
+            witness_sat_high_degree(one, 10**9, [True])
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_no_clause_builds_no_selection_grid(self):
+        phi = CnfFormula.from_clauses(3, [])
+        inst, lay = gen_sat_high_degree(phi, 10**9)
+        assert inst.n == 2 and not lay.selection
+        part = witness_sat_high_degree(phi, 10**9, [True, False, True])
+        assert part.blocks() == ((1, 2),)
+
     def test_warns_when_degree_large_for_variable_count(self):
         phi = CnfFormula.from_clauses(4, [(1, 2, 3)])
         with pytest.warns(UserWarning, match="n/log2"):
