@@ -32,7 +32,6 @@ from .decomposition import (
 )
 from .coloring import (
     Coloring,
-    choose_k,
     coloring_to_partition,
     is_stable_coloring,
     solve_nash_via_coloring,
@@ -94,7 +93,6 @@ __all__ = [
     "make_nice",
     "square_instance",
     "Coloring",
-    "choose_k",
     "is_stable_coloring",
     "coloring_to_partition",
     "solve_nash_via_coloring",

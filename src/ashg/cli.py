@@ -132,18 +132,12 @@ def _report_for(command: str, instance: AshgInstance, answer: str, t0: float,
 # solve
 
 
-def _load_or_build_td(args, instance):
-    # a --td file is validated by the solver, once
-    if args.td:
-        return formats.parse_decomposition(_read(args.td))
-    return heuristic_decompose(instance, args.strategy)
-
-
 def cmd_solve(args) -> int:
+    if args.td and args.mode != "connected-nash":
+        raise ValueError(f"--td applies to --mode connected-nash only, not {args.mode}")
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     stats: dict[str, int] = {}
-    width = None
     partition = None
     if args.mode == "dynamics":
         partition = better_response_dynamics(
@@ -153,14 +147,15 @@ def cmd_solve(args) -> int:
         if partition is None:
             print(f"c no convergence within {args.max_steps} steps", file=sys.stderr)
     else:
-        td = _load_or_build_td(args, instance)
-        width = td.width
         try:
             if args.mode == "nash":
                 partition = solve_nash_via_coloring(
-                    instance, td, table_cap=args.table_cap, stats=stats
+                    instance, table_cap=args.table_cap, stats=stats
                 )
             else:
+                # a --td file is validated by the solver, once
+                td = (formats.parse_decomposition(_read(args.td)) if args.td
+                      else heuristic_decompose(instance, args.strategy))
                 partition = solve_connected_nash(
                     instance, make_nice(td), table_cap=args.table_cap, stats=stats
                 )
@@ -168,7 +163,7 @@ def cmd_solve(args) -> int:
         except ResourceLimitError as exc:
             print(f"c resource limit: {exc}", file=sys.stderr)
             answer = "UNKNOWN"
-    report = _report_for("solve", instance, answer, t0, width,
+    report = _report_for("solve", instance, answer, t0, stats.get("width"),
                          stats.get("peak_table"), stats.get("steps"))
     _print_report(report)
     if partition is not None:
@@ -225,13 +220,13 @@ def cmd_gen(args) -> int:
     elif args.generator in ("sat-hd", "sat-bd"):
         phi = formats.parse_cnf(_read(args.source))
         if args.generator == "sat-hd":
-            instance, _ = gen_sat_high_degree(phi, args.degree)
+            instance, layout = gen_sat_high_degree(phi, args.degree)
         else:
             instance, _ = gen_sat_bounded_degree(phi)
         if args.witness:
             assignment = _parse_assignment(args.witness, phi.num_vars)
             if args.generator == "sat-hd":
-                witness = witness_sat_high_degree(phi, args.degree, assignment)
+                witness = witness_sat_high_degree(phi, args.degree, assignment, layout)
             else:
                 witness = witness_sat_bounded_degree(phi, assignment)
     elif args.generator == "3part":
@@ -316,10 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance file")
     p_solve.add_argument("--mode", choices=["nash", "connected-nash", "dynamics"],
                          default="nash")
-    p_solve.add_argument("--td", help="tree decomposition file (default: heuristic); "
-                         "in nash mode it only fixes the color budget k")
+    p_solve.add_argument("--td", help="tree decomposition file for --mode connected-nash "
+                         "(default: heuristic); nash mode decomposes G^2 itself")
     p_solve.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL],
-                         default=MIN_DEGREE, help="heuristic when no --td is given")
+                         default=MIN_DEGREE,
+                         help="heuristic when no --td is given, for --mode connected-nash "
+                         f"only; {MIN_FILL} takes time quadratic in n")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
     p_solve.add_argument("--max-steps", type=int, default=1000,
@@ -382,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="heuristic tree decomposition")
     p_dec.add_argument("instance")
-    p_dec.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL], default=MIN_DEGREE)
+    p_dec.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL], default=MIN_DEGREE,
+                       help=f"elimination heuristic; {MIN_FILL} takes time quadratic in n")
     p_dec.add_argument("--out", help="decomposition output file (default stdout)")
     p_dec.set_defaults(func=cmd_decompose)
 

@@ -5,9 +5,16 @@ vertex weakly prefers its own color class to every other class and to
 the guaranteed-empty class k+1 (which forces own utility >= 0).  Only
 the colors of out-neighbors matter.  Nonempty classes of a stable
 coloring form a Nash Stable partition, and conversely a Nash Stable
-partition yields a stable k-coloring once k reaches (max bag size of a
-decomposition) * (max degree), which is what makes the bag-by-bag
-dynamic program below a complete decision procedure.
+partition yields a stable k-coloring once k reaches (t+1) * (max degree)
+for a decomposition of G of width t: that budget is what a dynamic
+program coloring along a decomposition of G needs.
+
+The solver below needs no budget.  Its dynamic program runs on a
+decomposition of the square G^2, and vertex u's stability check compares
+classes within N[u] only.  N[u] is a clique of G^2, so it lies in one
+bag, and the check reads the bag's partition into classes directly.  A
+signature over bag B is that partition, with at most |B| classes, so
+no color count ever needs capping.
 """
 
 from __future__ import annotations
@@ -16,13 +23,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .decomposition import (
-    TreeDecomposition,
     canonical_labels,
     heuristic_decompose,
     make_nice,
     run_nice_dp,
     square_instance,
-    validate,
 )
 from .game import AshgInstance, DeviationWitness, Partition, _stability_witness
 
@@ -42,15 +47,6 @@ class Coloring:
         for v, c in enumerate(self.colors, start=1):
             if not (1 <= c <= self.k):
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
-
-
-def choose_k(max_bag_size: int, max_degree: int) -> int:
-    """Color budget max(1, max_bag_size * max_degree) for the equivalence."""
-    if max_bag_size < 1:
-        raise ValueError(f"max_bag_size must be >= 1, got {max_bag_size}")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    return max(1, max_bag_size * max_degree)
 
 
 def is_stable_coloring(
@@ -75,57 +71,46 @@ def coloring_to_partition(coloring: Coloring) -> Partition:
 
 def solve_nash_via_coloring(
     instance: AshgInstance,
-    td: TreeDecomposition,
     table_cap: int = DEFAULT_TABLE_CAP,
     stats: dict | None = None,
 ) -> Partition | None:
-    """Decide Nash stability by dynamic programming over bag colorings.
+    """Decide Nash stability by dynamic programming over bag partitions.
 
-    `td` must be a valid decomposition of the instance; it only fixes the
-    color budget k = max_bag_size(td) * max_degree, capped at n (a stable
-    coloring never needs more than n colors).  The DP itself runs on a
-    heuristic decomposition of the square G^2, where every closed
-    neighborhood N[v] is a clique and therefore lies inside some bag.  A
-    signature records how the current bag is split into color classes, in
-    canonical first-occurrence order with at most k classes; color names
-    never matter because the stability test only compares sums within and
-    across classes.  INTRODUCE branches over the existing classes plus one
-    fresh class and applies at once the stability test of every bag vertex
-    u whose closed neighborhood just became fully visible.  Those tests
-    read u's class sums once per child signature; every color c is then
-    decided from the sums alone (v joining u's class adds w(u, v) to u's
-    own sum, v joining class c adds it to c's), and a surviving color is
-    inserted into the canonical signature in closed form.  FORGET
+    The DP runs on a heuristic decomposition of the square G^2, where
+    every closed neighborhood N[v] is a clique and therefore lies inside
+    some bag.  A signature records how the current bag is split into
+    classes, in canonical first-occurrence order; class names never
+    matter because the stability test only compares sums within and
+    across classes, and u's test reads only the classes of N[u], all in
+    one bag.  So no color budget is needed: a signature over bag B has at
+    most |B| classes.  INTRODUCE branches over the existing classes plus
+    one fresh class and applies at once the stability test of every bag
+    vertex u whose closed neighborhood just became fully visible.  Those
+    tests read u's class sums once per child signature; every class c is
+    then decided from the sums alone (v joining u's class adds w(u, v) to
+    u's own sum, v joining class c adds it to c's), and a surviving class
+    is inserted into the canonical signature in closed form.  FORGET
     projects, JOIN intersects.  The partition returned is the first trace
     in the tables' insertion order, so the output is deterministic.
 
     Returns a Nash Stable partition or None; raises ResourceLimitError
-    when a signature table would exceed table_cap.
+    when a signature table would exceed table_cap.  `stats` receives the
+    width of the G^2 decomposition, `peak_table` and `nice_nodes`.
     """
-    ok, violations = validate(td, instance)
-    if not ok:
-        raise ValueError("invalid decomposition: " + "; ".join(violations))
-
-    n = instance.n
-    k = min(choose_k(max(1, td.max_bag_size), instance.max_degree), max(1, n))
     ntd = make_nice(heuristic_decompose(square_instance(instance)))
-    introduce, forget = _transitions(instance, k)
-    partition = run_nice_dp(
+    introduce, forget = _transitions(instance)
+    return run_nice_dp(
         ntd, table_cap, (), introduce, forget,
         join=lambda nd: lambda left, right: left,
         classes=lambda sig: sig,
         stats=stats,
     )
-    if stats is not None:
-        stats["k"] = k
-    return partition
 
 
-def _transitions(instance: AshgInstance, k: int) -> tuple[Callable, Callable]:
+def _transitions(instance: AshgInstance) -> tuple[Callable, Callable]:
     """The INTRODUCE and FORGET step factories of run_nice_dp for one solve.
 
-    A signature is the bag's color classes as a canonical label tuple
-    with at most k classes.
+    A signature is the bag's classes as a canonical label tuple.
     """
     weight = instance.arcs.get
     closed = [frozenset()] + [
@@ -150,7 +135,7 @@ def _transitions(instance: AshgInstance, k: int) -> tuple[Callable, Callable]:
 
         def step(sig):
             blocks = (max(sig) + 1) if sig else 0
-            alive = range(min(blocks + 1, k))
+            alive = range(blocks + 1)
             for pu, arcs, w in checks:
                 # the check's class sums over the child signature; the last
                 # entry, a class with no member, stands for the empty class
@@ -181,7 +166,7 @@ def _transitions(instance: AshgInstance, k: int) -> tuple[Callable, Callable]:
                         alive = [c for c in alive if (stay if c == cu else sums[c] + w <= own)]
                 if not alive:
                     return alive
-            # head already uses exactly the labels 0..m-1, so a color c <= m
+            # head already uses exactly the labels 0..m-1, so a class c <= m
             # inserts as is; otherwise c becomes m and m..c-1 move up by one
             head = sig[:p]
             tail = sig[p:]

@@ -387,7 +387,9 @@ def run_nice_dp(
     right) pair at a JOIN); tables keep insertion order and the first
     derivation of a signature wins, so the traced answer is the first in
     insertion order.  ResourceLimitError is raised as soon as an insert
-    takes a table past table_cap.
+    takes a table past table_cap.  `stats` receives `width` before the
+    walk (so a capped run still reports it), `peak_table` and
+    `nice_nodes` after it.
 
     Returns None when the root table is empty.  Otherwise the first root
     signature is followed down, coalition ids are carried through the
@@ -395,6 +397,8 @@ def run_nice_dp(
     FORGET node; vertices must be 1..n, as in a validated decomposition.
     """
     nodes = ntd.nodes
+    if stats is not None:
+        stats["width"] = ntd.width
     tables: list[dict] = []
     peak = 0
     for idx, nd in enumerate(nodes):

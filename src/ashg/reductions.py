@@ -236,12 +236,23 @@ def _encoded_row_choice(layout: SatHighDegreeLayout, assignment: Sequence[bool],
 
 
 def witness_sat_high_degree(
-    phi: CnfFormula, degree: int, assignment: Sequence[bool]
+    phi: CnfFormula,
+    degree: int,
+    assignment: Sequence[bool],
+    layout: SatHighDegreeLayout | None = None,
 ) -> Partition:
-    """Partition certifying stability for a satisfying assignment."""
+    """Partition certifying stability for a satisfying assignment.
+
+    `layout` is the one gen_sat_high_degree returned for the same formula
+    and degree; without it the construction is generated again.
+    """
     if not phi.is_satisfied_by(assignment):
         raise ValueError("assignment does not satisfy the formula")
-    instance, lay = gen_sat_high_degree(phi, degree)
+    lay = gen_sat_high_degree(phi, degree)[1] if layout is None else layout
+    if (lay.num_vars, lay.num_clauses) != (phi.num_vars, len(phi.clauses)) or (
+        lay.degree != 1 << (degree - 1).bit_length()
+    ):
+        raise ValueError("layout was generated for another formula or degree")
     m, d = lay.num_clauses, lay.degree
 
     blocks: list[list[int]] = [[lay.palette, lay.palette_partner]]
@@ -270,7 +281,7 @@ def witness_sat_high_degree(
             + [lay.literal[(j, a)] for a in range(3) if a != chosen]
         )
     blocks.extend(row_block.values())
-    return Partition.from_blocks(blocks, instance.n)
+    return Partition.from_blocks(blocks, len(lay.roles))
 
 
 # ---------------------------------------------------------------------------

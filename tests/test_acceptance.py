@@ -65,7 +65,7 @@ def test_criterion_1_oracle_equivalence_plain(capsys):
     t0 = time.perf_counter()
     mismatches = bad_some = nones = 0
     for inst in _suite():
-        got = solve_nash_via_coloring(inst, heuristic_decompose(inst))
+        got = solve_nash_via_coloring(inst)
         ref = brute_force_nash(inst)
         if (got is None) != (ref is None):
             mismatches += 1
@@ -227,17 +227,15 @@ def test_criterion_7_performance_floor(capsys):
     short_path = path_instance(100, rng)
     stats: dict[str, int] = {}
     t0 = time.perf_counter()
-    part = solve_nash_via_coloring(
-        short_path, heuristic_decompose(short_path), stats=stats
-    )
+    part = solve_nash_via_coloring(short_path, stats=stats)
     coloring_time = time.perf_counter() - t0
     if part is not None:
         assert is_nash_stable(short_path, part)[0]
 
-    ok = connected_time < 5 and coloring_time < 5 and stats["k"] == 4
+    ok = connected_time < 5 and coloring_time < 5 and stats["width"] == 2
     _verdict(
         capsys, ok, 7, "performance floor on paths",
-        f"connected 300: {connected_time:.2f}s, coloring 100 (k={stats['k']}): "
+        f"connected 300: {connected_time:.2f}s, coloring 100 (width {stats['width']}): "
         f"{coloring_time:.2f}s",
     )
     assert ok

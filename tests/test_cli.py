@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -47,14 +48,30 @@ class TestSolve:
         assert part.n == 3
 
     def test_explicit_decomposition_accepted(self, capsys):
-        args = ["solve", golden("path5.ashg"), "--td", golden("path5.td")]
+        args = ["solve", golden("path5.ashg"), "--mode", "connected-nash",
+                "--td", golden("path5.td")]
         assert main(args) == 0
-        assert "c answer SOME" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "c answer SOME" in out and "c width 1\n" in out
 
     def test_mismatched_decomposition_rejected(self, capsys):
-        args = ["solve", golden("friends.ashg"), "--td", golden("path5.td")]
+        args = ["solve", golden("friends.ashg"), "--mode", "connected-nash",
+                "--td", golden("path5.td")]
         assert main(args) == 3
-        assert "invalid decomposition" in capsys.readouterr().err
+        assert "invalid nice decomposition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["nash", "dynamics"])
+    def test_decomposition_refused_outside_connected_mode(self, mode, capsys):
+        args = ["solve", golden("path5.ashg"), "--mode", mode, "--td", golden("path5.td")]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert f"--td applies to --mode connected-nash only, not {mode}" in captured.err
+        assert captured.out == ""
+
+    def test_nash_mode_reports_width_of_the_square(self, capsys):
+        # the DP runs on a decomposition of G^2, where a path has width 2
+        assert main(["solve", golden("path5.ashg")]) == 0
+        assert "c width 2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
     @pytest.mark.parametrize("tree", ["1 2\n2 3\n1 3\n", "1 2\n"])
@@ -64,7 +81,8 @@ class TestSolve:
         assert main(["solve", golden("path3.ashg"), "--mode", mode, "--td", str(td)]) == 3
 
     @pytest.mark.parametrize("mode, expected", [
-        ("nash", ["validate"]),
+        # nash mode decomposes G^2 once and validates nothing
+        ("nash", ["heuristic_decompose"]),
         # validate_nice checks the nice form and the axioms on the nice nodes
         ("connected-nash", ["validate_nice"]),
     ])
@@ -78,10 +96,12 @@ class TestSolve:
             return wrapper
 
         for module in (ashg.cli, ashg.coloring, ashg.connected, ashg.decomposition):
-            for name in ("validate", "validate_nice"):
+            for name in ("validate", "validate_nice", "heuristic_decompose"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        args = ["solve", golden("path5.ashg"), "--mode", mode, "--td", golden("path5.td")]
+        args = ["solve", golden("path5.ashg"), "--mode", mode]
+        if mode == "connected-nash":
+            args += ["--td", golden("path5.td")]
         assert main(args) == 0
         assert calls == expected
 
@@ -90,7 +110,8 @@ class TestSolve:
         td.write_text("s td 10000000000 1 1\n", encoding="utf-8")
         tracemalloc.start()
         try:
-            code = main(["solve", golden("path3.ashg"), "--td", str(td)])
+            code = main(["solve", golden("path3.ashg"), "--mode", "connected-nash",
+                         "--td", str(td)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -192,6 +213,16 @@ class TestGen:
         assert main(args) == 0
         assert main(["verify", str(inst), str(wit)]) == 0
 
+    def test_sat_high_degree_witness_warns_once(self, capsys, tmp_path):
+        args = ["gen", "sat-hd", golden("phi.cnf"), "--degree", "2",
+                "--out", str(tmp_path / "i.ashg"), "--witness", golden("assign.txt"),
+                "--witness-out", str(tmp_path / "w.part")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 0
+        messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        assert len(messages) == 1 and "is not below n/log2(n)" in messages[0]
+
     @pytest.mark.parametrize("generator", [["sat-hd", "--degree", "2"], ["sat-bd"]])
     def test_huge_variable_count_exits_three(self, generator, tmp_path, capsys):
         cnf = tmp_path / "huge.cnf"
@@ -283,7 +314,8 @@ class TestDecompose:
         args = ["decompose", golden("path5.ashg"), "--strategy", "min-fill",
                 "--out", str(td_file)]
         assert main(args) == 0
-        args = ["solve", golden("path5.ashg"), "--td", str(td_file)]
+        args = ["solve", golden("path5.ashg"), "--mode", "connected-nash",
+                "--td", str(td_file)]
         assert main(args) == 0
 
 

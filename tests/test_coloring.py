@@ -15,10 +15,8 @@ from ashg import (
     Coloring,
     Partition,
     ResourceLimitError,
-    TreeDecomposition,
     brute_force_nash,
     brute_force_stable_coloring,
-    choose_k,
     coloring_to_partition,
     heuristic_decompose,
     is_nash_stable,
@@ -38,17 +36,10 @@ def friends() -> AshgInstance:
     return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
 
 
-class TestChooseK:
-    def test_values(self):
-        assert choose_k(2, 2) == 4
-        assert choose_k(3, 4) == 12
-        assert choose_k(1, 0) == 1  # floor at one color
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            choose_k(0, 2)
-        with pytest.raises(ValueError):
-            choose_k(2, -1)
+def paper_k(inst: AshgInstance) -> int:
+    """The paper's color budget: the max bag size of a decomposition of G
+    times the max degree, capped at n (and at least one color)."""
+    return max(1, min(inst.n, heuristic_decompose(inst).max_bag_size * inst.max_degree))
 
 
 class TestColoring:
@@ -107,71 +98,54 @@ class TestColoringToPartition:
 class TestSolveNashViaColoring:
     def test_stalker_none(self):
         inst = stalker()
-        assert solve_nash_via_coloring(inst, heuristic_decompose(inst)) is None
+        assert solve_nash_via_coloring(inst) is None
 
     def test_friends_some(self):
         inst = friends()
-        part = solve_nash_via_coloring(inst, heuristic_decompose(inst))
+        part = solve_nash_via_coloring(inst)
         assert part == Partition([1, 1])
 
     def test_unit_path_six_matches_oracle(self):
         inst = path_instance(6)
-        part = solve_nash_via_coloring(inst, heuristic_decompose(inst))
+        part = solve_nash_via_coloring(inst)
         assert part is not None
         assert is_nash_stable(inst, part)[0]
         assert brute_force_nash(inst) is not None
 
     def test_empty_instance(self):
         inst = AshgInstance(0)
-        assert solve_nash_via_coloring(inst, heuristic_decompose(inst)) == Partition([])
+        assert solve_nash_via_coloring(inst) == Partition([])
 
     def test_stats_reported(self):
-        inst = friends()
         stats = {}
-        solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
-        assert stats["k"] == min(choose_k(2, 1), 2) == 2
+        solve_nash_via_coloring(friends(), stats=stats)
+        assert stats["width"] == 1  # G^2 of one edge is one bag {1, 2}
         assert stats["peak_table"] >= 1
         assert stats["nice_nodes"] >= 3
-
-    def test_k_capped_at_n(self):
-        inst = AshgInstance(
-            4,
-            {(u, v): 1 for u in range(1, 5) for v in range(1, 5) if u != v},
-        )
-        stats = {}
-        solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
-        assert stats["k"] == 4  # bag size 4 * degree 3 = 12, capped at n
-
-    def test_invalid_decomposition_rejected(self):
-        td = TreeDecomposition({1: [1]}, [])
-        with pytest.raises(ValueError):
-            solve_nash_via_coloring(friends(), td)
 
     def test_table_cap_enforced(self):
         inst = path_instance(6)
         with pytest.raises(ResourceLimitError):
-            solve_nash_via_coloring(inst, heuristic_decompose(inst), table_cap=1)
+            solve_nash_via_coloring(inst, table_cap=1)
 
     def test_matches_brute_force_on_random_suite(self):
         rng = random.Random(1009)
         for t in range(150):
             inst = suite_instance(rng, t, n_max=7)
-            td = heuristic_decompose(inst)
-            got = solve_nash_via_coloring(inst, td)
+            got = solve_nash_via_coloring(inst)
             ref = brute_force_nash(inst)
             assert (got is None) == (ref is None), dict(inst.arcs)
             if got is not None:
                 assert naive_is_stable(inst, got)
 
     def test_coloring_oracle_consistent_with_solver_k(self):
-        # with the solver's own k, a stable coloring exists iff the DP says SOME
+        # with the paper's color budget, a stable coloring exists iff the DP,
+        # which needs no budget, says SOME
         rng = random.Random(303)
         for t in range(60):
             inst = suite_instance(rng, t, n_max=5)
-            td = heuristic_decompose(inst)
-            stats = {}
-            got = solve_nash_via_coloring(inst, td, stats=stats)
-            coloring = brute_force_stable_coloring(inst, stats["k"])
+            got = solve_nash_via_coloring(inst)
+            coloring = brute_force_stable_coloring(inst, paper_k(inst))
             assert (got is None) == (coloring is None)
 
     def test_grid_peak_table_stays_small(self):
@@ -180,15 +154,17 @@ class TestSolveNashViaColoring:
         # signatures on this grid, the direct route at 7 218.
         inst = grid_instance(4, 5, random.Random(1))
         stats = {}
-        solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
-        assert stats["k"] == 20
+        solve_nash_via_coloring(inst, stats=stats)
+        assert stats["width"] == 9
         assert stats["peak_table"] <= 8_000
 
 
 ONES = (1,) * 15
+G2_WIDTH = {(3, 5): 6, (4, 4): 8, 800: 3}  # of the decomposition the DP runs on
 PINNED_TABLE_WORK = [
-    # shape, size, weights lo..hi, seed, peak_table, nice_nodes, k, the
-    # partition's labels (a digest of them for the 800-vertex tree) or None
+    # shape, size, weights lo..hi, seed, peak_table, nice_nodes, the paper's
+    # color budget k (see paper_k), the partition's labels (a digest of them
+    # for the 800-vertex tree) or None
     ("grid", (3, 5), -3, 3, 0, 523, 40, 15, None),
     ("grid", (3, 5), -3, 3, 1, 302, 40, 15, None),
     ("grid", (3, 5), -3, 3, 2, 305, 40, 15, None),
@@ -211,8 +187,11 @@ def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, k, answer):
     else:
         inst = tree_instance(size, rng, w_lo=lo, w_hi=hi, symmetric=shape == "symmetric tree")
     stats = {}
-    part = solve_nash_via_coloring(inst, heuristic_decompose(inst), stats=stats)
-    assert (stats["peak_table"], stats["nice_nodes"], stats["k"]) == (peak, nodes, k)
+    part = solve_nash_via_coloring(inst, stats=stats)
+    assert (stats["peak_table"], stats["nice_nodes"], stats["width"]) == (
+        peak, nodes, G2_WIDTH[size])
+    # no bag outgrows the budget, so it could never have capped a signature
+    assert paper_k(inst) == k >= stats["width"] + 1
     labels = None if part is None else part.labels
     if isinstance(answer, str):
         labels = hashlib.sha256(repr(labels).encode()).hexdigest()[:16]
@@ -231,13 +210,13 @@ def class_sums_stable(instance, label, u) -> bool:
     return own >= 0 and all(s <= own for s in sums.values())
 
 
-def reference_introduce(instance, k, bag, v, sig, checked):
-    """Insert every color, relabel, then run the full class-sum check of
-    every vertex in `checked`."""
+def reference_introduce(instance, bag, v, sig, checked):
+    """Insert every class (and a fresh one), relabel, then run the full
+    class-sum check of every vertex in `checked`."""
     p = bag.index(v)
     blocks = max(sig) + 1 if sig else 0
     out = []
-    for color in range(min(blocks + 1, k)):
+    for color in range(blocks + 1):
         cand = canonical_labels(sig[:p] + (color,) + sig[p:])[0]
         label = dict(zip(bag, cand))
         if all(class_sums_stable(instance, label, u) for u in checked):
@@ -247,8 +226,9 @@ def reference_introduce(instance, k, bag, v, sig, checked):
 
 @st.composite
 def introduce_cases(draw):
-    """An instance whose bag is 1..b, the vertex the bag introduces, k and
-    a canonical child signature with at most k classes.  Arcs inside the
+    """An instance whose bag is 1..b, the vertex the bag introduces and a
+    canonical child signature, drawn with a random bound on its class
+    count so that few-class signatures come up often.  Arcs inside the
     bag are dense; up to two vertices outside it touch a few bag vertices,
     whose closed neighbourhoods then stay incomplete."""
     b = draw(st.integers(1, 7))
@@ -261,44 +241,44 @@ def introduce_cases(draw):
     inst = AshgInstance(n, {a: w for a, w in zip(pairs, weights) if w is not None})
     bag = tuple(range(1, b + 1))
     v = draw(st.sampled_from(bag))
-    k = draw(st.integers(1, b))
-    raw = draw(st.lists(st.integers(0, k - 1), min_size=b - 1, max_size=b - 1))
-    return inst, bag, v, k, canonical_labels(raw)[0]
+    classes = draw(st.integers(1, b))
+    raw = draw(st.lists(st.integers(0, classes - 1), min_size=b - 1, max_size=b - 1))
+    return inst, bag, v, canonical_labels(raw)[0]
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(introduce_cases())
 def test_introduce_matches_reference(case):
-    inst, bag, v, k, sig = case
+    inst, bag, v, sig = case
     child_bag = tuple(u for u in bag if u != v)
-    introduce, _ = _transitions(inst, k)
+    introduce, _ = _transitions(inst)
     got = introduce(NiceNode(INTRODUCE, bag, v, (0,)), child_bag)(sig)
 
     def complete(u, within):
         return set(inst.neighbors[u]) <= set(within)
 
     # the DP checks the vertices whose closed neighbourhood just became
-    # complete; every other vertex has the same verdict for every color
+    # complete; every other vertex has the same verdict for every class
     fresh = [u for u in bag if complete(u, bag) and (u == v or v in inst.neighbors[u])]
-    assert got == reference_introduce(inst, k, bag, v, sig, fresh)
+    assert got == reference_introduce(inst, bag, v, sig, fresh)
     # on a signature the child table can hold, that is the check of every
     # vertex whose closed neighbourhood lies in the bag
     child_label = dict(zip(child_bag, sig))
     if all(class_sums_stable(inst, child_label, u) for u in child_bag if complete(u, child_bag)):
         settled = [u for u in bag if complete(u, bag)]
-        assert got == reference_introduce(inst, k, bag, v, sig, settled)
+        assert got == reference_introduce(inst, bag, v, sig, settled)
 
 
 def test_introduce_negative_weight_pulls_other_class_below_own():
     # vertex 1 has own sum 1 (vertex 2) and class sum 2 toward vertex 3;
     # v = 4 joining 3's class brings that class to 2 - 2 = 0, so 1 is stable
     inst = AshgInstance(4, {(1, 2): 1, (1, 3): 2, (1, 4): -2})
-    introduce, _ = _transitions(inst, 4)
+    introduce, _ = _transitions(inst)
     step = introduce(NiceNode(INTRODUCE, (1, 2, 3, 4), 4, (0,)), (1, 2, 3))
     assert step((0, 0, 1)) == [(0, 0, 1, 1)]
     # with a second class beating vertex 1's own sum, v can pull down only one
     inst = AshgInstance(5, {(1, 2): 1, (1, 3): 2, (1, 4): 2, (1, 5): -2})
-    introduce, _ = _transitions(inst, 5)
+    introduce, _ = _transitions(inst)
     step = introduce(NiceNode(INTRODUCE, (1, 2, 3, 4, 5), 5, (0,)), (1, 2, 3, 4))
     assert step((0, 0, 1, 2)) == []
 
@@ -309,6 +289,6 @@ def test_forget_matches_reference(raw, data):
     sig = canonical_labels(raw)[0]
     p = data.draw(st.integers(0, len(sig) - 1))
     child_bag = tuple(range(1, len(sig) + 1))
-    _, forget = _transitions(AshgInstance(len(sig)), len(sig))
+    _, forget = _transitions(AshgInstance(len(sig)))
     step = forget(NiceNode(FORGET, child_bag[:p] + child_bag[p + 1 :], p + 1, (0,)), child_bag)
     assert step(sig) == canonical_labels(sig[:p] + sig[p + 1 :])[0]

@@ -385,7 +385,7 @@ def test_coloring_dp_agrees_with_connected_dp_on_square_beyond_oracle_cap():
         lo, hi = rng.choice(((-3, 3), (-1, 3), (-3, 1), (0, 2)))
         inst = shapes[t % 3](n, rng, w_lo=lo, w_hi=hi)
         assert max(len(nbrs) for nbrs in inst.neighbors[1:]) <= 3
-        plain = solve_nash_via_coloring(inst, heuristic_decompose(inst))
+        plain = solve_nash_via_coloring(inst)
         sq = square_instance(inst)
         connected = solve_connected_nash(sq, make_nice(heuristic_decompose(sq)))
         assert (plain is None) == (connected is None), (t, dict(inst.arcs))

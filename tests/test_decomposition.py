@@ -378,7 +378,7 @@ class TestRunNiceDp:
         stats = {}
         part = run_partition_dp(two_branch_ntd(), placements, stats=stats)
         assert part == Partition([1, 1, 2])
-        assert stats == {"peak_table": 1, "nice_nodes": 10}
+        assert stats == {"width": 1, "peak_table": 1, "nice_nodes": 10}
 
     def test_first_trace_in_insertion_order_wins(self):
         ntd = make_nice(TreeDecomposition({1: [1, 2]}, []))

@@ -153,6 +153,15 @@ class TestSatHighDegree:
         with pytest.raises(ValueError):
             witness_sat_high_degree(phi, 2, [False])
 
+    def test_witness_rejects_layout_of_another_formula_or_degree(self):
+        phi = CnfFormula.from_clauses(1, [(1,)])
+        _, lay = gen_sat_high_degree(phi, 2)
+        longer = CnfFormula.from_clauses(1, [(1,), (1,)])
+        with pytest.raises(ValueError, match="another formula or degree"):
+            witness_sat_high_degree(longer, 2, [True], lay)
+        with pytest.raises(ValueError, match="another formula or degree"):
+            witness_sat_high_degree(phi, 4, [True], lay)
+
     def test_random_witnesses_are_stable(self):
         rng = random.Random(99)
         import warnings
@@ -163,10 +172,12 @@ class TestSatHighDegree:
             for degree in (2, 4):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    inst, _ = gen_sat_high_degree(phi, degree)
+                    inst, lay = gen_sat_high_degree(phi, degree)
                     part = witness_sat_high_degree(phi, degree, assignment)
                 ok, dev = is_nash_stable(inst, part)
                 assert ok, (phi, assignment, degree, dev)
+                # the generator's layout, passed in, gives the same witness
+                assert witness_sat_high_degree(phi, degree, assignment, lay) == part
 
 
 class TestSatBoundedDegree:
