@@ -133,8 +133,11 @@ def _report_for(command: str, instance: AshgInstance, answer: str, t0: float,
 
 
 def cmd_solve(args) -> int:
-    if args.td and args.mode != "connected-nash":
-        raise ValueError(f"--td applies to --mode connected-nash only, not {args.mode}")
+    for flag, value in (("--td", args.td), ("--strategy", args.strategy)):
+        if value and args.mode != "connected-nash":
+            raise ValueError(f"{flag} applies to --mode connected-nash only, not {args.mode}")
+    if args.td and args.strategy:
+        raise ValueError("--strategy picks the heuristic used without --td; give one of them")
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     stats: dict[str, int] = {}
@@ -155,7 +158,7 @@ def cmd_solve(args) -> int:
             else:
                 # a --td file is validated by the solver, once
                 td = (formats.parse_decomposition(_read(args.td)) if args.td
-                      else heuristic_decompose(instance, args.strategy))
+                      else heuristic_decompose(instance, args.strategy or MIN_DEGREE))
                 partition = solve_connected_nash(
                     instance, make_nice(td), table_cap=args.table_cap, stats=stats
                 )
@@ -226,7 +229,7 @@ def cmd_gen(args) -> int:
         if args.witness:
             assignment = _parse_assignment(args.witness, phi.num_vars)
             if args.generator == "sat-hd":
-                witness = witness_sat_high_degree(phi, args.degree, assignment, layout)
+                witness = witness_sat_high_degree(phi, layout, assignment)
             else:
                 witness = witness_sat_bounded_degree(phi, assignment)
     elif args.generator == "3part":
@@ -314,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--td", help="tree decomposition file for --mode connected-nash "
                          "(default: heuristic); nash mode decomposes G^2 itself")
     p_solve.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL],
-                         default=MIN_DEGREE,
                          help="heuristic when no --td is given, for --mode connected-nash "
-                         f"only; {MIN_FILL} takes time quadratic in n")
+                         f"only (default {MIN_DEGREE}); {MIN_FILL} takes time quadratic in n")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
     p_solve.add_argument("--max-steps", type=int, default=1000,

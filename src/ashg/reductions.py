@@ -236,52 +236,45 @@ def _encoded_row_choice(layout: SatHighDegreeLayout, assignment: Sequence[bool],
 
 
 def witness_sat_high_degree(
-    phi: CnfFormula,
-    degree: int,
-    assignment: Sequence[bool],
-    layout: SatHighDegreeLayout | None = None,
+    phi: CnfFormula, layout: SatHighDegreeLayout, assignment: Sequence[bool]
 ) -> Partition:
     """Partition certifying stability for a satisfying assignment.
 
-    `layout` is the one gen_sat_high_degree returned for the same formula
-    and degree; without it the construction is generated again.
+    `layout` is the one gen_sat_high_degree returned for `phi`.
     """
     if not phi.is_satisfied_by(assignment):
         raise ValueError("assignment does not satisfy the formula")
-    lay = gen_sat_high_degree(phi, degree)[1] if layout is None else layout
-    if (lay.num_vars, lay.num_clauses) != (phi.num_vars, len(phi.clauses)) or (
-        lay.degree != 1 << (degree - 1).bit_length()
-    ):
-        raise ValueError("layout was generated for another formula or degree")
-    m, d = lay.num_clauses, lay.degree
+    if (layout.num_vars, layout.num_clauses) != (phi.num_vars, len(phi.clauses)):
+        raise ValueError("layout was generated for another formula")
+    m, d = layout.num_clauses, layout.degree
 
-    blocks: list[list[int]] = [[lay.palette, lay.palette_partner]]
-    blocks.extend([c] for c in lay.consistency.values())
+    blocks: list[list[int]] = [[layout.palette, layout.palette_partner]]
+    blocks.extend([c] for c in layout.consistency.values())
     row_ids = range(d if m >= 1 else 0)  # no clause, no selection vertex
     row_block: dict[int, list[int]] = {
-        i2: [lay.selection[(lay.rows, i2, j)] for j in range(1, m + 1)] for i2 in row_ids
+        i2: [layout.selection[(layout.rows, i2, j)] for j in range(1, m + 1)] for i2 in row_ids
     }
-    for i1 in range(lay.rows):
+    for i1 in range(layout.rows):
         for i2 in row_ids:
-            choice = _encoded_row_choice(lay, assignment, i1, i2)
+            choice = _encoded_row_choice(layout, assignment, i1, i2)
             row_block[choice].extend(
-                lay.selection[(i1, i2, j)] for j in range(1, m + 1)
+                layout.selection[(i1, i2, j)] for j in range(1, m + 1)
             )
     for j, clause in enumerate(phi.clauses, start=1):
         chosen = next(
             a for a, lit in enumerate(clause) if assignment[abs(lit) - 1] == (lit > 0)
         )
         k = abs(clause[chosen]) - 1
-        i1, i2, _ = lay.var_coords(k)
-        row_block[_encoded_row_choice(lay, assignment, i1, i2)].append(
-            lay.literal[(j, chosen)]
+        i1, i2, _ = layout.var_coords(k)
+        row_block[_encoded_row_choice(layout, assignment, i1, i2)].append(
+            layout.literal[(j, chosen)]
         )
         blocks.append(
-            [lay.clause_hub[j], lay.clause_partner[j]]
-            + [lay.literal[(j, a)] for a in range(3) if a != chosen]
+            [layout.clause_hub[j], layout.clause_partner[j]]
+            + [layout.literal[(j, a)] for a in range(3) if a != chosen]
         )
     blocks.extend(row_block.values())
-    return Partition.from_blocks(blocks, len(lay.roles))
+    return Partition.from_blocks(blocks, len(layout.roles))
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,8 @@ def test_criterion_5_reduction_witnesses_and_feasibility(capsys):
         assignment = list(rng.choice(sats))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inst_hd, _ = gen_sat_high_degree(phi, 2)
-            part_hd = witness_sat_high_degree(phi, 2, assignment)
+            inst_hd, lay_hd = gen_sat_high_degree(phi, 2)
+            part_hd = witness_sat_high_degree(phi, lay_hd, assignment)
         if not is_nash_stable(inst_hd, part_hd)[0]:
             failures += 1
         inst_bd, _ = gen_sat_bounded_degree(phi)

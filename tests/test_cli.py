@@ -61,12 +61,21 @@ class TestSolve:
         assert "invalid nice decomposition" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nash", "dynamics"])
-    def test_decomposition_refused_outside_connected_mode(self, mode, capsys):
-        args = ["solve", golden("path5.ashg"), "--mode", mode, "--td", golden("path5.td")]
+    @pytest.mark.parametrize("flag, value", [("--td", golden("path5.td")),
+                                             ("--strategy", "min-degree")])
+    def test_decomposition_refused_outside_connected_mode(self, flag, value, mode, capsys):
+        args = ["solve", golden("path5.ashg"), "--mode", mode, flag, value]
         assert main(args) == 3
         captured = capsys.readouterr()
-        assert f"--td applies to --mode connected-nash only, not {mode}" in captured.err
+        assert f"{flag} applies to --mode connected-nash only, not {mode}" in captured.err
         assert captured.out == ""
+
+    def test_strategy_with_connected_mode(self, capsys):
+        args = ["solve", golden("path5.ashg"), "--mode", "connected-nash"]
+        assert main(args + ["--strategy", "min-fill"]) == 0
+        assert "c width 1\n" in capsys.readouterr().out
+        assert main(args + ["--strategy", "min-fill", "--td", golden("path5.td")]) == 3
+        assert "give one of them" in capsys.readouterr().err
 
     def test_nash_mode_reports_width_of_the_square(self, capsys):
         # the DP runs on a decomposition of G^2, where a path has width 2
@@ -76,6 +85,8 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
     @pytest.mark.parametrize("tree", ["1 2\n2 3\n1 3\n", "1 2\n"])
     def test_cyclic_or_disconnected_decomposition_rejected(self, mode, tree, tmp_path):
+        # nash mode refuses any --td before reading it (see the test above);
+        # connected-nash reads the file and rejects the tree
         td = tmp_path / "bad.td"
         td.write_text("s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 2\n" + tree, encoding="utf-8")
         assert main(["solve", golden("path3.ashg"), "--mode", mode, "--td", str(td)]) == 3

@@ -97,15 +97,13 @@ class TestSatHighDegree:
         two = CnfFormula.from_clauses(1, [(1,), (-1,)])
         with pytest.raises(ValueError, match="arithmetic guard"):
             gen_sat_high_degree(two, 64)
-        with pytest.raises(ValueError, match="above the limit"):
-            witness_sat_high_degree(one, 10**9, [True])
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_no_clause_builds_no_selection_grid(self):
         phi = CnfFormula.from_clauses(3, [])
         inst, lay = gen_sat_high_degree(phi, 10**9)
         assert inst.n == 2 and not lay.selection
-        part = witness_sat_high_degree(phi, 10**9, [True, False, True])
+        part = witness_sat_high_degree(phi, lay, [True, False, True])
         assert part.blocks() == ((1, 2),)
 
     def test_warns_when_degree_large_for_variable_count(self):
@@ -135,32 +133,31 @@ class TestSatHighDegree:
 
     def test_witness_single_true_variable(self):
         phi = CnfFormula.from_clauses(1, [(1,)])
-        inst, _ = gen_sat_high_degree(phi, 2)
-        part = witness_sat_high_degree(phi, 2, [True])
+        inst, lay = gen_sat_high_degree(phi, 2)
+        part = witness_sat_high_degree(phi, lay, [True])
         ok, dev = is_nash_stable(inst, part)
         assert ok, dev
 
     def test_witness_two_vars_two_clauses(self):
         phi = CnfFormula.from_clauses(2, [(1, 2), (-1, 2)])
         with pytest.warns(UserWarning):
-            inst, _ = gen_sat_high_degree(phi, 2)
-            part = witness_sat_high_degree(phi, 2, [False, True])
+            inst, lay = gen_sat_high_degree(phi, 2)
+            part = witness_sat_high_degree(phi, lay, [False, True])
         ok, dev = is_nash_stable(inst, part)
         assert ok, dev
 
     def test_witness_rejects_unsatisfying_assignment(self):
         phi = CnfFormula.from_clauses(1, [(1,)])
+        _, lay = gen_sat_high_degree(phi, 2)
         with pytest.raises(ValueError):
-            witness_sat_high_degree(phi, 2, [False])
+            witness_sat_high_degree(phi, lay, [False])
 
-    def test_witness_rejects_layout_of_another_formula_or_degree(self):
+    def test_witness_rejects_layout_of_another_formula(self):
         phi = CnfFormula.from_clauses(1, [(1,)])
         _, lay = gen_sat_high_degree(phi, 2)
         longer = CnfFormula.from_clauses(1, [(1,), (1,)])
-        with pytest.raises(ValueError, match="another formula or degree"):
-            witness_sat_high_degree(longer, 2, [True], lay)
-        with pytest.raises(ValueError, match="another formula or degree"):
-            witness_sat_high_degree(phi, 4, [True], lay)
+        with pytest.raises(ValueError, match="another formula"):
+            witness_sat_high_degree(longer, lay, [True])
 
     def test_random_witnesses_are_stable(self):
         rng = random.Random(99)
@@ -173,11 +170,9 @@ class TestSatHighDegree:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     inst, lay = gen_sat_high_degree(phi, degree)
-                    part = witness_sat_high_degree(phi, degree, assignment)
+                    part = witness_sat_high_degree(phi, lay, assignment)
                 ok, dev = is_nash_stable(inst, part)
                 assert ok, (phi, assignment, degree, dev)
-                # the generator's layout, passed in, gives the same witness
-                assert witness_sat_high_degree(phi, degree, assignment, lay) == part
 
 
 class TestSatBoundedDegree:
