@@ -10,7 +10,8 @@ for a decomposition of G of width t: that budget is what a dynamic
 program coloring along a decomposition of G needs.
 
 The solver below needs no budget.  Its dynamic program runs on a
-decomposition of the square G^2, and vertex u's stability check compares
+decomposition of the square G^2, eliminated straight from G's neighbor
+lists (no G^2 instance is built), and vertex u's stability check compares
 classes within N[u] only.  N[u] is a clique of G^2, so it lies in one
 bag, and the check reads the bag's partition into classes directly.  A
 signature over bag B is that partition, with at most |B| classes, so
@@ -22,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .decomposition import (
-    canonical_labels,
-    heuristic_decompose,
-    make_nice,
-    run_nice_dp,
-    square_instance,
-)
+from .decomposition import canonical_labels, decompose_square, make_nice, run_nice_dp
 from .game import AshgInstance, DeviationWitness, Partition, _stability_witness
 
 DEFAULT_TABLE_CAP = 1_000_000
@@ -76,11 +71,12 @@ def solve_nash_via_coloring(
 ) -> Partition | None:
     """Decide Nash stability by dynamic programming over bag partitions.
 
-    The DP runs on a heuristic decomposition of the square G^2, where
+    The DP runs on a min-degree decomposition of the square G^2, where
     every closed neighborhood N[v] is a clique and therefore lies inside
-    some bag.  A signature records how the current bag is split into
-    classes, in canonical first-occurrence order; class names never
-    matter because the stability test only compares sums within and
+    some bag; decompose_square builds it from G's neighbor lists without
+    building G^2 itself.  A signature records how the current bag is
+    split into classes, in canonical first-occurrence order; class names
+    never matter because the stability test only compares sums within and
     across classes, and u's test reads only the classes of N[u], all in
     one bag.  So no color budget is needed: a signature over bag B has at
     most |B| classes.  INTRODUCE branches over the existing classes plus
@@ -95,9 +91,10 @@ def solve_nash_via_coloring(
 
     Returns a Nash Stable partition or None; raises ResourceLimitError
     when a signature table would exceed table_cap.  `stats` receives the
-    width of the G^2 decomposition, `peak_table` and `nice_nodes`.
+    width of the G^2 decomposition, `peak_table` and `nice_nodes`, also
+    when the cap is hit (`peak_table` is then the size that crossed it).
     """
-    ntd = make_nice(heuristic_decompose(square_instance(instance)))
+    ntd = make_nice(decompose_square(instance))
     introduce, forget = _transitions(instance)
     return run_nice_dp(
         ntd, table_cap, (), introduce, forget,

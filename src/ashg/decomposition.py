@@ -9,8 +9,8 @@ is max bag size minus one, floored at 0 for the degenerate empty case.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from bisect import insort
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 from .game import AshgInstance, Partition
@@ -147,7 +147,7 @@ def _axiom_violations(
 
 
 def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> TreeDecomposition:
-    """Elimination-ordering decomposition, deterministic for a fixed input.
+    """Elimination-ordering decomposition of G, deterministic for a fixed input.
 
     MIN_DEGREE picks the vertex with fewest remaining neighbors, MIN_FILL
     the vertex whose elimination adds the fewest fill edges; both break
@@ -160,16 +160,40 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
     O(sum |bag|^2 log n).  MIN_FILL still scores every remaining vertex
     at every step, which is quadratic in n; the benchmark does not run it.
     """
+    nbrs = instance.neighbors
+    return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)}, strategy)
+
+
+def decompose_square(instance: AshgInstance) -> TreeDecomposition:
+    """MIN_DEGREE decomposition of the square G^2, built from G's neighbor lists.
+
+    The same as heuristic_decompose(square_instance(instance)), bag for
+    bag, without building the square's arcs or instance.
+    """
+    return _eliminate(_square_adjacency(instance), MIN_DEGREE)
+
+
+def _square_adjacency(instance: AshgInstance) -> dict[int, set[int]]:
+    """G^2's neighbor sets: N(v) ∪ N(N(v)) minus v, for every vertex v."""
+    nbrs = instance.neighbors
+    adj: dict[int, set[int]] = {}
+    for v in range(1, instance.n + 1):
+        row = set(nbrs[v])
+        for u in nbrs[v]:
+            row.update(nbrs[u])
+        row.discard(v)
+        adj[v] = row
+    return adj
+
+
+def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
+    """Eliminate the graph adj (vertices 1..n, consumed) by `strategy`; see
+    heuristic_decompose."""
     if strategy not in (MIN_DEGREE, MIN_FILL):
         raise ValueError(f"unknown strategy {strategy!r}")
-    n = instance.n
+    n = len(adj)
     if n == 0:
         return TreeDecomposition({1: frozenset()})
-
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in instance.underlying_edges():
-        adj[u].add(v)
-        adj[v].add(u)
 
     def fill_count(v: int) -> int:
         nbrs = sorted(adj[v])
@@ -223,8 +247,7 @@ FORGET = "forget"
 JOIN = "join"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str
     bag: tuple[int, ...]
     vertex: int | None
@@ -311,37 +334,31 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         children[i].sort()
 
     nodes: list[NiceNode] = []
-
-    def emit(kind: str, bag: tuple[int, ...], vertex: int | None, kids: tuple[int, ...]) -> int:
-        nodes.append(NiceNode(kind, bag, vertex, kids))
-        return len(nodes) - 1
+    append = nodes.append
 
     def chain_to(bag_from: frozenset[int], bag_to: frozenset[int], top: int) -> int:
-        cur = set(bag_from)
+        cur = sorted(bag_from)
         for v in sorted(bag_from - bag_to):
-            cur.discard(v)
-            top = emit(FORGET, tuple(sorted(cur)), v, (top,))
+            cur.remove(v)
+            append(NiceNode(FORGET, tuple(cur), v, (top,)))
+            top = len(nodes) - 1
         for v in sorted(bag_to - bag_from):
-            cur.add(v)
-            top = emit(INTRODUCE, tuple(sorted(cur)), v, (top,))
+            insort(cur, v)
+            append(NiceNode(INTRODUCE, tuple(cur), v, (top,)))
+            top = len(nodes) - 1
         return top
 
     top_of: dict[int, int] = {}
     for b in reversed(bfs):  # children before parents
         bag = td.bags[b]
-        pieces = []
-        for c in children[b]:
-            pieces.append(chain_to(td.bags[c], bag, top_of[c]))
+        pieces = [chain_to(td.bags[c], bag, top_of[c]) for c in children[b]]
         if not pieces:
-            top = emit(LEAF, (), None, ())
-            cur: set[int] = set()
-            for v in sorted(bag):
-                cur.add(v)
-                top = emit(INTRODUCE, tuple(sorted(cur)), v, (top,))
-            pieces.append(top)
+            append(NiceNode(LEAF, (), None, ()))
+            pieces.append(chain_to(frozenset(), bag, len(nodes) - 1))
         acc = pieces[0]
         for nxt in pieces[1:]:
-            acc = emit(JOIN, tuple(sorted(bag)), None, (acc, nxt))
+            append(NiceNode(JOIN, tuple(sorted(bag)), None, (acc, nxt)))
+            acc = len(nodes) - 1
         top_of[b] = acc
 
     chain_to(td.bags[root], frozenset(), top_of[root])
@@ -387,94 +404,92 @@ def run_nice_dp(
     right) pair at a JOIN); tables keep insertion order and the first
     derivation of a signature wins, so the traced answer is the first in
     insertion order.  ResourceLimitError is raised as soon as an insert
-    takes a table past table_cap.  `stats` receives `width` before the
-    walk (so a capped run still reports it), `peak_table` and
-    `nice_nodes` after it.
+    takes a table past table_cap.  `stats` receives `width` and
+    `nice_nodes` before the walk and `peak_table` after it; a capped run
+    records as `peak_table` the size that crossed the cap before the error
+    propagates.
 
     Returns None when the root table is empty.  Otherwise the first root
-    signature is followed down, coalition ids are carried through the
-    bags by their classes, and each vertex takes its coalition at its
-    FORGET node; vertices must be 1..n, as in a validated decomposition.
+    signature is followed down its back-pointers.  The root bag is empty,
+    so every vertex in a node's bag was forgotten at an ancestor and
+    already has its coalition: only FORGET nodes assign one.  The leaving
+    vertex joins a bag vertex that shares its class in the child
+    signature, or opens a coalition of its own.  Vertices must be 1..n,
+    each forgotten once, as in a validated decomposition.
     """
     nodes = ntd.nodes
     if stats is not None:
         stats["width"] = ntd.width
+        stats["nice_nodes"] = len(nodes)
+
+    def over_cap(idx: int, kind: str, size: int) -> ResourceLimitError:
+        if stats is not None:
+            stats["peak_table"] = size
+        return ResourceLimitError(f"signature table at node {idx} ({kind}) exceeds cap {table_cap}")
+
     tables: list[dict] = []
     peak = 0
     for idx, nd in enumerate(nodes):
-        kind = nd.kind
-        if kind == LEAF:
-            pairs = ((leaf, None),)
+        kind, _, _, kids = nd
+        table: dict = {}
+        if kind == INTRODUCE:
+            step = introduce(nd, nodes[kids[0]].bag)
+            for old in tables[kids[0]]:
+                for sig in step(old):
+                    if sig not in table:
+                        table[sig] = old
+                        if len(table) > table_cap:
+                            raise over_cap(idx, kind, len(table))
+        elif kind == FORGET:
+            step = forget(nd, nodes[kids[0]].bag)
+            for old in tables[kids[0]]:
+                sig = step(old)
+                if sig is not None and sig not in table:
+                    table[sig] = old
+                    if len(table) > table_cap:
+                        raise over_cap(idx, kind, len(table))
         elif kind == JOIN:
             step2 = join(nd)
             by_classes: dict[tuple[int, ...], list] = {}
-            for right in tables[nd.children[1]]:
+            for right in tables[kids[1]]:
                 by_classes.setdefault(classes(right), []).append(right)
-            pairs = (
-                (step2(left, right), (left, right))
-                for left in tables[nd.children[0]]
-                for right in by_classes.get(classes(left), ())
-            )
-        elif kind == INTRODUCE:
-            child = nd.children[0]
-            step = introduce(nd, nodes[child].bag)
-            pairs = ((sig, old) for old in tables[child] for sig in step(old))
-        else:  # FORGET
-            child = nd.children[0]
-            step = forget(nd, nodes[child].bag)
-            pairs = ((step(old), old) for old in tables[child])
-        table: dict = {}
-        for sig, back in pairs:
-            if sig is not None and sig not in table:
-                table[sig] = back
-                if len(table) > table_cap:
-                    raise ResourceLimitError(
-                        f"signature table at node {idx} ({kind}) exceeds cap {table_cap}"
-                    )
-        peak = max(peak, len(table))
+            for left in tables[kids[0]]:
+                for right in by_classes.get(classes(left), ()):
+                    sig = step2(left, right)
+                    if sig is not None and sig not in table:
+                        table[sig] = (left, right)
+                        if len(table) > table_cap:
+                            raise over_cap(idx, kind, len(table))
+        else:  # LEAF
+            table[leaf] = None
+        if len(table) > peak:
+            peak = len(table)
         tables.append(table)
 
     if stats is not None:
         stats["peak_table"] = peak
-        stats["nice_nodes"] = len(nodes)
 
     root_table = tables[ntd.root]
     if not root_table:
         return None
     assign: dict[int, int] = {}
-    fresh = 0
-    stack = [(ntd.root, next(iter(root_table)), [])]
+    stack = [(ntd.root, next(iter(root_table)))]
     while stack:
-        idx, sig, ids = stack.pop()
-        nd = nodes[idx]
+        idx, sig = stack.pop()
+        kind, bag, x, kids = nodes[idx]
         back = tables[idx][sig]
-        if nd.kind == LEAF:
-            continue
-        if nd.kind == JOIN:
-            stack.append((nd.children[0], back[0], ids))
-            stack.append((nd.children[1], back[1], ids))
-            continue
-        child = nd.children[0]
-        labels = classes(sig)
-        child_labels = classes(back)
-        # parent label of each child bag position; None for a forgotten vertex
-        if nd.kind == INTRODUCE:
-            p = nd.bag.index(nd.vertex)
-            aligned = labels[:p] + labels[p + 1 :]
-        else:
-            p = nodes[child].bag.index(nd.vertex)
-            aligned = labels[:p] + (None,) + labels[p:]
-        child_ids = [0] * (max(child_labels, default=-1) + 1)
-        for lab, parent_lab in zip(child_labels, aligned):
-            if parent_lab is not None:
-                child_ids[lab] = ids[parent_lab]
-        if nd.kind == FORGET:
-            lab = child_labels[p]
-            if not child_ids[lab]:  # no other bag vertex shares the coalition
-                fresh += 1
-                child_ids[lab] = fresh
-            assign[nd.vertex] = child_ids[lab]
-        stack.append((child, back, child_ids))
+        if kind == JOIN:
+            stack.append((kids[0], back[0]))
+            stack.append((kids[1], back[1]))
+        elif kind != LEAF:
+            stack.append((kids[0], back))
+            if kind == FORGET:
+                labels = classes(back)
+                p = nodes[kids[0]].bag.index(x)
+                lab = labels[p]
+                # the node's bag is the child's without x, position for position
+                rest = labels[:p] + labels[p + 1 :]
+                assign[x] = assign[bag[rest.index(lab)]] if lab in rest else x
     return Partition([assign[v] for v in range(1, len(assign) + 1)])
 
 
@@ -574,20 +589,6 @@ def _root_links(nodes: Sequence[NiceNode]) -> list[int | None]:
     return parent
 
 
-def _distance_two_pairs(instance: AshgInstance) -> set[tuple[int, int]]:
-    """Unordered pairs at distance exactly 2 in the underlying graph."""
-    pairs: set[tuple[int, int]] = set()
-    nbrs = instance.neighbors
-    for y in range(1, instance.n + 1):
-        row = nbrs[y]
-        for i, u in enumerate(row):
-            u_nbrs = set(nbrs[u])
-            for x in row[i + 1 :]:
-                if x not in u_nbrs:
-                    pairs.add((u, x))
-    return pairs
-
-
 def square_instance(instance: AshgInstance) -> AshgInstance:
     """The square G^2: add zero-weight arc pairs between distance-2 vertices.
 
@@ -595,10 +596,12 @@ def square_instance(instance: AshgInstance) -> AshgInstance:
     split along distance >= 3 gaps without changing anyone's utility, so G
     has a Nash stable partition exactly when G^2 has a connected one (for
     existence only: a stable coalition of G may be disconnected in G^2).
+    `gen square` writes this instance; the nash solver never builds it and
+    decomposes G^2 with decompose_square instead.
     """
     arcs = dict(instance.arcs)
-    for u, x in _distance_two_pairs(instance):
-        arcs[(u, x)] = 0
-        arcs[(x, u)] = 0
+    nbrs = instance.neighbors
+    for u, row in _square_adjacency(instance).items():
+        for x in row.difference(nbrs[u]):
+            arcs[(u, x)] = 0
     return AshgInstance(instance.n, arcs)
-

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -92,8 +93,9 @@ class TestSolve:
         assert main(["solve", golden("path3.ashg"), "--mode", mode, "--td", str(td)]) == 3
 
     @pytest.mark.parametrize("mode, expected", [
-        # nash mode decomposes G^2 once and validates nothing
-        ("nash", ["heuristic_decompose"]),
+        # nash mode decomposes G^2 once, from G's neighbor lists, and
+        # validates nothing
+        ("nash", ["decompose_square"]),
         # validate_nice checks the nice form and the axioms on the nice nodes
         ("connected-nash", ["validate_nice"]),
     ])
@@ -107,7 +109,8 @@ class TestSolve:
             return wrapper
 
         for module in (ashg.cli, ashg.coloring, ashg.connected, ashg.decomposition):
-            for name in ("validate", "validate_nice", "heuristic_decompose"):
+            for name in ("validate", "validate_nice", "heuristic_decompose",
+                         "decompose_square"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         args = ["solve", golden("path5.ashg"), "--mode", mode]
@@ -151,6 +154,42 @@ class TestSolve:
         captured = capsys.readouterr()
         assert "c answer UNKNOWN" in captured.out
         assert "resource limit" in captured.err
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    def test_capped_solve_reports_peak_table(self, mode, capsys):
+        # the table that crossed the cap is reported next to the width
+        args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "1"]
+        assert main(args) == 2
+        out = capsys.readouterr().out
+        assert "c peak-table 2\n" in out and "c answer UNKNOWN" in out
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    @pytest.mark.parametrize("text, part", [
+        ("p ashg 0 0\n", "s part 0 0\n"),
+        # vertices 1 and 4 are isolated
+        ("p ashg 4 2\na 2 3 1\na 3 2 1\n", "s part 4 3\n1 1\n2 2\n3 2\n4 3\n"),
+    ])
+    def test_empty_and_isolated_vertices_solved(self, mode, text, part, tmp_path, capsys):
+        inst = tmp_path / "i.ashg"
+        inst.write_text(text, encoding="utf-8")
+        assert main(["solve", str(inst), "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        assert "c answer SOME\n" in out and out.endswith(part)
+
+    @pytest.mark.parametrize("td, violation", [
+        ("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n", "edge {2,3} is in no bag"),
+        ("s td 3 2 4\nb 1 2 3\nb 2 1\nb 3 3\n1 2\n1 3\n", "vertex 4 is in no bag"),
+    ])
+    def test_td_checked_by_validate_nice(self, td, violation, tmp_path, capsys):
+        inst = tmp_path / "i.ashg"
+        inst.write_text("p ashg 4 2\na 2 3 1\na 3 2 1\n", encoding="utf-8")
+        td_file = tmp_path / "i.td"
+        td_file.write_text(td, encoding="utf-8")
+        args = ["solve", str(inst), "--mode", "connected-nash", "--td", str(td_file)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid nice decomposition: {violation}\n"
+        assert captured.out == ""
 
     def test_malformed_instance_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.ashg"
@@ -287,6 +326,23 @@ class TestGen:
         assert main(["gen", "square", golden("path3.ashg")]) == 0
         out = capsys.readouterr().out
         assert "a 1 3 0" in out and "a 3 1 0" in out
+
+    def test_square_output_pinned_on_every_golden_instance(self, capsys):
+        # sha256 of the text `gen square` writes for each tests/golden/*.ashg
+        pinned = {
+            "3part.ashg": "bbe88d7b33e5fa4458c5d73c2dcedd48d0e9df1d82aaa892b6270af79f110e49",
+            "big13.ashg": "be55bbf7089fb3825d065e0f521f336c0fbaa98c1e7d295a07fa43abb3177ade",
+            "friends.ashg": "12c56485e8b8ed39efbc9267c6f47bba3e73c27c64a92e50333090100b2875bc",
+            "path3.ashg": "c3f47fcf80dddced6bc58f04cee63faa829e0d76dd09d613a77e1d1e1c63a5be",
+            "path5.ashg": "e92a28f4e56d2706b2d73196febdc2fbe7dc6a189e2842730d39f9cfe6c35006",
+            "path6.ashg": "014158c5ec3fcbcdfafd89d4aa0b7a2756970aad2503df89efbe336928fe9076",
+            "stalker.ashg": "5a7e0a7d4a1ae25ec961314979b25da04db3426cdf83dff0ba9a94b0bd147ae0",
+        }
+        assert sorted(p.name for p in GOLDEN.glob("*.ashg")) == sorted(pinned)
+        for name, digest in pinned.items():
+            assert main(["gen", "square", golden(name)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
 
 class TestOracle:

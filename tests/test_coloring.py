@@ -125,8 +125,11 @@ class TestSolveNashViaColoring:
 
     def test_table_cap_enforced(self):
         inst = path_instance(6)
+        stats = {}
         with pytest.raises(ResourceLimitError):
-            solve_nash_via_coloring(inst, table_cap=1)
+            solve_nash_via_coloring(inst, table_cap=1, stats=stats)
+        # width and node count come before the walk, the crossing size on cap
+        assert stats == {"width": 2, "nice_nodes": 13, "peak_table": 2}
 
     def test_matches_brute_force_on_random_suite(self):
         rng = random.Random(1009)

@@ -195,10 +195,13 @@ class TestSolveConnectedNash:
 
     def test_table_cap_enforced(self):
         inst = path_instance(8)
+        stats = {}
         with pytest.raises(ResourceLimitError):
             solve_connected_nash(
-                inst, make_nice(heuristic_decompose(inst)), table_cap=1
+                inst, make_nice(heuristic_decompose(inst)), table_cap=1, stats=stats
             )
+        # width and node count come before the walk, the crossing size on cap
+        assert stats == {"width": 1, "nice_nodes": 17, "peak_table": 2}
 
     def test_invalid_nice_decomposition_rejected(self):
         broken = NiceTreeDecomposition([NiceNode(LEAF, (1,), None, ())])

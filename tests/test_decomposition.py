@@ -29,13 +29,16 @@ from ashg.decomposition import (
     LEAF,
     MIN_DEGREE,
     MIN_FILL,
+    decompose_square,
     run_nice_dp,
 )
 from helpers import (
+    grid_instance,
     naive_min_degree_bags,
     naive_validate,
     path_instance,
     suite_instance,
+    tree_instance,
     uniform_instance,
 )
 
@@ -397,6 +400,20 @@ class TestRunNiceDp:
         ntd = make_nice(TreeDecomposition({1: []}, []))
         assert run_partition_dp(ntd, lambda v, sig, p: []) == Partition([])
 
+    def test_cap_writes_stats_before_raising(self):
+        # the table that crossed the cap is the peak, reported with the width
+        # and the node count of the walk it stopped
+        stats = {}
+        with pytest.raises(ResourceLimitError, match="at node 2 .introduce. exceeds cap 1"):
+            run_partition_dp(two_branch_ntd(), lambda v, sig, p: [0, fresh_label(sig)],
+                             table_cap=1, stats=stats)
+        assert stats == {"width": 1, "peak_table": 2, "nice_nodes": 10}
+
+    def test_traceback_on_isolated_vertices(self):
+        # three one-vertex bags: every vertex is forgotten with an empty bag
+        ntd = make_nice(heuristic_decompose(AshgInstance(3)))
+        assert run_partition_dp(ntd, lambda v, sig, p: [fresh_label(sig)]) == Partition([1, 2, 3])
+
     def test_cap_checked_on_every_insert(self):
         # the step never ends; only a per-insert check stops the node
         def endless(nd, child_bag):
@@ -409,6 +426,20 @@ class TestRunNiceDp:
                 join=lambda nd: lambda left, right: left,
                 classes=lambda sig: sig,
             )
+
+
+class TestDecomposeSquare:
+    def test_same_decomposition_as_the_square_instance(self):
+        rng = random.Random(61)
+        instances = [suite_instance(rng, t, n_max=10) for t in range(150)]
+        instances += [grid_instance(r, c, rng) for r in (2, 3, 4) for c in (3, 5)]
+        instances += [tree_instance(60, rng, d) for d in (2, 3, 5)]
+        instances += [AshgInstance(0), AshgInstance(3), AshgInstance(4, [(2, 3, 1)])]
+        for inst in instances:
+            want = heuristic_decompose(square_instance(inst))
+            got = decompose_square(inst)
+            assert got.bags == want.bags and got.edges == want.edges
+            assert make_nice(got).nodes == make_nice(want).nodes
 
 
 class TestSquareInstance:
