@@ -156,11 +156,11 @@ def cmd_solve(args) -> int:
                     instance, table_cap=args.table_cap, stats=stats
                 )
             else:
-                # a --td file is validated by the solver, once
-                td = (formats.parse_decomposition(_read(args.td)) if args.td
-                      else heuristic_decompose(instance, args.strategy or MIN_DEGREE))
+                # the solver validates a given tree; by default it builds its own
+                td = (formats.parse_decomposition(_read(args.td)) if args.td else
+                      heuristic_decompose(instance, args.strategy) if args.strategy else None)
                 partition = solve_connected_nash(
-                    instance, make_nice(td), table_cap=args.table_cap, stats=stats
+                    instance, td and make_nice(td), table_cap=args.table_cap, stats=stats
                 )
             answer = "SOME" if partition is not None else "NONE"
         except ResourceLimitError as exc:

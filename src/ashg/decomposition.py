@@ -404,10 +404,10 @@ def run_nice_dp(
     right) pair at a JOIN); tables keep insertion order and the first
     derivation of a signature wins, so the traced answer is the first in
     insertion order.  ResourceLimitError is raised as soon as an insert
-    takes a table past table_cap.  `stats` receives `width` and
-    `nice_nodes` before the walk and `peak_table` after it; a capped run
-    records as `peak_table` the size that crossed the cap before the error
-    propagates.
+    takes a table past table_cap, ValueError for a negative cap.  `stats`
+    receives `width` and `nice_nodes` before the walk and `peak_table`
+    after it; a capped run records as `peak_table` the size that crossed
+    the cap before the error propagates.
 
     Returns None when the root table is empty.  Otherwise the first root
     signature is followed down its back-pointers.  The root bag is empty,
@@ -417,6 +417,8 @@ def run_nice_dp(
     signature, or opens a coalition of its own.  Vertices must be 1..n,
     each forgotten once, as in a validated decomposition.
     """
+    if table_cap < 0:
+        raise ValueError(f"table cap must be nonnegative, got {table_cap}")
     nodes = ntd.nodes
     if stats is not None:
         stats["width"] = ntd.width

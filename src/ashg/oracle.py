@@ -66,6 +66,8 @@ def brute_force_nash(
     instance: AshgInstance, cap: int = DEFAULT_PARTITION_CAP
 ) -> Partition | None:
     """First Nash Stable partition in enumeration order, or None."""
+    if cap < 0:
+        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
     if instance.n > cap:
         raise OracleCapError(f"n={instance.n} exceeds the enumeration cap {cap}")
     for labels in _rgs(instance.n):
@@ -81,6 +83,8 @@ def brute_force_connected_nash(
 
     Connectivity is checked before stability; it is the cheaper filter.
     """
+    if cap < 0:
+        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
     if instance.n > cap:
         raise OracleCapError(f"n={instance.n} exceeds the enumeration cap {cap}")
     nbrs = instance.neighbors

@@ -302,10 +302,6 @@ class SatBoundedDegreeLayout:
     or_blocker: dict[tuple[int, int], int]
     roles: dict[int, str] = field(repr=False)
 
-    def path_of_var(self, k: int) -> tuple[int, int]:
-        """Selection path index and bit position carrying variable x_k."""
-        return k // self.half_bits, k % self.half_bits
-
 
 def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDegreeLayout]:
     """Embed a 3-CNF with all weights in {-2,-1,1,2} and bounded degree.

@@ -97,7 +97,10 @@ class TestSolve:
         # validates nothing
         ("nash", ["decompose_square"]),
         # validate_nice checks the nice form and the axioms on the nice nodes
+        # of a --td tree
         ("connected-nash", ["validate_nice"]),
+        # without --td the solver decomposes G once and validates nothing
+        ("connected-nash", ["heuristic_decompose"]),
     ])
     def test_decomposition_validated_once(self, mode, expected, monkeypatch, capsys):
         calls = []
@@ -114,7 +117,7 @@ class TestSolve:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         args = ["solve", golden("path5.ashg"), "--mode", mode]
-        if mode == "connected-nash":
+        if "validate_nice" in expected:
             args += ["--td", golden("path5.td")]
         assert main(args) == 0
         assert calls == expected
@@ -154,6 +157,19 @@ class TestSolve:
         captured = capsys.readouterr()
         assert "c answer UNKNOWN" in captured.out
         assert "resource limit" in captured.err
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    def test_negative_table_cap_is_input_error(self, mode, capsys):
+        args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "-1"]
+        assert main(args) == 3
+        assert "table cap must be nonnegative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    def test_zero_table_cap_still_caps(self, mode, capsys):
+        # the first INTRODUCE table already exceeds a cap of 0
+        args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "0"]
+        assert main(args) == 2
+        assert "exceeds cap 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
     def test_capped_solve_reports_peak_table(self, mode, capsys):
@@ -367,6 +383,17 @@ class TestOracle:
 
     def test_lowered_cap_triggers(self, capsys):
         assert main(["oracle", golden("path6.ashg"), "--cap", "4"]) == 2
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    def test_negative_cap_is_input_error(self, mode, capsys):
+        assert main(["oracle", golden("path6.ashg"), "--mode", mode, "--cap", "-1"]) == 3
+        assert "oracle cap must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_zero_cap_answers_only_the_empty_game(self, capsys, tmp_path):
+        empty = tmp_path / "empty.ashg"
+        empty.write_text("p ashg 0 0\n", encoding="utf-8")
+        assert main(["oracle", golden("path6.ashg"), "--cap", "0"]) == 2
+        assert main(["oracle", str(empty), "--cap", "0"]) == 0
 
 
 class TestDecompose:

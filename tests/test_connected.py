@@ -205,8 +205,21 @@ class TestSolveConnectedNash:
 
     def test_invalid_nice_decomposition_rejected(self):
         broken = NiceTreeDecomposition([NiceNode(LEAF, (1,), None, ())])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^invalid nice decomposition: "):
             solve_connected_nash(friends(), broken)
+
+    def test_default_decomposition_is_the_heuristic_one(self, monkeypatch):
+        # without a tree the solver decomposes G itself and skips validate_nice;
+        # answer and table work equal those of the same tree given explicitly
+        rng = random.Random(4242)
+        for t in range(40):
+            inst = suite_instance(rng, t, n_max=7)
+            given, default = {}, {}
+            expected = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)), stats=given)
+            with monkeypatch.context() as m:
+                m.setattr("ashg.connected.validate_nice", None)  # any call fails
+                assert solve_connected_nash(inst, stats=default) == expected
+            assert default == given
 
     def test_matches_brute_force_on_random_suite(self):
         rng = random.Random(8086)

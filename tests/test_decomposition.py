@@ -409,6 +409,12 @@ class TestRunNiceDp:
                              table_cap=1, stats=stats)
         assert stats == {"width": 1, "peak_table": 2, "nice_nodes": 10}
 
+    def test_negative_cap_rejected_before_the_walk(self):
+        stats = {}
+        with pytest.raises(ValueError, match="table cap must be nonnegative, got -1"):
+            run_partition_dp(two_branch_ntd(), lambda v, sig, p: [0], table_cap=-1, stats=stats)
+        assert stats == {}
+
     def test_traceback_on_isolated_vertices(self):
         # three one-vertex bags: every vertex is forgotten with an empty bag
         ntd = make_nice(heuristic_decompose(AshgInstance(3)))

@@ -87,6 +87,15 @@ class TestBruteForceNash:
         with pytest.raises(OracleCapError):
             brute_force_nash(AshgInstance(13))
 
+    @pytest.mark.parametrize("oracle", [brute_force_nash, brute_force_connected_nash])
+    def test_negative_cap_rejected(self, oracle):
+        # a negative cap is an input error, not a cap every instance exceeds
+        with pytest.raises(ValueError, match="oracle cap must be nonnegative, got -1"):
+            oracle(AshgInstance(0), cap=-1)
+        assert oracle(AshgInstance(0), cap=0) == Partition([])
+        with pytest.raises(OracleCapError):
+            oracle(AshgInstance(1), cap=0)
+
     def test_result_is_stable_and_existence_matches_label_products(self):
         rng = random.Random(515)
         for t in range(120):
