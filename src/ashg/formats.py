@@ -58,7 +58,12 @@ def parse_instance(text: str) -> AshgInstance:
     for fields in rows[1:]:
         if fields[0] != "a" or len(fields) != 4:
             raise ValueError(f"expected 'a <u> <v> <w>', got {' '.join(fields)!r}")
-        arcs.append(tuple(_int(t, "arc field") for t in fields[1:]))
+        try:
+            arcs.append((int(fields[1], 10), int(fields[2], 10), int(fields[3], 10)))
+        except ValueError:
+            for t in fields[1:]:
+                _int(t, "arc field")  # names the bad token
+            raise
     if len(arcs) != arc_count:
         raise ValueError(f"header promises {arc_count} arcs, file has {len(arcs)}")
     return AshgInstance(n, arcs)
@@ -84,7 +89,12 @@ def parse_partition(text: str) -> Partition:
     for fields in rows[1:]:
         if len(fields) != 2:
             raise ValueError(f"expected '<vertex> <class-id>', got {' '.join(fields)!r}")
-        v, cid = _int(fields[0], "vertex"), _int(fields[1], "class id")
+        try:
+            v, cid = int(fields[0], 10), int(fields[1], 10)
+        except ValueError:
+            _int(fields[0], "vertex")  # names the bad token
+            _int(fields[1], "class id")
+            raise
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} outside 1..{n}")
         if v in assign:
@@ -92,8 +102,9 @@ def parse_partition(text: str) -> Partition:
         assign[v] = cid
     if len(assign) != n:
         raise ValueError(f"{n - len(assign)} vertices have no class assignment")
-    if len(set(assign.values())) != k:
-        raise ValueError(f"header promises {k} classes, file has {len(set(assign.values()))}")
+    classes = len(set(assign.values()))
+    if classes != k:
+        raise ValueError(f"header promises {k} classes, file has {classes}")
     return Partition([assign[v] for v in range(1, n + 1)])
 
 

@@ -34,22 +34,25 @@ class AshgInstance:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if isinstance(arcs, Mapping):
-            items = [(u, v, w) for (u, v), w in arcs.items()]
-        else:
-            items = [(u, v, w) for (u, v, w) in arcs]
+            arcs = ((u, v, w) for (u, v), w in arcs.items())
+        # One pass validates each arc in order and tracks the largest |w|,
+        # so the n*W guard runs before any per-vertex table is allocated.
         arc_map: dict[tuple[int, int], int] = {}
-        for u, v, w in items:
+        w_max = 0
+        for u, v, w in arcs:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"arc ({u},{v}) leaves the vertex range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not isinstance(w, int):
                 raise ValueError(f"arc ({u},{v}) has non-integer weight {w!r}")
-            if (u, v) in arc_map:
+            key = (u, v)
+            if key in arc_map:
                 raise ValueError(f"duplicate arc ({u},{v})")
-            arc_map[(u, v)] = w
+            arc_map[key] = w
+            if w > w_max or -w > w_max:
+                w_max = abs(w)
 
-        w_max = max((abs(w) for w in arc_map.values()), default=0)
         if n * w_max > _MAX_REPRESENTABLE // 4:
             raise ValueError(
                 f"n*W = {n * w_max} exceeds the arithmetic guard {_MAX_REPRESENTABLE // 4}"

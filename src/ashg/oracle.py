@@ -53,13 +53,15 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[P
     """All partitions of 1..n in restricted-growth order.
 
     Raises OracleCapError when n exceeds the cap (Bell numbers explode).
+    The arguments are checked at call time, before the generator exists.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if cap < 0:
+        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
     if n > cap:
         raise OracleCapError(f"n={n} exceeds the enumeration cap {cap}")
-    for labels in _rgs(n):
-        yield Partition(labels)
+    return map(Partition, _rgs(n))
 
 
 def brute_force_nash(
@@ -114,6 +116,8 @@ def brute_force_stable_coloring(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if cap < 0:
+        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
     effective = min(k, instance.n)  # colors beyond n can never all be used
     if instance.n and effective ** instance.n > cap:
         raise OracleCapError(

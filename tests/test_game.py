@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -67,6 +68,23 @@ class TestAshgInstance:
         with pytest.raises(ValueError):
             AshgInstance(4, [(1, 2, 2**62)])
 
+    def test_bool_weight_accepted_float_weight_rejected(self):
+        inst = AshgInstance(2, [(1, 2, True)])
+        assert inst.arcs == {(1, 2): 1} and inst.max_abs_weight == 1
+        with pytest.raises(ValueError, match=r"^arc \(1,2\) has non-integer weight 1\.5$"):
+            AshgInstance(2, [(1, 2, 1.5)])
+
+    def test_guard_runs_before_per_vertex_tables(self):
+        # n + 1 empty rows and sets for n = 10**6 would take far more than 5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the arithmetic guard"):
+                AshgInstance(10**6, [(1, 2, 2**62)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_immutable(self):
         inst = friends()
         with pytest.raises(AttributeError):
@@ -75,6 +93,45 @@ class TestAshgInstance:
     def test_weight_defaults_to_zero(self):
         assert friends().weight(2, 1) == 1
         assert stalker().weight(1, 1) == 0
+
+
+class OneShotArcs:
+    """An iterable of arc triples that may be iterated only once."""
+
+    def __init__(self, triples):
+        self.triples = triples
+        self.iterations = 0
+        self.yielded = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        assert self.iterations == 1, "arcs iterated twice"
+        for triple in self.triples:
+            self.yielded += 1
+            yield triple
+
+
+class TestAshgInstanceInputShapes:
+    TRIPLES = [(3, 1, -2), (1, 2, 0), (2, 1, 4), (4, 3, 1), (1, 3, True)]
+
+    @staticmethod
+    def fields(inst):
+        return (inst.n, inst.arcs, inst.out, inst.neighbors, inst.max_degree, inst.max_abs_weight)
+
+    def test_same_fields_for_every_container(self):
+        triples = self.TRIPLES
+        expected = self.fields(AshgInstance(4, list(triples)))
+        assert self.fields(AshgInstance(4, tuple(triples))) == expected
+        assert self.fields(AshgInstance(4, {(u, v): w for u, v, w in triples})) == expected
+        assert self.fields(AshgInstance(4, (t for t in triples))) == expected
+        assert expected[1] == {(u, v): w for u, v, w in triples}
+        assert expected[2][1] == ((2, 0), (3, 1)) and expected[3][1] == (2, 3)
+
+    def test_one_shot_iterable_consumed_exactly_once(self):
+        arcs = OneShotArcs(self.TRIPLES)
+        inst = AshgInstance(4, arcs)
+        assert (arcs.iterations, arcs.yielded) == (1, len(self.TRIPLES))
+        assert self.fields(inst) == self.fields(AshgInstance(4, self.TRIPLES))
 
 
 class TestPartition:

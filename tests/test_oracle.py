@@ -68,6 +68,17 @@ class TestEnumeratePartitions:
         with pytest.raises(ValueError):
             next(enumerate_partitions(-1))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_negative_cap_rejected_at_call_time(self, n):
+        # raised by the call itself, not by the first next()
+        with pytest.raises(ValueError, match="oracle cap must be nonnegative, got -1"):
+            enumerate_partitions(n, cap=-1)
+
+    def test_cap_checked_at_call_time(self):
+        with pytest.raises(OracleCapError):
+            enumerate_partitions(13)
+        assert list(enumerate_partitions(0, cap=0)) == [Partition([])]
+
 
 class TestBruteForceNash:
     def test_stalker_none(self):
@@ -147,6 +158,13 @@ class TestBruteForceStableColoring:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             brute_force_stable_coloring(friends(), k=0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_negative_cap_rejected(self, n):
+        # n = 0 has a one-point search space that no cap check reaches
+        with pytest.raises(ValueError, match="oracle cap must be nonnegative, got -1"):
+            brute_force_stable_coloring(AshgInstance(n), k=1, cap=-1)
+        assert brute_force_stable_coloring(AshgInstance(n), k=1, cap=1) is not None
 
     def test_cap_uses_effective_colors(self):
         # k far above n is harmless: only min(k, n) colors can be used

@@ -3,7 +3,8 @@
 On a path the DP tables hold a handful of signatures, so decomposition,
 nice form, the walk and the traceback carry the time.  Time per nice
 node must stay about flat from n = 2 000 to n = 20 000: a linear layer
-keeps the ratio near 1, a quadratic one takes it near 10.
+keeps the ratio near 1, a quadratic one takes it near 10.  Reading the
+instance file back is held to the same bound per arc.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import time
 
 import pytest
 
-from ashg import heuristic_decompose, make_nice, solve_connected_nash, solve_nash_via_coloring
+from ashg import (
+    heuristic_decompose,
+    make_nice,
+    parse_instance,
+    serialize_instance,
+    solve_connected_nash,
+    solve_nash_via_coloring,
+)
 from helpers import path_instance
 
 
@@ -24,23 +32,35 @@ def solve(instance, mode, stats):
     return solve_connected_nash(instance, make_nice(heuristic_decompose(instance)), stats=stats)
 
 
-def seconds_per_nice_node(n, mode):
-    """Best of 3 whole library solves, with the collector paused as the CLI runs them."""
-    instance = path_instance(n, random.Random(n))
+def best_of_3(call):
+    """Best wall time of 3 calls, with the collector paused as the CLI runs them."""
     best = float("inf")
-    stats: dict = {}
     enabled = gc.isenabled()
     for _ in range(3):
         gc.collect()
         gc.disable()
         try:
             t0 = time.perf_counter()
-            solve(instance, mode, stats)
+            call()
             best = min(best, time.perf_counter() - t0)
         finally:
             if enabled:
                 gc.enable()
-    return best / stats["nice_nodes"]
+    return best
+
+
+def seconds_per_nice_node(n, mode):
+    """Best of 3 whole library solves."""
+    instance = path_instance(n, random.Random(n))
+    stats: dict = {}
+    return best_of_3(lambda: solve(instance, mode, stats)) / stats["nice_nodes"]
+
+
+def seconds_per_arc(n):
+    """Best of 3 parses of a path's instance file."""
+    instance = path_instance(n, random.Random(n))
+    text = serialize_instance(instance)
+    return best_of_3(lambda: parse_instance(text)) / instance.arc_count()
 
 
 @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
@@ -48,3 +68,9 @@ def test_time_per_nice_node_flat_on_paths(mode):
     small = seconds_per_nice_node(2_000, mode)
     large = seconds_per_nice_node(20_000, mode)
     assert large / small < 3, f"{large * 1e6:.1f} vs {small * 1e6:.1f} us per nice node"
+
+
+def test_parse_time_per_arc_flat_on_paths():
+    small = seconds_per_arc(2_000)
+    large = seconds_per_arc(20_000)
+    assert large / small < 3, f"{large * 1e6:.2f} vs {small * 1e6:.2f} us per arc"
