@@ -9,6 +9,7 @@ when a partition or instance follows them.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 import time
@@ -389,24 +390,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import: importing the package stays
+    # cheap, and a process that calls `main` repeatedly pays for it once.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # The command runs with the cyclic collector paused.  It builds no
-    # reference cycles, but it allocates millions of short-lived tuples,
-    # and each collection they trigger rescans every live table (and, when
-    # `main` is called in-process, the caller's whole heap) to find nothing.
-    # Where a full collection lands depends on the allocation counts of
-    # everything run before, so it would add milliseconds to one command
-    # or another unpredictably.  The parser stays outside the pause: its
-    # cycles are freed by the collections it triggers.
+    # The whole call, argument parsing included, runs with the cyclic
+    # collector paused.  The command builds no reference cycles, but it
+    # allocates millions of short-lived tuples, and each collection they
+    # trigger rescans every live table (and, when `main` is called
+    # in-process, the caller's whole heap) to find nothing.  Where a full
+    # collection lands depends on the allocation counts of everything run
+    # before, so it would add milliseconds to one command or another
+    # unpredictably.  Parsing with the cached parser leaves no cycles after
+    # a valid command line; a usage error or --help leaves a few dozen
+    # objects, which the caller's next collection frees.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        # Looked up per call rather than through the parser's `func`
+        # default, which holds the functions that existed when it was built.
+        command = {"solve": cmd_solve, "verify": cmd_verify, "gen": cmd_gen,
+                   "oracle": cmd_oracle, "decompose": cmd_decompose}[args.cmd]
+        return command(args)
     except (ResourceLimitError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -44,7 +44,7 @@ class AshgInstance:
                 raise ValueError(f"arc ({u},{v}) leaves the vertex range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not isinstance(w, int):
+            if not isinstance(w, int) or isinstance(w, bool):
                 raise ValueError(f"arc ({u},{v}) has non-integer weight {w!r}")
             key = (u, v)
             if key in arc_map:

@@ -427,6 +427,41 @@ class TestUsageErrors:
         assert main(["gen", "3part", golden("items_3part.txt")]) == 3
 
 
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        out = "".join(line for line in out.splitlines(keepends=True)
+                      if not line.startswith("c wall-time"))
+        return code, out, err
+
+    def test_parser_is_built_once(self):
+        assert ashg.cli._parser() is ashg.cli._parser()
+
+    def test_options_do_not_leak_into_the_next_call(self, capsys):
+        assert main(["solve", golden("friends.ashg"), "--table-cap", "0"]) == 2
+        assert "c answer UNKNOWN" in capsys.readouterr().out
+        assert main(["solve", golden("friends.ashg")]) == 0
+        assert "c answer SOME" in capsys.readouterr().out
+
+    def test_usage_error_between_good_calls_changes_neither(self, capsys):
+        argv = ["solve", golden("path5.ashg"), "--mode", "connected-nash"]
+        first = self.run(capsys, argv)
+        assert first[0] == 0
+        assert self.run(capsys, ["solve", golden("path5.ashg"), "--mode", "bogus"])[0] == 3
+        assert self.run(capsys, argv) == first
+
+    def test_help_text_is_identical_twice(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("usage: ashg")
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         # the child process imports the same package this test imported
@@ -466,8 +501,9 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash", "dynamics"])
     def test_cyclic_garbage_does_not_grow_with_the_input(self, mode, tmp_path, capsys):
-        # pausing the collector during a command is safe only if the cycles
-        # a call makes (its argument parser's) do not scale with the instance
+        # pausing the collector during a call is safe only if the call makes
+        # no cycles that scale with the instance; once the parser is built
+        # (by the first call of the process), a successful call makes none
         def garbage_after_solve(n: int) -> int:
             path = tmp_path / f"path{n}.ashg"
             arcs = [f"a {v} {v + 1} 1\na {v + 1} {v} 1" for v in range(1, n)]
@@ -481,4 +517,5 @@ class TestCollectorPause:
             finally:
                 gc.enable()
 
-        assert garbage_after_solve(8) == garbage_after_solve(300)
+        assert main(["solve", golden("friends.ashg")]) == 0
+        assert garbage_after_solve(8) == garbage_after_solve(300) == 0

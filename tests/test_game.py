@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -68,11 +69,14 @@ class TestAshgInstance:
         with pytest.raises(ValueError):
             AshgInstance(4, [(1, 2, 2**62)])
 
-    def test_bool_weight_accepted_float_weight_rejected(self):
-        inst = AshgInstance(2, [(1, 2, True)])
-        assert inst.arcs == {(1, 2): 1} and inst.max_abs_weight == 1
-        with pytest.raises(ValueError, match=r"^arc \(1,2\) has non-integer weight 1\.5$"):
-            AshgInstance(2, [(1, 2, 1.5)])
+    def test_bool_and_float_weights_rejected(self):
+        # a stored bool would serialize as `a 1 2 True`, which does not parse
+        for arcs, shown in (([(1, 2, True)], "True"), ([(1, 2, False)], "False"),
+                            ({(1, 2): True}, "True"), ({(1, 2): False}, "False"),
+                            ([(1, 2, 1.5)], "1.5")):
+            message = rf"^arc \(1,2\) has non-integer weight {re.escape(shown)}$"
+            with pytest.raises(ValueError, match=message):
+                AshgInstance(2, arcs)
 
     def test_guard_runs_before_per_vertex_tables(self):
         # n + 1 empty rows and sets for n = 10**6 would take far more than 5 MB
@@ -112,7 +116,7 @@ class OneShotArcs:
 
 
 class TestAshgInstanceInputShapes:
-    TRIPLES = [(3, 1, -2), (1, 2, 0), (2, 1, 4), (4, 3, 1), (1, 3, True)]
+    TRIPLES = [(3, 1, -2), (1, 2, 0), (2, 1, 4), (4, 3, 1), (1, 3, 1)]
 
     @staticmethod
     def fields(inst):

@@ -1,12 +1,16 @@
-"""Instance and partition parsers against a token-by-token reference.
+"""Text parsers on valid and broken files.
 
 The reference below converts every token through one checked helper and
 builds the instance tables in two passes over a copy of the arcs.  The
-package's parsers must agree with it on every text: the same instance
-fields or partition, or a ValueError with the same message.  Random texts
-are valid files with comments, blank lines and non-canonical integer
-spellings; one or two mutations then break them, so the first offending
-line in file order decides the message.
+package's instance and partition parsers must agree with it on every
+text: the same instance fields or partition, or a ValueError with the
+same message.  Random texts are valid files with comments, blank lines
+and non-canonical integer spellings; one or two mutations then break
+them, so the first offending line in file order decides the message.
+
+The decomposition and CNF parsers have no reference; their texts must
+round-trip, and broken ones must fail with a ValueError, which the CLI
+turns into exit code 3.
 """
 
 from __future__ import annotations
@@ -15,10 +19,24 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ashg import Partition, parse_instance, parse_partition, serialize_instance, serialize_partition
+from ashg import (
+    AshgInstance,
+    CnfFormula,
+    Partition,
+    TreeDecomposition,
+    parse_cnf,
+    parse_decomposition,
+    parse_instance,
+    parse_partition,
+    serialize_decomposition,
+    serialize_instance,
+    serialize_partition,
+    validate,
+)
+from ashg.cli import main
 
 MAX_VERTICES = 10**6
 GUARD = sys.maxsize // 4
@@ -371,3 +389,190 @@ def test_first_offending_line_wins():
     assert outcome(parse_partition, "s part 2 1\n9 k\n") == (
         "error", "class id: not an integer: 'k'")
     assert instance_outcome(text) == outcome(ref_parse_instance, text)
+
+
+# ---------------------------------------------------------------------------
+# Decomposition and CNF texts
+#
+# Files are lists of token lines, header first.  A mutation rewrites one
+# line or adds a copy of it; two mutations hit two different lines, so
+# neither can undo the other.
+
+LINE_MUTATIONS = ("bad token", "extra field", "missing field", "duplicated line")
+# index of the first integer field, by the line's leading tag
+FIRST_INT = {"s": 2, "p": 2, "b": 1}
+
+
+def respell(rnd, lines):
+    return [[spell(rnd, int(t)) if i >= FIRST_INT.get(line[0], 0) else t
+             for i, t in enumerate(line)] for line in lines]
+
+
+def mutate_line(draw, line, kind):
+    if kind == "bad token":
+        line = line[:]
+        line[draw(st.integers(FIRST_INT.get(line[0], 0), len(line) - 1))] = (
+            draw(st.sampled_from(BAD_TOKENS)))
+        return [line]
+    if kind == "extra field":
+        return [line + ["0"]]
+    if kind == "missing field":
+        return [line[:-1]]
+    return [line, line[:]]
+
+
+def mutate_lines(draw, lines, first):
+    """`lines` broken by `first` and at most one more mutation."""
+    kinds = [first] + draw(st.lists(st.sampled_from(LINE_MUTATIONS), max_size=1))
+    where = draw(st.lists(st.integers(0, len(lines) - 1), min_size=len(kinds),
+                          max_size=len(kinds), unique=True))
+    hit = dict(zip(where, kinds))
+    out = []
+    for i, line in enumerate(lines):
+        out.extend(mutate_line(draw, line, hit[i]) if i in hit else [line])
+    return kinds, out
+
+
+@st.composite
+def decompositions(draw):
+    """A tree decomposition with random bags over 1..n; valid for no particular game."""
+    n = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 10))
+    bags = {i: draw(st.sets(st.integers(1, n), max_size=4)) for i in range(1, count + 1)}
+    edges = []
+    for i in range(2, count + 1):
+        j = draw(st.integers(1, i - 1))
+        edges.append((i, j) if draw(st.booleans()) else (j, i))
+    return TreeDecomposition(bags, edges), n
+
+
+def path_decomposition(n):
+    """The path 1..n and its decomposition with one bag per edge."""
+    arcs = [(u, v, 1) for w in range(1, n) for u, v in ((w, w + 1), (w + 1, w))]
+    instance = AshgInstance(n, arcs)
+    td = TreeDecomposition({v: (v, v + 1) for v in range(1, n)},
+                           [(v, v + 1) for v in range(1, n - 1)])
+    return instance, td
+
+
+def td_lines(rnd, td, n):
+    """Token lines of `td`'s file, respelled, with bag and edge lines shuffled."""
+    lines = respell(rnd, [line.split() for line in serialize_decomposition(td, n).splitlines()])
+    body = lines[1:]
+    rnd.shuffle(body)
+    return lines[:1] + body
+
+
+@st.composite
+def cnf_texts(draw, rnd):
+    """Token lines of a CNF with one clause per line, and the formula they mean."""
+    num_vars = draw(st.integers(1, 6))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), min_size=1, max_size=6))
+    lines = [["p", "cnf", str(num_vars), str(len(clauses))]]
+    lines += [[str(lit) for lit in clause] + ["0"] for clause in clauses]
+    return respell(rnd, lines), CnfFormula.from_clauses(num_vars, clauses)
+
+
+def td_rejected(text, instance):
+    """Whether the CLI's route for `--td` rejects the text; only ValueError may escape."""
+    try:
+        td = parse_decomposition(text)
+    except ValueError:
+        return True
+    return not validate(td, instance)[0]
+
+
+# the files of one test are rewritten by every example
+CLI_SETTINGS = settings(BROKEN_SETTINGS,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@SETTINGS
+@given(decompositions(), cosmetics)
+def test_decomposition_texts_round_trip(drawn, rnd):
+    td, n = drawn
+    canonical = serialize_decomposition(td, n)
+    assert serialize_decomposition(parse_decomposition(canonical), n) == canonical
+    text = render(rnd, td_lines(rnd, td, n))
+    assert serialize_decomposition(parse_decomposition(text), n) == canonical
+
+
+@SETTINGS
+@given(st.data())
+def test_cnf_texts_parse_to_their_formula(data):
+    rnd = data.draw(cosmetics)
+    lines, formula = data.draw(cnf_texts(rnd))
+    assert parse_cnf(render(rnd, lines)) == formula
+
+
+@pytest.mark.parametrize("first", LINE_MUTATIONS)
+@BROKEN_SETTINGS
+@given(st.data())
+def test_broken_decomposition_texts_raise_only_value_error(first, data):
+    rnd = data.draw(cosmetics)
+    td, n = data.draw(decompositions())
+    _, lines = mutate_lines(data.draw, td_lines(rnd, td, n), first)
+    try:
+        parse_decomposition(render(rnd, lines))
+    except ValueError:
+        pass
+    # on a path's one-bag-per-edge decomposition every mutation is caught
+    instance, path_td = path_decomposition(data.draw(st.integers(2, 10)))
+    kinds, lines = mutate_lines(data.draw, td_lines(rnd, path_td, instance.n), first)
+    assert td_rejected(render(rnd, lines), instance), kinds
+
+
+@pytest.mark.parametrize("first", LINE_MUTATIONS)
+@BROKEN_SETTINGS
+@given(st.data())
+def test_broken_cnf_texts_raise_only_value_error(first, data):
+    rnd = data.draw(cosmetics)
+    lines, _ = data.draw(cnf_texts(rnd))
+    kinds, lines = mutate_lines(data.draw, lines, first)
+    try:
+        parse_cnf(render(rnd, lines))
+    except ValueError:
+        return
+    # a merged clause and a duplicated one can leave the clause count right
+    assert len(kinds) == 2, kinds
+
+
+@pytest.mark.parametrize("first", LINE_MUTATIONS)
+@CLI_SETTINGS
+@given(data=st.data())
+def test_broken_decomposition_file_exits_three(first, data, tmp_path, capsys):
+    rnd = data.draw(cosmetics)
+    instance, td = path_decomposition(data.draw(st.integers(2, 10)))
+    inst_file, td_file = tmp_path / "path.ashg", tmp_path / "path.td"
+    inst_file.write_text(serialize_instance(instance), encoding="utf-8")
+    argv = ["solve", str(inst_file), "--mode", "connected-nash", "--td", str(td_file)]
+    lines = td_lines(rnd, td, instance.n)
+    td_file.write_text(render(rnd, lines), encoding="utf-8")
+    assert main(argv) == 0
+    kinds, lines = mutate_lines(data.draw, lines, first)
+    td_file.write_text(render(rnd, lines), encoding="utf-8")
+    assert main(argv) == 3, kinds
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("first", LINE_MUTATIONS)
+@CLI_SETTINGS
+@given(data=st.data())
+def test_broken_cnf_file_exits_three(first, data, tmp_path, capsys):
+    rnd = data.draw(cosmetics)
+    lines, _ = data.draw(cnf_texts(rnd))
+    cnf_file = tmp_path / "phi.cnf"
+    argv = ["gen", "sat-bd", str(cnf_file), "--out", str(tmp_path / "phi.ashg")]
+    cnf_file.write_text(render(rnd, lines), encoding="utf-8")
+    assert main(argv) == 0
+    kinds, lines = mutate_lines(data.draw, lines, first)
+    text = render(rnd, lines)
+    cnf_file.write_text(text, encoding="utf-8")
+    try:
+        parse_cnf(text)
+    except ValueError:
+        assert main(argv) == 3, kinds
+        assert capsys.readouterr().err.startswith("error: ")
+    else:
+        assert main(argv) == 0, kinds
