@@ -13,7 +13,6 @@ import functools
 import gc
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import formats
@@ -59,44 +58,6 @@ _EXIT_BY_ANSWER = {"SOME": EXIT_SOME, "STABLE": EXIT_SOME,
                    "UNKNOWN": EXIT_UNKNOWN}
 
 
-@dataclass
-class RunReport:
-    """Per-command summary printed as comment lines."""
-
-    command: str
-    n: int
-    arcs: int
-    max_degree: int
-    max_abs_weight: int
-    answer: str  # SOME / NONE / UNKNOWN / STABLE / UNSTABLE
-    wall_time: float
-    width: int | None = None
-    peak_table: int | None = None
-    steps: int | None = None
-
-    def lines(self) -> list[str]:
-        out = [
-            f"c command {self.command}",
-            f"c n {self.n}",
-            f"c arcs {self.arcs}",
-            f"c max-degree {self.max_degree}",
-            f"c max-weight {self.max_abs_weight}",
-        ]
-        if self.width is not None:
-            out.append(f"c width {self.width}")
-        if self.peak_table is not None:
-            out.append(f"c peak-table {self.peak_table}")
-        if self.steps is not None:
-            out.append(f"c steps {self.steps}")
-        out.append(f"c answer {self.answer}")
-        out.append(f"c wall-time {self.wall_time:.3f}s")
-        return out
-
-
-def _print_report(report: RunReport) -> None:
-    print("\n".join(report.lines()))
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -112,21 +73,27 @@ def _emit(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _report_for(command: str, instance: AshgInstance, answer: str, t0: float,
-                width: int | None = None, peak: int | None = None,
-                steps: int | None = None) -> RunReport:
-    return RunReport(
-        command=command,
-        n=instance.n,
-        arcs=instance.arc_count(),
-        max_degree=instance.max_degree,
-        max_abs_weight=instance.max_abs_weight,
-        answer=answer,
-        wall_time=time.perf_counter() - t0,
-        width=width,
-        peak_table=peak,
-        steps=steps,
-    )
+def _report(command: str, instance: AshgInstance, answer: str, t0: float,
+            width: int | None = None, peak: int | None = None,
+            steps: int | None = None) -> None:
+    """Print the command's summary as `c` lines.
+
+    `answer` is SOME, NONE, UNKNOWN, STABLE or UNSTABLE; width, peak
+    table and steps print only when given.
+    """
+    lines = [
+        f"c command {command}",
+        f"c n {instance.n}",
+        f"c arcs {instance.arc_count()}",
+        f"c max-degree {instance.max_degree}",
+        f"c max-weight {instance.max_abs_weight}",
+    ]
+    for key, value in (("width", width), ("peak-table", peak), ("steps", steps)):
+        if value is not None:
+            lines.append(f"c {key} {value}")
+    lines.append(f"c answer {answer}")
+    lines.append(f"c wall-time {time.perf_counter() - t0:.3f}s")
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +134,8 @@ def cmd_solve(args) -> int:
         except ResourceLimitError as exc:
             print(f"c resource limit: {exc}", file=sys.stderr)
             answer = "UNKNOWN"
-    report = _report_for("solve", instance, answer, t0, stats.get("width"),
-                         stats.get("peak_table"), stats.get("steps"))
-    _print_report(report)
+    _report("solve", instance, answer, t0, stats.get("width"),
+            stats.get("peak_table"), stats.get("steps"))
     if partition is not None:
         _emit(args.out, formats.serialize_partition(partition))
     return _EXIT_BY_ANSWER[answer]
@@ -198,7 +164,7 @@ def cmd_verify(args) -> int:
                 f"c vertex {witness.vertex} (utility {witness.current_utility}) "
                 f"improves by moving to {target} (utility {witness.target_utility})"
             )
-    _print_report(_report_for("verify", instance, answer, t0))
+    _report("verify", instance, answer, t0)
     if detail:
         print(detail)
     return _EXIT_BY_ANSWER[answer]
@@ -225,31 +191,28 @@ def cmd_gen(args) -> int:
         phi = formats.parse_cnf(_read(args.source))
         if args.generator == "sat-hd":
             instance, layout = gen_sat_high_degree(phi, args.degree)
+            build_witness = witness_sat_high_degree
         else:
-            instance, _ = gen_sat_bounded_degree(phi)
+            instance, layout = gen_sat_bounded_degree(phi)
+            build_witness = witness_sat_bounded_degree
         if args.witness:
             assignment = _parse_assignment(args.witness, phi.num_vars)
-            if args.generator == "sat-hd":
-                witness = witness_sat_high_degree(phi, layout, assignment)
-            else:
-                witness = witness_sat_bounded_degree(phi, assignment)
+            witness = build_witness(phi, layout, assignment)
     elif args.generator == "3part":
         items = formats.parse_int_list(_read(args.source))
-        instance, _ = gen_three_partition_star(items, args.target)
+        instance, layout = gen_three_partition_star(items, args.target)
         if args.witness:
             flat = formats.parse_int_list(_read(args.witness))
             if len(flat) % 3 != 0:
                 raise ValueError("triple file must hold 3 indices per triple")
             triples = [flat[i : i + 3] for i in range(0, len(flat), 3)]
-            witness = witness_three_partition_star(items, args.target, triples)
+            witness = witness_three_partition_star(layout, triples)
     else:  # binpack
         items = formats.parse_int_list(_read(args.source))
-        instance, _ = gen_bin_packing(items, args.capacity, args.bins, args.unit_weights)
+        instance, layout = gen_bin_packing(items, args.capacity, args.bins, args.unit_weights)
         if args.witness:
             packing = formats.parse_int_list(_read(args.witness))
-            witness = witness_bin_packing(
-                items, args.capacity, args.bins, packing, args.unit_weights
-            )
+            witness = witness_bin_packing(layout, packing)
     if witness is not None and args.witness_out is None and args.out is None:
         raise ValueError("--witness needs --witness-out when the instance goes to stdout")
     _emit(args.out, formats.serialize_instance(instance))
@@ -275,7 +238,7 @@ def cmd_oracle(args) -> int:
     except OracleCapError as exc:
         print(f"c oracle cap: {exc}", file=sys.stderr)
         answer = "UNKNOWN"
-    _print_report(_report_for("oracle", instance, answer, t0))
+    _report("oracle", instance, answer, t0)
     if partition is not None:
         _emit(args.out, formats.serialize_partition(partition))
     return _EXIT_BY_ANSWER[answer]
@@ -289,7 +252,7 @@ def cmd_decompose(args) -> int:
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     td = heuristic_decompose(instance, args.strategy)
-    _print_report(_report_for("decompose", instance, "SOME", t0, td.width))
+    _report("decompose", instance, "SOME", t0, td.width)
     _emit(args.out, formats.serialize_decomposition(td, instance.n))
     return EXIT_SOME
 
@@ -325,14 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-steps", type=int, default=1000,
                          help="deviation budget for --mode dynamics")
     p_solve.add_argument("--out", help="write the partition here instead of stdout")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a partition for stability")
     p_verify.add_argument("instance")
     p_verify.add_argument("partition")
     p_verify.add_argument("--connected", action="store_true",
                           help="also require every coalition to be connected")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate instances from source problems")
     gsub = p_gen.add_subparsers(dest="generator", required=True)
@@ -370,22 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     g_sq.add_argument("--out", help="instance output file (default stdout)")
     g_sq.set_defaults(witness=None, witness_out=None)
 
-    p_gen.set_defaults(func=cmd_gen)
-
     p_oracle = sub.add_parser("oracle", help="exhaustive search over all partitions")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--mode", choices=["nash", "connected-nash"], default="nash")
     p_oracle.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
                           help="refuse instances with more vertices than this")
     p_oracle.add_argument("--out", help="write the partition here instead of stdout")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_dec = sub.add_parser("decompose", help="heuristic tree decomposition")
     p_dec.add_argument("instance")
     p_dec.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL], default=MIN_DEGREE,
                        help=f"elimination heuristic; {MIN_FILL} takes time quadratic in n")
     p_dec.add_argument("--out", help="decomposition output file (default stdout)")
-    p_dec.set_defaults(func=cmd_decompose)
 
     return parser
 
@@ -415,8 +372,8 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        # Looked up per call rather than through the parser's `func`
-        # default, which holds the functions that existed when it was built.
+        # Looked up per call, not stored in the cached parser, so the
+        # command run is the module's current `cmd_*` function.
         command = {"solve": cmd_solve, "verify": cmd_verify, "gen": cmd_gen,
                    "oracle": cmd_oracle, "decompose": cmd_decompose}[args.cmd]
         return command(args)

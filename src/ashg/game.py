@@ -18,6 +18,13 @@ _MAX_REPRESENTABLE = sys.maxsize
 # Largest vertex count parse_instance and the reduction generators accept;
 # both check it before allocating per-vertex tables.
 MAX_VERTICES = 10**6
+# Largest arc count the reduction generators build, checked with
+# MAX_VERTICES before they allocate.  The SAT embeddings have at most
+# about 5.5 arcs per vertex and the 3-Partition star 2, so within
+# MAX_VERTICES they stay below it.  Bin packing has 2 * bins * items
+# arcs, up to 2 * 10**9 within MAX_VERTICES (1 000 bins of capacity
+# 1 000); the bound holds it to the size of the largest SAT construction.
+MAX_ARCS = 6 * MAX_VERTICES
 
 
 class AshgInstance:

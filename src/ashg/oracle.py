@@ -49,6 +49,13 @@ def _rgs(n: int, max_blocks: int | None = None) -> Iterator[list[int]]:
         yield labels[:]
 
 
+def _check_cap(n: int, cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
+    if n > cap:
+        raise OracleCapError(f"n={n} exceeds the enumeration cap {cap}")
+
+
 def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[Partition]:
     """All partitions of 1..n in restricted-growth order.
 
@@ -57,10 +64,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[P
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if cap < 0:
-        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
-    if n > cap:
-        raise OracleCapError(f"n={n} exceeds the enumeration cap {cap}")
+    _check_cap(n, cap)
     return map(Partition, _rgs(n))
 
 
@@ -68,10 +72,7 @@ def brute_force_nash(
     instance: AshgInstance, cap: int = DEFAULT_PARTITION_CAP
 ) -> Partition | None:
     """First Nash Stable partition in enumeration order, or None."""
-    if cap < 0:
-        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
-    if instance.n > cap:
-        raise OracleCapError(f"n={instance.n} exceeds the enumeration cap {cap}")
+    _check_cap(instance.n, cap)
     for labels in _rgs(instance.n):
         if _first_violation(instance, labels) is None:
             return Partition(labels)
@@ -85,10 +86,7 @@ def brute_force_connected_nash(
 
     Connectivity is checked before stability; it is the cheaper filter.
     """
-    if cap < 0:
-        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
-    if instance.n > cap:
-        raise OracleCapError(f"n={instance.n} exceeds the enumeration cap {cap}")
+    _check_cap(instance.n, cap)
     nbrs = instance.neighbors
     for labels in _rgs(instance.n):
         blocks: dict[int, list[int]] = {}

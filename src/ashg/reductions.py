@@ -1,21 +1,22 @@
 """Instance generators that embed hard source problems, plus witnesses.
 
-Each generator returns (instance, layout); the layout records vertex
-ids by role so tests and witness builders can address the gadgets.  The
-witness builders turn a certificate of the source problem (satisfying
-assignment, triple partition, packing) into a partition that passes the
-stability verifiers; they regenerate the instance internally, which is
-cheap and keeps ids aligned by construction order.
+Each generator sizes its construction from the inputs and refuses one
+past MAX_VERTICES or MAX_ARCS before building anything.  It returns
+(instance, layout): the layout records the gadgets' vertex ids and the
+vertex count `n`.  Each witness builder takes that layout and a
+certificate of the source problem (satisfying assignment, triple cover,
+packing) and returns a partition that passes the stability verifiers,
+without building the instance again.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .game import _MAX_REPRESENTABLE, MAX_VERTICES, AshgInstance, Partition
+from .game import _MAX_REPRESENTABLE, MAX_ARCS, MAX_VERTICES, AshgInstance, Partition
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,9 @@ class _Builder:
     def __init__(self):
         self.arcs: dict[tuple[int, int], int] = {}
         self.count = 0
-        self.roles: dict[int, str] = {}
 
-    def vertex(self, role: str) -> int:
+    def vertex(self) -> int:
         self.count += 1
-        self.roles[self.count] = role
         return self.count
 
     def arc(self, u: int, v: int, w: int) -> None:
@@ -83,6 +82,24 @@ class _Builder:
 
     def instance(self) -> AshgInstance:
         return AshgInstance(self.count, self.arcs)
+
+
+def _check_size(what: str, vertices: int, arcs: int) -> None:
+    """Refuse a construction past MAX_VERTICES or MAX_ARCS before it is built."""
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"{what} needs {vertices} vertices, above the limit {MAX_VERTICES}")
+    if arcs > MAX_ARCS:
+        raise ValueError(f"{what} needs {arcs} arcs, above the limit {MAX_ARCS}")
+
+
+def _bits(assignment: Sequence[bool], start: int, width: int) -> int:
+    """Integer whose bit i is assignment[start + i]; bits past the end read 0."""
+    return sum(1 << i for i, value in enumerate(assignment[start : start + width]) if value)
+
+
+def _first_satisfied_slot(clause: tuple[int, int, int], assignment: Sequence[bool]) -> int:
+    """Index of the first literal slot of `clause` that `assignment` satisfies."""
+    return next(a for a, lit in enumerate(clause) if assignment[abs(lit) - 1] == (lit > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +121,7 @@ class SatHighDegreeLayout:
     clause_hub: dict[int, int]  # column -> id
     clause_partner: dict[int, int]
     literal: dict[tuple[int, int], int]  # (column, slot 0..2) -> id
-    roles: dict[int, str] = field(repr=False)
+    n: int  # vertex count
 
     def var_coords(self, k: int) -> tuple[int, int, int]:
         """Row, slot and bit position encoding variable x_k."""
@@ -124,8 +141,8 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
     vertices force equal choices across columns, and each clause column
     has a hub that a literal vertex can only leave when its literal is
     satisfied by the encoded assignment.  Raises ValueError, before
-    building anything, when the construction would have more than
-    MAX_VERTICES vertices or break AshgInstance's n*W guard.
+    building anything, when the construction would exceed MAX_VERTICES
+    or MAX_ARCS or break AshgInstance's n*W guard.
     """
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
@@ -135,12 +152,11 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
     block = d * log_d
     rows = -(-n // block)  # ceil; encoding rows 0..rows-1, anchor row = rows
     # size the construction before building any of it: palette pair,
-    # selection grid, consistency vertices and five vertices per clause
+    # selection grid, consistency vertices and five vertices per clause;
+    # arcs: the palette's, 4d per consistency vertex, 10 + 3d per clause
     vertices = 2 + (rows + 1) * (d * m + max(m - 1, 0)) + 5 * m
-    if vertices > MAX_VERTICES:
-        raise ValueError(
-            f"degree {d} needs {vertices} vertices, above the limit {MAX_VERTICES}"
-        )
+    arcs = 2 + (2 * d if m else 0) + 4 * d * (rows + 1) * max(m - 1, 0) + (10 + 3 * d) * m
+    _check_size(f"degree {d}", vertices, arcs)
     # consistency arcs (two or more clauses) weigh up to 4^d
     if m >= 2 and vertices * 4**d > _MAX_REPRESENTABLE // 4:
         raise ValueError(
@@ -155,17 +171,17 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
         )
 
     b = _Builder()
-    p = b.vertex("palette")
-    pp = b.vertex("palette-partner")
+    p = b.vertex()
+    pp = b.vertex()
     row_ids = range(d if m >= 1 else 0)  # no clause, no selection vertex
     sel = {
-        (i1, i2, j): b.vertex("selection")
+        (i1, i2, j): b.vertex()
         for i1 in range(rows + 1)
         for i2 in row_ids
         for j in range(1, m + 1)
     }
     cons = {
-        (i1, j): b.vertex("consistency")
+        (i1, j): b.vertex()
         for i1 in range(rows + 1)
         for j in range(1, m)
     }
@@ -173,10 +189,10 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
     partner = {}
     lit_v = {}
     for j in range(1, m + 1):
-        hub[j] = b.vertex("clause-hub")
-        partner[j] = b.vertex("clause-partner")
+        hub[j] = b.vertex()
+        partner[j] = b.vertex()
         for a in range(3):
-            lit_v[(j, a)] = b.vertex("literal")
+            lit_v[(j, a)] = b.vertex()
 
     b.arc(p, pp, 1)
     b.arc(pp, p, 1)
@@ -205,7 +221,7 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
         clause_hub=hub,
         clause_partner=partner,
         literal=lit_v,
-        roles=b.roles,
+        n=b.count,
     )
 
     for j, clause in enumerate(phi.clauses, start=1):
@@ -225,16 +241,6 @@ def gen_sat_high_degree(phi: CnfFormula, degree: int) -> tuple[AshgInstance, Sat
     return b.instance(), layout
 
 
-def _encoded_row_choice(layout: SatHighDegreeLayout, assignment: Sequence[bool], i1: int, i2: int) -> int:
-    """Anchor-row index encoding the assignment bits carried by (i1, i2)."""
-    value = 0
-    for i3 in range(layout.bit_width):
-        k = i1 * layout.block + i2 * layout.bit_width + i3
-        if k < layout.num_vars and assignment[k]:
-            value |= 1 << i3
-    return value
-
-
 def witness_sat_high_degree(
     phi: CnfFormula, layout: SatHighDegreeLayout, assignment: Sequence[bool]
 ) -> Partition:
@@ -246,7 +252,7 @@ def witness_sat_high_degree(
         raise ValueError("assignment does not satisfy the formula")
     if (layout.num_vars, layout.num_clauses) != (phi.num_vars, len(phi.clauses)):
         raise ValueError("layout was generated for another formula")
-    m, d = layout.num_clauses, layout.degree
+    m, d, width = layout.num_clauses, layout.degree, layout.bit_width
 
     blocks: list[list[int]] = [[layout.palette, layout.palette_partner]]
     blocks.extend([c] for c in layout.consistency.values())
@@ -254,27 +260,24 @@ def witness_sat_high_degree(
     row_block: dict[int, list[int]] = {
         i2: [layout.selection[(layout.rows, i2, j)] for j in range(1, m + 1)] for i2 in row_ids
     }
+    # selection vertex (i1, i2) carries the bits of x_k for k from
+    # (i1 * d + i2) * width on; their value names its anchor row
     for i1 in range(layout.rows):
         for i2 in row_ids:
-            choice = _encoded_row_choice(layout, assignment, i1, i2)
+            choice = _bits(assignment, (i1 * d + i2) * width, width)
             row_block[choice].extend(
                 layout.selection[(i1, i2, j)] for j in range(1, m + 1)
             )
     for j, clause in enumerate(phi.clauses, start=1):
-        chosen = next(
-            a for a, lit in enumerate(clause) if assignment[abs(lit) - 1] == (lit > 0)
-        )
+        chosen = _first_satisfied_slot(clause, assignment)
         k = abs(clause[chosen]) - 1
-        i1, i2, _ = layout.var_coords(k)
-        row_block[_encoded_row_choice(layout, assignment, i1, i2)].append(
-            layout.literal[(j, chosen)]
-        )
+        row_block[_bits(assignment, k - k % width, width)].append(layout.literal[(j, chosen)])
         blocks.append(
             [layout.clause_hub[j], layout.clause_partner[j]]
             + [layout.literal[(j, a)] for a in range(3) if a != chosen]
         )
     blocks.extend(row_block.values())
-    return Partition.from_blocks(blocks, len(layout.roles))
+    return Partition.from_blocks(blocks, layout.n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ class SatBoundedDegreeLayout:
     or_main: dict[tuple[int, int], int]  # (column, 1-based index) -> id
     or_partner: dict[tuple[int, int], int]
     or_blocker: dict[tuple[int, int], int]
-    roles: dict[int, str] = field(repr=False)
+    n: int  # vertex count
 
 
 def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDegreeLayout]:
@@ -313,6 +316,8 @@ def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDeg
     distinct coalitions, literal paths feed each clause's checkers, and
     a chain gadget per clause is stable exactly when at least one
     checker confirms its literal against the chosen palette path.
+    Raises ValueError, before building anything, when the construction
+    would exceed MAX_VERTICES or MAX_ARCS.
     """
     nv = 4
     while nv < phi.num_vars:
@@ -323,15 +328,21 @@ def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDeg
     m = len(phi.clauses)
     length = m + nv
     n_sel = (2 * nv) // logn + 1
+    # Each literal slot has s/2 checkers (one per palette path whose bit
+    # matches the literal's sign), so a clause has 3s/2 checkers and as
+    # many or-chain cells: 9s vertices and 15s - 2 arcs per clause.
+    vertices = (s + n_sel) * length + s * (s - 1) + 9 * s * m
+    arcs = (s + n_sel) * (length - 1) + 3 * s * (s - 1) + (15 * s - 2) * m
+    _check_size(f"{phi.num_vars} variables and {m} clauses", vertices, arcs)
 
     b = _Builder()
     pal = {
-        (i, j): b.vertex("palette-path")
+        (i, j): b.vertex()
         for i in range(s)
         for j in range(1, length + 1)
     }
     sel = {
-        (i, j): b.vertex("selection-path")
+        (i, j): b.vertex()
         for i in range(n_sel)
         for j in range(1, length + 1)
     }
@@ -347,8 +358,8 @@ def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDeg
     pairs = [(i, ip) for i in range(s) for ip in range(i + 1, s)]
     for offset, (i, ip) in enumerate(pairs):
         j = m + 1 + offset  # distinct column in m+1..m+nv-1
-        va = b.vertex("pair-a")
-        vb = b.vertex("pair-b")
+        va = b.vertex()
+        vb = b.vertex()
         pair_a[(i, ip)] = va
         pair_b[(i, ip)] = vb
         b.arc(va, pal[(i, j)], 1)
@@ -371,14 +382,14 @@ def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDeg
             k = abs(lit) - 1
             i_path, pos = k // half, k % half
             for beta in range(s):
-                lit_path[(j, a, beta)] = b.vertex("literal-path")
+                lit_path[(j, a, beta)] = b.vertex()
             for beta in range(s - 1):
                 b.arc(lit_path[(j, a, beta)], lit_path[(j, a, beta + 1)], 1)
             b.arc(lit_path[(j, a, s - 1)], sel[(i_path, j)], 1)
             for ip in range(s):
                 bit = (ip >> pos) & 1
                 if (bit == 1) == (lit > 0):
-                    c = b.vertex("checker")
+                    c = b.vertex()
                     chk[(j, a, ip)] = c
                     keys.append((j, a, ip))
                     b.arc(c, pal[(ip, j)], 1)
@@ -387,9 +398,9 @@ def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDeg
 
         count = len(keys)
         for q in range(1, count + 1):
-            or_main[(j, q)] = b.vertex("or-main")
-            or_partner[(j, q)] = b.vertex("or-partner")
-            or_blocker[(j, q)] = b.vertex("or-blocker")
+            or_main[(j, q)] = b.vertex()
+            or_partner[(j, q)] = b.vertex()
+            or_blocker[(j, q)] = b.vertex()
         for q in range(1, count + 1):
             b.arc(or_main[(j, q)], or_partner[(j, q)], 1)
             b.arc(or_main[(j, q)], or_blocker[(j, q)], -2)
@@ -423,82 +434,75 @@ def gen_sat_bounded_degree(phi: CnfFormula) -> tuple[AshgInstance, SatBoundedDeg
         or_main=or_main,
         or_partner=or_partner,
         or_blocker=or_blocker,
-        roles=b.roles,
+        n=b.count,
     )
     return b.instance(), layout
 
 
-def _encoded_palette_choice(lay: SatBoundedDegreeLayout, ext: Sequence[bool], i: int) -> int:
-    """Palette path encoding the bits carried by selection path i."""
-    value = 0
-    for pos in range(lay.half_bits):
-        k = i * lay.half_bits + pos
-        if k < lay.num_vars and ext[k]:
-            value |= 1 << pos
-    return value
-
-
-def witness_sat_bounded_degree(phi: CnfFormula, assignment: Sequence[bool]) -> Partition:
+def witness_sat_bounded_degree(
+    phi: CnfFormula, layout: SatBoundedDegreeLayout, assignment: Sequence[bool]
+) -> Partition:
     """Partition certifying stability for a satisfying assignment.
 
-    Dummy variables from rounding are taken as false.  Per clause, the
-    chain gadget is split at the confirmed checker's index.
+    `layout` is the one gen_sat_bounded_degree returned for `phi`.  Dummy
+    variables from rounding are taken as false.  Per clause, the chain
+    gadget is split at the confirmed checker's index.
     """
     if not phi.is_satisfied_by(assignment):
         raise ValueError("assignment does not satisfy the formula")
-    instance, lay = gen_sat_bounded_degree(phi)
-    ext = list(assignment) + [False] * (lay.num_vars - lay.original_vars)
+    if (layout.original_vars, layout.num_clauses) != (phi.num_vars, len(phi.clauses)):
+        raise ValueError("layout was generated for another formula")
+    half = layout.half_bits
 
+    # selection path i carries the bits of x_k for k from i * half on;
+    # their value names the palette path it follows
+    columns = range(1, layout.length + 1)
     group: dict[int, list[int]] = {
-        i: [lay.palette[(i, j)] for j in range(1, lay.length + 1)] for i in range(lay.side)
+        i: [layout.palette[(i, j)] for j in columns] for i in range(layout.side)
     }
-    for i in range(lay.num_selection):
-        choice = _encoded_palette_choice(lay, ext, i)
-        group[choice].extend(lay.selection[(i, j)] for j in range(1, lay.length + 1))
+    for i in range(layout.num_selection):
+        choice = _bits(assignment, i * half, half)
+        group[choice].extend(layout.selection[(i, j)] for j in columns)
     blocks: list[list[int]] = []
-    for (i, ip), va in lay.pair_a.items():
+    for (i, ip), va in layout.pair_a.items():
         group[i].append(va)
-        blocks.append([lay.pair_b[(i, ip)]])
+        blocks.append([layout.pair_b[(i, ip)]])
 
     for j, clause in enumerate(phi.clauses, start=1):
         for a, lit in enumerate(clause):
             k = abs(lit) - 1
-            i_path = k // lay.half_bits
-            group[_encoded_palette_choice(lay, ext, i_path)].extend(
-                lay.literal_path[(j, a, beta)] for beta in range(lay.side)
+            group[_bits(assignment, k - k % half, half)].extend(
+                layout.literal_path[(j, a, beta)] for beta in range(layout.side)
             )
-        chosen_slot = next(
-            a for a, lit in enumerate(clause) if assignment[abs(lit) - 1] == (lit > 0)
-        )
+        chosen_slot = _first_satisfied_slot(clause, assignment)
         k = abs(clause[chosen_slot]) - 1
-        i_path = k // lay.half_bits
-        ip = _encoded_palette_choice(lay, ext, i_path)
-        keys = lay.checker_order[j]
+        ip = _bits(assignment, k - k % half, half)
+        keys = layout.checker_order[j]
         split = keys.index((j, chosen_slot, ip)) + 1
         count = len(keys)
-        group[ip].append(lay.checker[(j, chosen_slot, ip)])
+        group[ip].append(layout.checker[(j, chosen_slot, ip)])
 
         chain = []
         for q in range(1, split + 1):
-            chain.append(lay.or_main[(j, q)])
-            chain.append(lay.or_partner[(j, q)])
-        chain.extend(lay.checker[key] for key in keys[: split - 1])
+            chain.append(layout.or_main[(j, q)])
+            chain.append(layout.or_partner[(j, q)])
+        chain.extend(layout.checker[key] for key in keys[: split - 1])
         blocks.append(chain)
         for q in range(split, count):
             blocks.append(
                 [
-                    lay.or_blocker[(j, q)],
-                    lay.or_main[(j, q + 1)],
-                    lay.or_partner[(j, q + 1)],
-                    lay.checker[keys[q]],
+                    layout.or_blocker[(j, q)],
+                    layout.or_main[(j, q + 1)],
+                    layout.or_partner[(j, q + 1)],
+                    layout.checker[keys[q]],
                 ]
             )
         for q in range(1, split):
-            blocks.append([lay.or_blocker[(j, q)]])
-        blocks.append([lay.or_blocker[(j, count)]])
+            blocks.append([layout.or_blocker[(j, q)]])
+        blocks.append([layout.or_blocker[(j, count)]])
 
     blocks.extend(group.values())
-    return Partition.from_blocks(blocks, instance.n)
+    return Partition.from_blocks(blocks, layout.n)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ class ThreePartitionLayout:
     slot_ids: tuple[int, ...]  # one per triple to be formed
     center: int
     center_partner: int
-    roles: dict[int, str] = field(repr=False)
+    n: int  # vertex count
 
 
 def gen_three_partition_star(
@@ -527,7 +531,9 @@ def gen_three_partition_star(
     dislikes the center, so a coalition with the center only breaks even
     for the center when it is the full star or a slot plus a triple
     summing exactly to target elsewhere is removed -- which is what
-    forces the items into exact triples.
+    forces the items into exact triples.  Raises ValueError, before
+    building anything, when the star would exceed MAX_VERTICES or
+    MAX_ARCS.
     """
     items = tuple(int(x) for x in items)
     if len(items) == 0 or len(items) % 3 != 0:
@@ -538,12 +544,14 @@ def gen_three_partition_star(
             raise ValueError(f"item {x} is not strictly between {target}/4 and {target}/2")
     if sum(items) != t * target:
         raise ValueError(f"items sum to {sum(items)}, expected {t * target}")
+    # 3t items, t slots, center and partner; two arcs per item and slot
+    _check_size(f"the star for {len(items)} items", 4 * t + 2, 8 * t + 2)
 
     b = _Builder()
-    item_ids = tuple(b.vertex("item") for _ in items)
-    slot_ids = tuple(b.vertex("slot") for _ in range(t))
-    center = b.vertex("center")
-    partner = b.vertex("center-partner")
+    item_ids = tuple(b.vertex() for _ in items)
+    slot_ids = tuple(b.vertex() for _ in range(t))
+    center = b.vertex()
+    partner = b.vertex()
     for v in item_ids + slot_ids:
         b.arc(v, center, -1)
     for v in slot_ids:
@@ -559,30 +567,35 @@ def gen_three_partition_star(
         slot_ids=slot_ids,
         center=center,
         center_partner=partner,
-        roles=b.roles,
+        n=b.count,
     )
     return b.instance(), layout
 
 
 def witness_three_partition_star(
-    items: Sequence[int], target: int, triples: Sequence[Sequence[int]]
+    layout: ThreePartitionLayout, triples: Sequence[Sequence[int]]
 ) -> Partition:
-    """Partition for a valid triple cover (1-based item indices)."""
-    instance, lay = gen_three_partition_star(items, target)
-    t = len(lay.items) // 3
+    """Partition for a valid triple cover (1-based item indices).
+
+    `layout` is the one gen_three_partition_star returned.
+    """
+    items, target = layout.items, layout.target
     seen: set[int] = set()
     for triple in triples:
         if len(triple) != 3:
             raise ValueError(f"triple {triple} does not have 3 items")
-        if sum(lay.items[i - 1] for i in triple) != target:
+        for i in triple:
+            if not 1 <= i <= len(items):
+                raise ValueError(f"triple {triple} names item {i}, outside 1..{len(items)}")
+        if sum(items[i - 1] for i in triple) != target:
             raise ValueError(f"triple {triple} does not sum to {target}")
         seen.update(triple)
-    if len(triples) != t or seen != set(range(1, 3 * t + 1)):
+    if len(triples) != len(layout.slot_ids) or len(seen) != len(items):
         raise ValueError("triples do not cover every item exactly once")
-    blocks = [[lay.center, lay.center_partner]]
-    for slot, triple in zip(lay.slot_ids, triples):
-        blocks.append([lay.item_ids[i - 1] for i in triple] + [slot])
-    return Partition.from_blocks(blocks, instance.n)
+    blocks = [[layout.center, layout.center_partner]]
+    for slot, triple in zip(layout.slot_ids, triples):
+        blocks.append([layout.item_ids[i - 1] for i in triple] + [slot])
+    return Partition.from_blocks(blocks, layout.n)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +611,8 @@ class BinPackingLayout:
     bin_ids: tuple[int, ...]
     anchor_ids: tuple[int, ...]
     item_ids: tuple[int, ...]
-    expansion: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    roles: dict[int, str] = field(default_factory=dict, repr=False)
+    expansion: dict[tuple[int, int], tuple[int, ...]]  # arc -> relays; empty without unit_weights
+    n: int  # vertex count
 
 
 def gen_bin_packing(
@@ -612,7 +625,9 @@ def gen_bin_packing(
     every bin vertex and 1 to itself in any bin, and each bin gets
     `capacity` from its anchor, so a bin breaks even exactly when full.
     With unit_weights every arc of weight |w| > 1 is expanded through
-    |w| relay vertices, leaving all weights in {-1, 1}.
+    |w| relay vertices, leaving all weights in {-1, 1}.  Raises
+    ValueError, before building anything, when the construction would
+    exceed MAX_VERTICES or MAX_ARCS.
     """
     items = tuple(int(x) for x in items)
     if any(x < 1 for x in items):
@@ -624,12 +639,26 @@ def gen_bin_packing(
         raise ValueError(
             f"items sum to {total} > {capacity * bins}; padding cannot balance them"
         )
-    padded = items + (1,) * (capacity * bins - total)
+    padding = capacity * bins - total
+    # base arcs by weight and count: bin -> anchor, item -> bin, and
+    # bin -> item (1 for padding); an expanded arc of weight w becomes w
+    # relays and 2w arcs
+    relay_count = arc_count = 0
+    for w, count in ((capacity, bins), (1, bins * (len(items) + 2 * padding)),
+                     *((x, bins) for x in items)):
+        if unit_weights and w > 1:
+            relay_count += w * count
+            arc_count += 2 * w * count
+        else:
+            arc_count += count
+    _check_size(f"{bins} bins of capacity {capacity}",
+                2 * bins + len(items) + padding + relay_count, arc_count)
+    padded = items + (1,) * padding
 
     b = _Builder()
-    bin_ids = tuple(b.vertex("bin") for _ in range(bins))
-    anchor_ids = tuple(b.vertex("bin-anchor") for _ in range(bins))
-    item_ids = tuple(b.vertex("item") for _ in padded)
+    bin_ids = tuple(b.vertex() for _ in range(bins))
+    anchor_ids = tuple(b.vertex() for _ in range(bins))
+    item_ids = tuple(b.vertex() for _ in padded)
     base_arcs: list[tuple[int, int, int]] = []
     for bi, ai in zip(bin_ids, anchor_ids):
         base_arcs.append((bi, ai, capacity))
@@ -641,7 +670,7 @@ def gen_bin_packing(
     expansion: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v, w in base_arcs:
         if unit_weights and abs(w) > 1:
-            relays = tuple(b.vertex("relay") for _ in range(abs(w)))
+            relays = tuple(b.vertex() for _ in range(abs(w)))
             expansion[(u, v)] = relays
             sign = 1 if w > 0 else -1
             for r in relays:
@@ -659,33 +688,29 @@ def gen_bin_packing(
         anchor_ids=anchor_ids,
         item_ids=item_ids,
         expansion=expansion,
-        roles=b.roles,
+        n=b.count,
     )
     return b.instance(), layout
 
 
-def witness_bin_packing(
-    items: Sequence[int],
-    capacity: int,
-    bins: int,
-    packing: Sequence[int],
-    unit_weights: bool = False,
-) -> Partition:
+def witness_bin_packing(layout: BinPackingLayout, packing: Sequence[int]) -> Partition:
     """Partition for a feasible packing (bin index 1..bins per item).
 
-    Padding items are placed greedily into the remaining capacity, which
-    always works because padding balances the totals exactly.
+    `layout` is the one gen_bin_packing returned; its relays, if any, go
+    with the vertex their arc points to.  Padding items are placed
+    greedily into the remaining capacity, which always works because
+    padding balances the totals exactly.
     """
-    instance, lay = gen_bin_packing(items, capacity, bins, unit_weights)
-    if len(packing) != lay.original_count:
-        raise ValueError(f"packing assigns {len(packing)} of {lay.original_count} items")
+    capacity, bins = layout.capacity, layout.bins
+    if len(packing) != layout.original_count:
+        raise ValueError(f"packing assigns {len(packing)} of {layout.original_count} items")
     load = [0] * (bins + 1)
     full = list(packing)
     for t, bin_no in enumerate(packing):
         if not 1 <= bin_no <= bins:
             raise ValueError(f"bin index {bin_no} out of range")
-        load[bin_no] += lay.items[t]
-    for t in range(lay.original_count, len(lay.items)):
+        load[bin_no] += layout.items[t]
+    for t in range(layout.original_count, len(layout.items)):
         bin_no = next(i for i in range(1, bins + 1) if load[i] < capacity)
         load[bin_no] += 1
         full.append(bin_no)
@@ -693,17 +718,17 @@ def witness_bin_packing(
         raise ValueError("packing does not fill every bin exactly")
 
     blocks: dict[int, list[int]] = {
-        i: [lay.bin_ids[i - 1], lay.anchor_ids[i - 1]] for i in range(1, bins + 1)
+        i: [layout.bin_ids[i - 1], layout.anchor_ids[i - 1]] for i in range(1, bins + 1)
     }
     item_bin: dict[int, int] = {}
     for t, bin_no in enumerate(full):
-        blocks[bin_no].append(lay.item_ids[t])
-        item_bin[lay.item_ids[t]] = bin_no
-    for (u, v), relays in lay.expansion.items():
+        blocks[bin_no].append(layout.item_ids[t])
+        item_bin[layout.item_ids[t]] = bin_no
+    for (u, v), relays in layout.expansion.items():
         if v in item_bin:
             blocks[item_bin[v]].extend(relays)  # relays of (bin -> item) arcs
         else:
-            home = lay.anchor_ids.index(v) + 1  # relays of (bin -> anchor) arcs
+            home = layout.anchor_ids.index(v) + 1  # relays of (bin -> anchor) arcs
             blocks[home].extend(relays)
-    return Partition.from_blocks(blocks.values(), instance.n)
+    return Partition.from_blocks(blocks.values(), layout.n)
 

@@ -157,8 +157,8 @@ def test_criterion_5_reduction_witnesses_and_feasibility(capsys):
             part_hd = witness_sat_high_degree(phi, lay_hd, assignment)
         if not is_nash_stable(inst_hd, part_hd)[0]:
             failures += 1
-        inst_bd, _ = gen_sat_bounded_degree(phi)
-        part_bd = witness_sat_bounded_degree(phi, assignment)
+        inst_bd, lay_bd = gen_sat_bounded_degree(phi)
+        part_bd = witness_sat_bounded_degree(phi, lay_bd, assignment)
         if not is_nash_stable(inst_bd, part_bd)[0]:
             failures += 1
 

@@ -263,6 +263,44 @@ class TestGen:
         assert wit.read_text(encoding="utf-8") == golden_text("3part_witness.part")
         assert main(["verify", str(inst), str(wit)]) == 0
 
+    @pytest.mark.parametrize("index", [99, 0])
+    def test_three_partition_bad_triple_index_exits_three(self, index, tmp_path, capsys):
+        triples = tmp_path / "t.txt"
+        triples.write_text(f"1 2 3\n4 5 {index}\n", encoding="utf-8")
+        args = ["gen", "3part", golden("items_3part.txt"), "--target", "16",
+                "--out", str(tmp_path / "i.ashg"), "--witness", str(triples),
+                "--witness-out", str(tmp_path / "w.part")]
+        assert main(args) == 3
+        assert f"names item {index}, outside 1..6" in capsys.readouterr().err
+        assert not (tmp_path / "w.part").exists()
+
+    @pytest.mark.parametrize("generator, source, certificate", [
+        (["sat-hd", "--degree", "2"], "phi.cnf", "assign.txt"),
+        (["sat-bd"], "phi.cnf", "assign.txt"),
+        (["3part", "--target", "16"], "items_3part.txt", "triples.txt"),
+        (["binpack", "--capacity", "2", "--bins", "2"], "items_binpack.txt", "packing.txt"),
+        (["binpack", "--capacity", "2", "--bins", "2", "--unit-weights"],
+         "items_binpack.txt", "packing.txt"),
+    ], ids=["sat-hd", "sat-bd", "3part", "binpack", "binpack-unit"])
+    def test_witness_reuses_the_generated_layout(self, generator, source, certificate,
+                                                 monkeypatch, tmp_path, capsys):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(ashg.AshgInstance(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ashg.reductions, "AshgInstance", counted)
+        args = ["gen", generator[0], golden(source), *generator[1:],
+                "--out", str(tmp_path / "i.ashg"), "--witness", golden(certificate),
+                "--witness-out", str(tmp_path / "w.part")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(args) == 0
+        assert len(built) == 1
+        verify = ["verify", str(tmp_path / "i.ashg"), str(tmp_path / "w.part")]
+        assert main(verify + (["--connected"] if generator[0] == "binpack" else [])) == 0
+
     def test_witness_to_stdout_collision_rejected(self, capsys):
         args = ["gen", "3part", golden("items_3part.txt"), "--target", "16",
                 "--witness", golden("triples.txt")]
@@ -302,6 +340,35 @@ class TestGen:
         assert code == 3
         assert "exceeds the limit" in capsys.readouterr().err
         assert peak < 10**6  # no gadget sized by the header's variable count
+
+    @pytest.mark.parametrize("generator, text, parse", [
+        # 1 024 variables and 5 000 clauses (a 74 KB file) need 2.9 million vertices
+        (["sat-bd"], "p cnf 1024 5000\n" + "".join(
+            f"{k % 1024 + 1} -{(7 * k) % 1024 + 1} {(13 * k) % 1024 + 1} 0\n" for k in range(5000)
+        ), parse_cnf),
+        # padding to 10**7 items: 10**7 vertices
+        (["binpack", "--capacity", "100000", "--bins", "100"], "1\n", ashg.parse_int_list),
+        # 10**6 vertices, but 2 * 10**9 arcs
+        (["binpack", "--capacity", "998", "--bins", "1000"], "1\n", ashg.parse_int_list),
+    ], ids=["sat-bd-vertices", "binpack-vertices", "binpack-arcs"])
+    def test_oversized_construction_exits_three(self, generator, text, parse, tmp_path, capsys):
+        source = tmp_path / "source.txt"
+        source.write_text(text, encoding="utf-8")
+        out = tmp_path / "i.ashg"
+        main(["gen", "square", str(tmp_path / "missing")])  # builds the cached parser
+        tracemalloc.start()
+        try:
+            parse(text)
+            _, parse_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            code = main(["gen", generator[0], str(source), *generator[1:], "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "above the limit" in capsys.readouterr().err
+        assert peak < parse_peak + 10**6  # nothing built beyond reading the source
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_sat_high_degree_huge_degree_exits_three(self, tmp_path, capsys):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
+from ashg import reductions
 from ashg import (
     AshgInstance,
     CnfFormula,
@@ -204,23 +206,35 @@ class TestSatBoundedDegree:
 
     def test_witness_simple_formula(self):
         phi = CnfFormula(3, ((1, -2, 3),))
-        inst, _ = gen_sat_bounded_degree(phi)
-        part = witness_sat_bounded_degree(phi, [True, False, True])
+        inst, lay = gen_sat_bounded_degree(phi)
+        part = witness_sat_bounded_degree(phi, lay, [True, False, True])
         ok, dev = is_nash_stable(inst, part)
         assert ok, dev
 
     def test_witness_rejects_unsatisfying_assignment(self):
         phi = CnfFormula.from_clauses(1, [(1,)])
+        _, lay = gen_sat_bounded_degree(phi)
         with pytest.raises(ValueError):
-            witness_sat_bounded_degree(phi, [False])
+            witness_sat_bounded_degree(phi, lay, [False])
+
+    def test_witness_rejects_layout_of_another_formula(self):
+        phi = CnfFormula.from_clauses(1, [(1,)])
+        _, lay = gen_sat_bounded_degree(phi)
+        longer = CnfFormula.from_clauses(1, [(1,), (1,)])
+        with pytest.raises(ValueError, match="another formula"):
+            witness_sat_bounded_degree(longer, lay, [True])
+        # same rounded variable count (4), different original count
+        wider = CnfFormula.from_clauses(2, [(1,)])
+        with pytest.raises(ValueError, match="another formula"):
+            witness_sat_bounded_degree(wider, lay, [True, True])
 
     def test_random_witnesses_are_stable(self):
         rng = random.Random(321)
         for _ in range(12):
             phi, sats = random_satisfiable_cnf(rng, max_vars=4, max_clauses=3)
             assignment = rng.choice(sats)
-            inst, _ = gen_sat_bounded_degree(phi)
-            part = witness_sat_bounded_degree(phi, assignment)
+            inst, lay = gen_sat_bounded_degree(phi)
+            part = witness_sat_bounded_degree(phi, lay, assignment)
             ok, dev = is_nash_stable(inst, part)
             assert ok, (phi, assignment, dev)
 
@@ -259,23 +273,26 @@ class TestThreePartitionStar:
             gen_three_partition_star([3, 3, 4], 9)
 
     def test_witness_passes_verifier(self):
-        items = [5, 5, 6, 5, 5, 6]
-        inst, _ = gen_three_partition_star(items, 16)
-        part = witness_three_partition_star(items, 16, [(1, 2, 3), (4, 5, 6)])
+        inst, lay = gen_three_partition_star([5, 5, 6, 5, 5, 6], 16)
+        part = witness_three_partition_star(lay, [(1, 2, 3), (4, 5, 6)])
         ok, dev = is_nash_stable(inst, part)
         assert ok, dev
 
     def test_witness_rejects_wrong_triple_sum(self):
+        _, lay = gen_three_partition_star([5, 5, 6, 5, 5, 6], 16)
         with pytest.raises(ValueError):
-            witness_three_partition_star(
-                [5, 5, 6, 5, 5, 6], 16, [(1, 2, 4), (3, 5, 6)]
-            )
+            witness_three_partition_star(lay, [(1, 2, 4), (3, 5, 6)])
 
     def test_witness_rejects_incomplete_cover(self):
+        _, lay = gen_three_partition_star([5, 5, 6, 5, 5, 6], 16)
         with pytest.raises(ValueError):
-            witness_three_partition_star(
-                [5, 5, 6, 5, 5, 6], 16, [(1, 2, 3), (1, 2, 3)]
-            )
+            witness_three_partition_star(lay, [(1, 2, 3), (1, 2, 3)])
+
+    @pytest.mark.parametrize("index", [0, -1, 7, 99])
+    def test_witness_rejects_index_out_of_range(self, index):
+        _, lay = gen_three_partition_star([5, 5, 6, 5, 5, 6], 16)
+        with pytest.raises(ValueError, match=f"names item {index}, outside 1..6"):
+            witness_three_partition_star(lay, [(1, 2, 3), (4, 5, index)])
 
 
 class TestBinPacking:
@@ -321,21 +338,22 @@ class TestBinPacking:
             assert inst.weight(r, lay.item_ids[0]) == 1
 
     def test_witness_passes_both_verifiers(self):
-        inst, _ = gen_bin_packing([1, 1, 2], 2, 2)
-        part = witness_bin_packing([1, 1, 2], 2, 2, [1, 1, 2])
+        inst, lay = gen_bin_packing([1, 1, 2], 2, 2)
+        part = witness_bin_packing(lay, [1, 1, 2])
         assert is_nash_stable(inst, part)[0]
         assert is_connected_partition(inst, part)[0]
 
     def test_witness_with_unit_weights(self):
-        inst, _ = gen_bin_packing([1, 1], 2, 1, unit_weights=True)
-        part = witness_bin_packing([1, 1], 2, 1, [1, 1], unit_weights=True)
+        inst, lay = gen_bin_packing([1, 1], 2, 1, unit_weights=True)
+        part = witness_bin_packing(lay, [1, 1])
         ok, dev = is_nash_stable(inst, part)
         assert ok, dev
         assert is_connected_partition(inst, part)[0]
 
     def test_witness_rejects_overfull_bin(self):
+        _, lay = gen_bin_packing([2, 2], 2, 2)
         with pytest.raises(ValueError):
-            witness_bin_packing([2, 2], 2, 2, [1, 1])
+            witness_bin_packing(lay, [1, 1])
 
     def test_matches_feasibility_oracle(self):
         rng = random.Random(2024)
@@ -351,6 +369,54 @@ class TestBinPacking:
                 continue
             got = brute_force_connected_nash(inst) is not None
             assert got == bin_packing_feasible(list(lay.items), capacity, bins)
+
+
+class TestSizedBeforeBuilt:
+    """Each generator's precomputed counts are the counts it then builds."""
+
+    @staticmethod
+    def constructions():
+        rng = random.Random(11)
+        for _ in range(10):
+            phi, _ = random_satisfiable_cnf(rng, max_vars=6, max_clauses=4)
+            yield "sat-bd", lambda phi=phi: gen_sat_bounded_degree(phi)
+            for degree in (2, 3, 8):
+                yield "sat-hd", lambda phi=phi, d=degree: gen_sat_high_degree(phi, d)
+        for phi in (CnfFormula(0, ()), CnfFormula(3, ()), CnfFormula.from_clauses(17, [(1, -17)])):
+            yield "sat-bd", lambda phi=phi: gen_sat_bounded_degree(phi)
+            yield "sat-hd", lambda phi=phi: gen_sat_high_degree(phi, 2)
+        for items, target in (([3, 3, 3], 9), ([5, 5, 6, 5, 5, 6], 16)):
+            yield "3part", lambda i=items, t=target: gen_three_partition_star(i, t)
+        for items, capacity, bins in (([1, 1, 2], 2, 2), ([2], 1, 2), ([3, 1], 5, 1),
+                                      ([1], 1, 1), ([4, 2], 3, 3)):
+            for unit in (False, True):
+                yield "binpack", lambda a=(items, capacity, bins, unit): gen_bin_packing(*a)
+
+    def test_precomputed_counts_match_the_built_instance(self, monkeypatch):
+        sized = []
+        check = reductions._check_size
+        monkeypatch.setattr(
+            reductions, "_check_size", lambda what, v, a: (sized.append((v, a)), check(what, v, a))
+        )
+        for name, build in self.constructions():
+            sized.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sat-hd: degree vs n/log2(n)
+                inst, lay = build()
+            assert sized == [(inst.n, inst.arc_count())], name
+            assert lay.n == inst.n, name
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: gen_sat_bounded_degree(CnfFormula(1024, ((1, 2, 3),) * 1441)),
+         "1024 variables and 1441 clauses needs 1000205 vertices"),
+        (lambda: gen_three_partition_star([3] * 750_000, 9),
+         "needs 1000002 vertices, above the limit 1000000"),
+        (lambda: gen_bin_packing([1], 100_000, 100), "needs 10000200 vertices"),
+        (lambda: gen_bin_packing([1], 998, 1000), "needs 1996001000 arcs, above the limit"),
+    ], ids=["sat-bd", "3part", "binpack-vertices", "binpack-arcs"])
+    def test_oversized_construction_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSquareZeroArcs:
