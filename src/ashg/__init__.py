@@ -28,7 +28,6 @@ from .decomposition import (
     make_nice,
     square_instance,
     validate,
-    validate_nice,
 )
 from .coloring import (
     Coloring,
@@ -88,7 +87,6 @@ __all__ = [
     "NiceTreeDecomposition",
     "NiceNode",
     "validate",
-    "validate_nice",
     "heuristic_decompose",
     "make_nice",
     "square_instance",

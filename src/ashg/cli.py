@@ -16,13 +16,13 @@ import time
 from pathlib import Path
 
 from . import formats
-from .coloring import DEFAULT_TABLE_CAP, solve_nash_via_coloring
+from .coloring import solve_nash_via_coloring
 from .connected import solve_connected_nash
 from .decomposition import (
+    DEFAULT_TABLE_CAP,
     MIN_DEGREE,
     MIN_FILL,
     heuristic_decompose,
-    make_nice,
     square_instance,
 )
 from .errors import OracleCapError, ResourceLimitError
@@ -128,7 +128,7 @@ def cmd_solve(args) -> int:
                 td = (formats.parse_decomposition(_read(args.td)) if args.td else
                       heuristic_decompose(instance, args.strategy) if args.strategy else None)
                 partition = solve_connected_nash(
-                    instance, td and make_nice(td), table_cap=args.table_cap, stats=stats
+                    instance, td, table_cap=args.table_cap, stats=stats
                 )
             answer = "SOME" if partition is not None else "NONE"
         except ResourceLimitError as exc:

@@ -23,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .decomposition import canonical_labels, decompose_square, make_nice, run_nice_dp
+from .decomposition import (
+    DEFAULT_TABLE_CAP,
+    canonical_labels,
+    decompose_square,
+    make_nice,
+    run_nice_dp,
+)
 from .game import AshgInstance, DeviationWitness, Partition, _stability_witness
-
-DEFAULT_TABLE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ Partitions (pi1, pi2) are stored as restricted growth strings over the
 sorted bag, so signatures are canonical and deduplicate exactly.  Every
 transition plan is then a function of labels, positions and adjacency
 alone, built once per process in a bounded memo that all solves share.
-The solver decomposes the graph itself unless it is given a nice tree.
+The solver decomposes the graph itself unless it is given a tree
+decomposition, which it validates once; either way it builds the nice
+form itself.
 """
 
 from __future__ import annotations
@@ -38,17 +40,17 @@ from operator import add, attrgetter, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import (
+    DEFAULT_TABLE_CAP,
     FORGET,
     NiceTreeDecomposition,
+    TreeDecomposition,
     canonical_labels,
     heuristic_decompose,
     make_nice,
     run_nice_dp,
-    validate_nice,
+    validate,
 )
 from .game import AshgInstance, Partition
-
-DEFAULT_TABLE_CAP = 1_000_000
 
 
 class ConnectedSignature(NamedTuple):
@@ -205,28 +207,32 @@ def _pi2_union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def solve_connected_nash(
     instance: AshgInstance,
-    ntd: NiceTreeDecomposition | None = None,
+    td: TreeDecomposition | None = None,
     table_cap: int = DEFAULT_TABLE_CAP,
     stats: dict | None = None,
 ) -> Partition | None:
     """Find a connected Nash Stable partition, or prove there is none.
 
-    Without `ntd` the DP runs on make_nice(heuristic_decompose(instance)),
-    valid by construction and not checked again; a given `ntd` must be a
-    nice decomposition of the instance's own graph (not of its square), or
-    ValueError says why not.  The first trace in the tables' insertion
+    Without `td` the DP runs on make_nice(heuristic_decompose(instance)),
+    valid by construction and not checked again.  A given `td` must be a
+    TreeDecomposition of the instance's own graph (not of its square):
+    validate checks it once, ValueError says why it fails, and the DP
+    runs on make_nice(td).  Anything else, a NiceTreeDecomposition
+    included, is a TypeError.  The first trace in the tables' insertion
     order is returned, so the output is deterministic.  Raises
     ResourceLimitError when a signature table would exceed table_cap.
     """
-    if ntd is None:
-        ntd = make_nice(heuristic_decompose(instance))
+    if td is None:
+        td = heuristic_decompose(instance)
+    elif not isinstance(td, TreeDecomposition):
+        raise TypeError(f"expected a TreeDecomposition, got {type(td).__name__}")
     else:
-        ok, violations = validate_nice(ntd, instance)
+        ok, violations = validate(td, instance)
         if not ok:
-            raise ValueError("invalid nice decomposition: " + "; ".join(violations))
+            raise ValueError("invalid decomposition: " + "; ".join(violations))
     introduce, forget, join = _transitions(instance)
     return run_nice_dp(
-        ntd, table_cap, EMPTY_SIGNATURE, introduce, forget, join,
+        make_nice(td), table_cap, EMPTY_SIGNATURE, introduce, forget, join,
         classes=attrgetter("pi1"),
         stats=stats,
     )

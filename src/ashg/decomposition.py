@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ResourceLimitError
 from .game import AshgInstance, Partition
@@ -69,9 +69,12 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
     """Check the three decomposition axioms plus tree shape.
 
     Returns (ok, violations); violations are human-readable strings and
-    the list is empty iff ok.  One traversal roots the tree; the axioms
-    are then checked by _axiom_violations.  Cost O(sum |bag| * max degree
-    + m), plus sorting the bag ids and the instance's edges.
+    the list is empty iff ok.  One traversal roots the tree and one pass
+    lists, per vertex, the bags that hold it.  An edge is then checked
+    against the shorter holder list of its two ends, and the bags holding
+    v form a connected subtree iff exactly one of them has a parent that
+    does not hold v.  Cost O(sum |bag| * max degree + m), plus sorting
+    the bag ids and the instance's edges.
     """
     ids = sorted(td.bags)
     if not ids:
@@ -93,27 +96,8 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
     if len(parent) != len(ids):
         shape.append("tree is not connected")
 
-    violations = _axiom_violations(ids, td.bags, parent, shape, instance)
-    return not violations, violations
-
-
-def _axiom_violations(
-    ids: Iterable[int],
-    bags: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
-    parent: Mapping[int, int | None] | Sequence[int | None],
-    shape: list[str],
-    instance: AshgInstance,
-) -> list[str]:
-    """The three axioms over the bags bags[i], i in ids, of a tree.
-
-    `shape` holds the tree-shape violations, reported after any unknown
-    vertex; parent[i] is bag i's parent (None at the root) and is read
-    only when `shape` is empty.  One pass lists, per vertex, the bags
-    that hold it.  An edge is then checked against the shorter holder
-    list of its two ends, and the bags holding v form a connected
-    subtree iff exactly one of them has a parent that does not hold v.
-    """
     violations: list[str] = []
+    bags = td.bags
     n = instance.n
     holders: list[list[int]] = [[] for _ in range(n + 1)]
     for i in ids:
@@ -143,7 +127,7 @@ def _axiom_violations(
                     tops += 1
             if tops > 1:
                 violations.append(f"bags holding vertex {v} are not connected in the tree")
-    return violations
+    return not violations, violations
 
 
 def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> TreeDecomposition:
@@ -304,9 +288,11 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     the out-of-parent vertices are forgotten in ascending order and the
     new ones introduced in ascending order, leaves grow from an empty
     LEAF, and multiple children fold left-to-right through JOIN nodes.
-    The final root forgets the root bag down to empty.  Raises
-    ValueError when the bags do not form a tree; the other axioms are
-    left to validate_nice.
+    The final root forgets the root bag down to empty.  Every node's
+    bag is a subset of an input bag and every input bag appears whole,
+    so the nice form is a valid decomposition exactly when `td` is.
+    Raises ValueError when the bags do not form a tree; the other
+    axioms are left to validate.
     """
     ids = sorted(td.bags)
     if not ids:
@@ -375,6 +361,9 @@ def canonical_labels(labels: Iterable[int]) -> tuple[tuple[int, ...], dict[int, 
             remap[lab] = len(remap)
         out.append(remap[lab])
     return tuple(out), remap
+
+
+DEFAULT_TABLE_CAP = 1_000_000
 
 
 def run_nice_dp(
@@ -493,102 +482,6 @@ def run_nice_dp(
                 rest = labels[:p] + labels[p + 1 :]
                 assign[x] = assign[bag[rest.index(lab)]] if lab in rest else x
     return Partition([assign[v] for v in range(1, len(assign) + 1)])
-
-
-def validate_nice(ntd: NiceTreeDecomposition, instance: AshgInstance) -> tuple[bool, list[str]]:
-    """Check nice-form structure plus the decomposition axioms.
-
-    Structure: leaves and the root have empty bags, INTRODUCE adds its
-    vertex to the child bag, FORGET removes it, JOIN has two distinct
-    children with bags equal to its own.  The axioms are checked on the
-    nodes themselves, with the same violations in the same order as
-    validate reports for the tree of nodes and child links.
-    """
-    violations: list[str] = []
-    nodes = ntd.nodes
-    if not nodes:
-        return False, ["nice decomposition has no nodes"]
-    for i, nd in enumerate(nodes):
-        if tuple(sorted(nd.bag)) != nd.bag:
-            violations.append(f"node {i}: bag not sorted")
-        # the checks below read child bags only when every child precedes i
-        late = [c for c in nd.children if not (0 <= c < i)]
-        for c in late:
-            violations.append(f"node {i}: child {c} does not precede it")
-        if nd.kind == LEAF:
-            if nd.bag or nd.children:
-                violations.append(f"node {i}: leaf must have empty bag and no children")
-        elif nd.kind == INTRODUCE:
-            if len(nd.children) != 1:
-                violations.append(f"node {i}: introduce needs one child")
-            elif not late:
-                child = nodes[nd.children[0]]
-                if nd.vertex in child.bag or set(nd.bag) != set(child.bag) | {nd.vertex}:
-                    violations.append(f"node {i}: introduce of {nd.vertex} inconsistent")
-        elif nd.kind == FORGET:
-            if len(nd.children) != 1:
-                violations.append(f"node {i}: forget needs one child")
-            elif not late:
-                child = nodes[nd.children[0]]
-                if nd.vertex not in child.bag or set(nd.bag) != set(child.bag) - {nd.vertex}:
-                    violations.append(f"node {i}: forget of {nd.vertex} inconsistent")
-        elif nd.kind == JOIN:
-            if len(nd.children) != 2:
-                violations.append(f"node {i}: join needs two children")
-            elif nd.children[0] == nd.children[1]:
-                violations.append(f"node {i}: join children are the same node")
-            elif not late and any(nodes[c].bag != nd.bag for c in nd.children):
-                violations.append(f"node {i}: join children bags differ")
-        else:
-            violations.append(f"node {i}: unknown kind {nd.kind!r}")
-    if nodes[ntd.root].bag:
-        violations.append("root bag is not empty")
-    if violations:
-        return False, violations
-
-    # tree shape: child links only point to earlier nodes, so when every
-    # node but the root is somebody's child, all of them reach the root
-    count = len(nodes)
-    edges = 0
-    parent: list[int | None] = [None] * count
-    for i, nd in enumerate(nodes):
-        edges += len(nd.children)
-        for c in nd.children:
-            parent[c] = i
-    shape = []
-    if edges != count - 1:
-        shape.append(f"{edges} tree edges for {count} bags (a tree needs {count - 1})")
-    if None in parent[:-1]:
-        parent = _root_links(nodes)
-        if None in parent[1:]:
-            shape.append("tree is not connected")
-    # frozen bags iterate and dedupe as a TreeDecomposition's do
-    bags = [frozenset(nd.bag) for nd in nodes]
-    violations = _axiom_violations(range(count), bags, parent, shape, instance)
-    return not violations, violations
-
-
-def _root_links(nodes: Sequence[NiceNode]) -> list[int | None]:
-    """Parents of the nodes reached from node 0 along child links taken both ways.
-
-    Node 0 and every node not reached get None.
-    """
-    adj: list[list[int]] = [[] for _ in nodes]
-    for i, nd in enumerate(nodes):
-        for c in nd.children:
-            adj[i].append(c)
-            adj[c].append(i)
-    parent: list[int | None] = [None] * len(nodes)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                stack.append(y)
-    return parent
 
 
 def square_instance(instance: AshgInstance) -> AshgInstance:

@@ -134,11 +134,14 @@ class Partition:
                     raise ValueError(f"vertex {v} appears in two coalitions")
                 assign[v] = cid
         count = len(assign) if n is None else n
-        missing = [v for v in range(1, count + 1) if v not in assign]
-        extra = [v for v in assign if not (1 <= v <= count)]
-        if missing or extra:
-            raise ValueError(f"blocks do not cover 1..{count}: missing {missing}, extra {extra}")
-        return cls([assign[v] for v in range(1, count + 1)])
+        labels = list(map(assign.get, range(1, count + 1)))
+        # count keys, none of 1..count missing: no key can lie outside 1..count
+        if len(assign) != count or None in labels:
+            missing = [v for v in range(1, count + 1) if v not in assign]
+            extra = [v for v in assign if not (1 <= v <= count)]
+            if missing or extra:
+                raise ValueError(f"blocks do not cover 1..{count}: missing {missing}, extra {extra}")
+        return cls(labels)
 
     def class_of(self, v: int) -> int:
         if not (1 <= v <= self.n):

@@ -659,16 +659,10 @@ def gen_bin_packing(
     bin_ids = tuple(b.vertex() for _ in range(bins))
     anchor_ids = tuple(b.vertex() for _ in range(bins))
     item_ids = tuple(b.vertex() for _ in padded)
-    base_arcs: list[tuple[int, int, int]] = []
-    for bi, ai in zip(bin_ids, anchor_ids):
-        base_arcs.append((bi, ai, capacity))
-    for v, x in zip(item_ids, padded):
-        for bi in bin_ids:
-            base_arcs.append((v, bi, 1))
-            base_arcs.append((bi, v, -x))
 
     expansion: dict[tuple[int, int], tuple[int, ...]] = {}
-    for u, v, w in base_arcs:
+
+    def base_arc(u: int, v: int, w: int) -> None:
         if unit_weights and abs(w) > 1:
             relays = tuple(b.vertex() for _ in range(abs(w)))
             expansion[(u, v)] = relays
@@ -678,6 +672,13 @@ def gen_bin_packing(
                 b.arc(r, v, 1)
         else:
             b.arc(u, v, w)
+
+    for bi, ai in zip(bin_ids, anchor_ids):
+        base_arc(bi, ai, capacity)
+    for v, x in zip(item_ids, padded):
+        for bi in bin_ids:
+            base_arc(v, bi, 1)
+            base_arc(bi, v, -x)
 
     layout = BinPackingLayout(
         items=padded,

@@ -86,8 +86,7 @@ def test_criterion_2_oracle_equivalence_connected(capsys):
     t0 = time.perf_counter()
     mismatches = bad_some = nones = 0
     for inst in _suite():
-        ntd = make_nice(heuristic_decompose(inst))
-        got = solve_connected_nash(inst, ntd)
+        got = solve_connected_nash(inst, heuristic_decompose(inst))
         ref = brute_force_connected_nash(inst)
         if (got is None) != (ref is None):
             mismatches += 1
@@ -218,7 +217,7 @@ def test_criterion_7_performance_floor(capsys):
 
     long_path = path_instance(300, rng)
     t0 = time.perf_counter()
-    part = solve_connected_nash(long_path, make_nice(heuristic_decompose(long_path)))
+    part = solve_connected_nash(long_path, heuristic_decompose(long_path))
     connected_time = time.perf_counter() - t0
     if part is not None:
         assert is_nash_stable(long_path, part)[0]

@@ -23,8 +23,8 @@ from ashg import (
     solve_connected_nash,
     solve_nash_via_coloring,
     square_instance,
+    TreeDecomposition,
     trace_survives_forget_filters,
-    validate_nice,
 )
 from ashg.connected import EMPTY_SIGNATURE, _in_bag_sums, _transitions
 from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF
@@ -74,7 +74,6 @@ class TestSignatureOf:
         # the best completed-coalition payoff for vertex 1 is max(0, 1) = 1
         inst = AshgInstance(3, [(1, 2, 2), (1, 3, -1), (2, 3, 0), (2, 1, 0), (3, 1, 0)])
         ntd = triangle_ntd()
-        assert validate_nice(ntd, inst)[0]
         part = Partition.from_blocks([[1], [2, 3]])
         node = next(i for i, nd in enumerate(ntd.nodes) if nd.bag == (1,))
         sig = signature_of(inst, ntd, node, part)
@@ -165,16 +164,16 @@ class TestTraceSurvival:
 class TestSolveConnectedNash:
     def test_stalker_none(self):
         inst = stalker()
-        assert solve_connected_nash(inst, make_nice(heuristic_decompose(inst))) is None
+        assert solve_connected_nash(inst, heuristic_decompose(inst)) is None
 
     def test_friends_some(self):
         inst = friends()
-        part = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)))
+        part = solve_connected_nash(inst, heuristic_decompose(inst))
         assert part == Partition([1, 1])
 
     def test_three_path_matches_oracle(self):
         inst = path_instance(3)
-        part = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)))
+        part = solve_connected_nash(inst, heuristic_decompose(inst))
         ref = brute_force_connected_nash(inst)
         assert (part is None) == (ref is None)
         assert part is not None
@@ -183,13 +182,13 @@ class TestSolveConnectedNash:
 
     def test_empty_instance(self):
         inst = AshgInstance(0)
-        part = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)))
+        part = solve_connected_nash(inst, heuristic_decompose(inst))
         assert part == Partition([])
 
     def test_stats_reported(self):
         inst = friends()
         stats = {}
-        solve_connected_nash(inst, make_nice(heuristic_decompose(inst)), stats=stats)
+        solve_connected_nash(inst, heuristic_decompose(inst), stats=stats)
         assert stats["peak_table"] >= 1
         assert stats["nice_nodes"] >= 3
 
@@ -198,26 +197,44 @@ class TestSolveConnectedNash:
         stats = {}
         with pytest.raises(ResourceLimitError):
             solve_connected_nash(
-                inst, make_nice(heuristic_decompose(inst)), table_cap=1, stats=stats
+                inst, heuristic_decompose(inst), table_cap=1, stats=stats
             )
         # width and node count come before the walk, the crossing size on cap
         assert stats == {"width": 1, "nice_nodes": 17, "peak_table": 2}
 
     def test_invalid_nice_decomposition_rejected(self):
-        broken = NiceTreeDecomposition([NiceNode(LEAF, (1,), None, ())])
-        with pytest.raises(ValueError, match="^invalid nice decomposition: "):
-            solve_connected_nash(friends(), broken)
+        # the solver builds the nice form itself and takes none: here node 0
+        # is the child of nodes 1 and 3, and node 2 of none
+        misrooted = NiceTreeDecomposition([
+            NiceNode(LEAF, (), None, ()),
+            NiceNode(INTRODUCE, (2,), 2, (0,)),
+            NiceNode(FORGET, (), 2, (1,)),
+            NiceNode(INTRODUCE, (1,), 1, (0,)),
+            NiceNode(FORGET, (), 1, (3,)),
+        ])
+        with pytest.raises(TypeError, match="expected a TreeDecomposition"):
+            solve_connected_nash(AshgInstance(2), misrooted)
+
+    @pytest.mark.parametrize("edges, violation", [
+        ([(1, 2), (2, 3), (1, 3)], "3 tree edges for 3 bags (a tree needs 2)"),
+        ([(1, 2)], "1 tree edges for 3 bags (a tree needs 2); tree is not connected"),
+    ], ids=["cyclic", "disconnected"])
+    def test_invalid_decomposition_rejected(self, edges, violation):
+        td = TreeDecomposition({1: [1, 2], 2: [2, 3], 3: [2]}, edges)
+        with pytest.raises(ValueError) as exc:
+            solve_connected_nash(path_instance(3), td)
+        assert str(exc.value) == "invalid decomposition: " + violation
 
     def test_default_decomposition_is_the_heuristic_one(self, monkeypatch):
-        # without a tree the solver decomposes G itself and skips validate_nice;
+        # without a tree the solver decomposes G itself and skips validate;
         # answer and table work equal those of the same tree given explicitly
         rng = random.Random(4242)
         for t in range(40):
             inst = suite_instance(rng, t, n_max=7)
             given, default = {}, {}
-            expected = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)), stats=given)
+            expected = solve_connected_nash(inst, heuristic_decompose(inst), stats=given)
             with monkeypatch.context() as m:
-                m.setattr("ashg.connected.validate_nice", None)  # any call fails
+                m.setattr("ashg.connected.validate", None)  # any call fails
                 assert solve_connected_nash(inst, stats=default) == expected
             assert default == given
 
@@ -225,7 +242,7 @@ class TestSolveConnectedNash:
         rng = random.Random(8086)
         for t in range(150):
             inst = suite_instance(rng, t, n_max=7)
-            got = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)))
+            got = solve_connected_nash(inst, heuristic_decompose(inst))
             ref = brute_force_connected_nash(inst)
             assert (got is None) == (ref is None), dict(inst.arcs)
             if got is not None:
@@ -241,8 +258,7 @@ class TestSolveConnectedNash:
                 arcs[(1, v)] = rng.randint(-2, 2)
                 arcs[(v, 1)] = rng.randint(-2, 2)
             inst = AshgInstance(leaves + 1, arcs)
-            ntd = make_nice(heuristic_decompose(inst))
-            got = solve_connected_nash(inst, ntd)
+            got = solve_connected_nash(inst, heuristic_decompose(inst))
             ref = brute_force_connected_nash(inst)
             assert (got is None) == (ref is None)
             if got is not None:
@@ -381,7 +397,7 @@ def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some):
     else:
         inst = tree_instance(size, rng, w_lo=lo, w_hi=hi, symmetric=True)
     stats = {}
-    part = solve_connected_nash(inst, make_nice(heuristic_decompose(inst)), stats=stats)
+    part = solve_connected_nash(inst, heuristic_decompose(inst), stats=stats)
     assert (stats["peak_table"], stats["nice_nodes"]) == (peak, nodes)
     assert (part is not None) == some
     if part is not None:
@@ -403,7 +419,7 @@ def test_coloring_dp_agrees_with_connected_dp_on_square_beyond_oracle_cap():
         assert max(len(nbrs) for nbrs in inst.neighbors[1:]) <= 3
         plain = solve_nash_via_coloring(inst)
         sq = square_instance(inst)
-        connected = solve_connected_nash(sq, make_nice(heuristic_decompose(sq)))
+        connected = solve_connected_nash(sq, heuristic_decompose(sq))
         assert (plain is None) == (connected is None), (t, dict(inst.arcs))
         if plain is not None:
             assert naive_is_stable(inst, plain)

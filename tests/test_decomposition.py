@@ -20,7 +20,6 @@ from ashg import (
     make_nice,
     square_instance,
     validate,
-    validate_nice,
 )
 from ashg.decomposition import (
     FORGET,
@@ -199,7 +198,7 @@ class TestMakeNice:
     def test_two_bag_path_width_preserved(self):
         td = TreeDecomposition({1: [1, 2], 2: [2, 3]}, [(1, 2)])
         ntd = make_nice(td)
-        assert validate_nice(ntd, path3())[0]
+        assert_nice(ntd, path3())
         assert ntd.width == td.width == 1
 
     def test_cyclic_or_disconnected_tree_rejected(self):
@@ -220,7 +219,7 @@ class TestMakeNice:
         )
         ntd = make_nice(heuristic_decompose(inst))
         assert any(nd.kind == JOIN for nd in ntd.nodes)
-        assert validate_nice(ntd, inst)[0]
+        assert_nice(ntd, inst)
 
     def test_valid_and_width_preserving_on_random_instances(self):
         rng = random.Random(92)
@@ -228,9 +227,35 @@ class TestMakeNice:
             inst = suite_instance(rng, t, n_max=8)
             td = heuristic_decompose(inst)
             ntd = make_nice(td)
-            ok, problems = validate_nice(ntd, inst)
-            assert ok, problems
+            assert_nice(ntd, inst)
             assert ntd.width == td.width
+
+    def test_valid_exactly_when_the_input_is(self):
+        # every nice bag lies in an input bag and every input bag appears
+        # whole, so validating the input tree validates its nice form
+        rng = random.Random(53)
+        seen = set()
+        for t in range(150):
+            inst = uniform_instance(rng, n_max=14, max_degree=4) if t % 2 else path_instance(
+                rng.randint(3, 20), rng
+            )
+            td = heuristic_decompose(inst)
+            if not inst.arcs or len(td.bags) < 3:
+                continue
+            fewer = AshgInstance(inst.n - 2, {
+                a: w for a, w in inst.arcs.items() if max(a) <= inst.n - 2
+            })
+            for kind, bags, edges in corrupted_decompositions(rng, inst, td):
+                if kind in ("cycle", "disconnected"):
+                    continue  # make_nice needs a tree
+                given = TreeDecomposition(bags, edges)
+                ntd = make_nice(given)
+                for target in (inst, fewer):
+                    ok, problems = validate(given, target)
+                    assert axioms_via_copy(ntd, target)[0] == ok, kind
+                    seen.update(problems)
+        for text in ("is in no bag", "unknown vertex", "not connected in the tree"):
+            assert any(text in p for p in seen), text
 
     def test_vertices_below_root_is_everything(self):
         inst = path_instance(6)
@@ -248,78 +273,28 @@ def axioms_via_copy(ntd, inst):
     return validate(td, inst)
 
 
-def shifted(ntd):
-    """The same nodes behind one extra LEAF that no node has as its child."""
-    nodes = [NiceNode(LEAF, (), None, ())]
-    for nd in ntd.nodes:
-        nodes.append(NiceNode(nd.kind, nd.bag, nd.vertex, tuple(c + 1 for c in nd.children)))
-    return NiceTreeDecomposition(nodes)
-
-
-class TestValidateNice:
-    def test_matches_validate_on_a_copy(self):
-        rng = random.Random(53)
-        seen = set()
-        for t in range(150):
-            inst = uniform_instance(rng, n_max=14, max_degree=4) if t % 2 else path_instance(
-                rng.randint(3, 20), rng
-            )
-            td = heuristic_decompose(inst)
-            if not inst.arcs or len(td.bags) < 3:
-                continue
-            fewer = AshgInstance(inst.n - 2, {
-                a: w for a, w in inst.arcs.items() if max(a) <= inst.n - 2
-            })
-            for kind, bags, edges in corrupted_decompositions(rng, inst, td):
-                if kind in ("cycle", "disconnected"):
-                    continue  # make_nice needs a tree
-                ntd = make_nice(TreeDecomposition(bags, edges))
-                for target in (inst, fewer):
-                    for cand in (ntd, shifted(ntd)):
-                        got = validate_nice(cand, target)
-                        assert got == axioms_via_copy(cand, target), kind
-                        seen.update(got[1])
-        for text in ("is in no bag", "unknown vertex", "not connected in the tree",
-                     "tree edges for", "tree is not connected"):
-            assert any(text in p for p in seen), text
-
-    def test_child_shared_by_two_nodes(self):
-        # node 0 is the child of nodes 1 and 3 and node 2 of nobody: the links
-        # still form a tree, rooted elsewhere than at the last node
-        inst = AshgInstance(1)
-        nodes = [
-            NiceNode(LEAF, (), None, ()),
-            NiceNode(INTRODUCE, (1,), 1, (0,)),
-            NiceNode(FORGET, (), 1, (1,)),
-            NiceNode(INTRODUCE, (1,), 1, (0,)),
-            NiceNode(FORGET, (), 1, (3,)),
-        ]
-        ntd = NiceTreeDecomposition(nodes)
-        got = validate_nice(ntd, inst)
-        assert got == axioms_via_copy(ntd, inst)
-        assert got == (False, ["bags holding vertex 1 are not connected in the tree"])
-
-    @pytest.mark.parametrize("at", [1, 2])
-    @pytest.mark.parametrize("child", [5, -1])
-    def test_child_out_of_range_reported_not_read(self, at, child):
-        # child 5 is past the last node, and nodes[-1] would read the last node
-        nodes = [
-            NiceNode(LEAF, (), None, ()),
-            NiceNode(INTRODUCE, (1,), 1, (0,)),
-            NiceNode(FORGET, (), 1, (1,)),
-        ]
-        nodes[at] = NiceNode(nodes[at].kind, nodes[at].bag, 1, (child,))
-        got = validate_nice(NiceTreeDecomposition(nodes), AshgInstance(1))
-        assert got == (False, [f"node {at}: child {child} does not precede it"])
-
-    def test_join_with_one_child_twice_rejected(self):
-        nodes = [
-            NiceNode(LEAF, (), None, ()),
-            NiceNode(JOIN, (), None, (0, 0)),
-        ]
-        ok, problems = validate_nice(NiceTreeDecomposition(nodes), AshgInstance(0))
-        assert not ok
-        assert problems == ["node 1: join children are the same node"]
+def assert_nice(ntd, inst):
+    """Per-kind nice structure, one parent per non-root node, and the
+    axioms on a copy of the nodes."""
+    nodes = ntd.nodes
+    assert nodes[ntd.root].bag == ()
+    below = sorted(c for nd in nodes for c in nd.children)
+    assert below == list(range(len(nodes) - 1))  # a tree rooted at the last node
+    for i, nd in enumerate(nodes):
+        assert nd.bag == tuple(sorted(set(nd.bag)))
+        assert all(c < i for c in nd.children)
+        kids = [set(nodes[c].bag) for c in nd.children]
+        if nd.kind == LEAF:
+            assert nd.bag == () and not kids
+        elif nd.kind == INTRODUCE:
+            assert len(kids) == 1 and nd.vertex not in kids[0]
+            assert set(nd.bag) == kids[0] | {nd.vertex}
+        elif nd.kind == FORGET:
+            assert len(kids) == 1 and nd.vertex in kids[0]
+            assert set(nd.bag) == kids[0] - {nd.vertex}
+        else:
+            assert nd.kind == JOIN and kids == [set(nd.bag)] * 2
+    assert axioms_via_copy(ntd, inst) == (True, [])
 
 
 def two_branch_ntd() -> NiceTreeDecomposition:
@@ -485,16 +460,15 @@ class TestSquareInstance:
 
 
 def test_layers_outside_the_dp_scale_linearly():
-    # width-1 path, n = 20 000: the decomposition, both validations and the
-    # dynamics (19 999 moves into one coalition) each stay near-linear; a
-    # quadratic layer takes minutes here
+    # width-1 path, n = 20 000: the decomposition, its validation, the nice
+    # form and the dynamics (19 999 moves into one coalition) each stay
+    # near-linear; a quadratic layer takes minutes here
     n = 20_000
     inst = path_instance(n)
     start = time.perf_counter()
     td = heuristic_decompose(inst)
     assert validate(td, inst) == (True, [])
-    ntd = make_nice(td)
-    assert validate_nice(ntd, inst) == (True, [])
+    assert len(make_nice(td).nodes) == 2 * n + 1
     stats = {}
     assert better_response_dynamics(inst, max_steps=4 * n, stats=stats) == Partition([1] * n)
     assert stats["steps"] == n - 1

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -20,6 +23,7 @@ from ashg import (
     gen_three_partition_star,
     is_connected_partition,
     is_nash_stable,
+    serialize_instance,
     square_instance,
     witness_bin_packing,
     witness_sat_bounded_degree,
@@ -354,6 +358,36 @@ class TestBinPacking:
         _, lay = gen_bin_packing([2, 2], 2, 2)
         with pytest.raises(ValueError):
             witness_bin_packing(lay, [1, 1])
+
+    @pytest.mark.parametrize("items, capacity, bins, unit, digest", [
+        ([1, 1, 2], 2, 2, False, "de1863f35bed430c"),
+        ([1, 1, 2], 2, 2, True, "b7c774124029adc6"),
+        ([4, 2], 3, 3, True, "d4bd9f8c50f257f6"),
+        ([3, 1], 5, 2, False, "35888151c48cf56f"),
+    ])
+    def test_output_pinned(self, items, capacity, bins, unit, digest):
+        # vertex ids, arc order and relays, byte for byte
+        inst, lay = gen_bin_packing(items, capacity, bins, unit_weights=unit)
+        text = serialize_instance(inst) + repr(sorted(lay.expansion.items()))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_peak_memory_near_what_is_kept(self):
+        # arcs go straight into the builder: no list of all base arcs
+        # lives next to the instance (40 100 arcs here)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            built = gen_bin_packing([1], 2, 100)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert built[0].arc_count() == 40_100
+        assert (peak - base) <= 2.1 * (kept - base)
 
     def test_matches_feasibility_oracle(self):
         rng = random.Random(2024)

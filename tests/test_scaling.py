@@ -17,7 +17,6 @@ import pytest
 
 from ashg import (
     heuristic_decompose,
-    make_nice,
     parse_instance,
     serialize_instance,
     solve_connected_nash,
@@ -29,7 +28,7 @@ from helpers import path_instance
 def solve(instance, mode, stats):
     if mode == "nash":
         return solve_nash_via_coloring(instance, stats=stats)
-    return solve_connected_nash(instance, make_nice(heuristic_decompose(instance)), stats=stats)
+    return solve_connected_nash(instance, heuristic_decompose(instance), stats=stats)
 
 
 def best_of_3(call):
