@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: heuristic); nash mode decomposes G^2 itself")
     p_solve.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL],
                          help="heuristic when no --td is given, for --mode connected-nash "
-                         f"only (default {MIN_DEGREE}); {MIN_FILL} takes time quadratic in n")
+                         f"only (default {MIN_DEGREE})")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
     p_solve.add_argument("--max-steps", type=int, default=1000,
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="heuristic tree decomposition")
     p_dec.add_argument("instance")
     p_dec.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL], default=MIN_DEGREE,
-                       help=f"elimination heuristic; {MIN_FILL} takes time quadratic in n")
+                       help="elimination heuristic")
     p_dec.add_argument("--out", help="decomposition output file (default stdout)")
 
     return parser

@@ -65,6 +65,33 @@ class TreeDecomposition:
         return f"TreeDecomposition(bags={len(self.bags)}, width={self.width})"
 
 
+def _root(td: TreeDecomposition) -> tuple[list[int], dict[int, int | None], list[str]]:
+    """Root the tree at its lowest bag id by breadth-first search.
+
+    Returns (order, parent, problems): the bags reached, in BFS order from
+    the root; each reached bag's parent (None at the root); and what keeps
+    the bags from forming a tree, if anything: no bags at all (order is
+    then empty), a wrong edge count, or a bag the root cannot reach.
+    """
+    if not td.bags:
+        return [], {}, ["decomposition has no bags"]
+    problems: list[str] = []
+    count = len(td.bags)
+    if len(td.edges) != count - 1:
+        problems.append(f"{len(td.edges)} tree edges for {count} bags (a tree needs {count - 1})")
+    root = min(td.bags)
+    parent: dict[int, int | None] = {root: None}
+    order = [root]
+    for x in order:
+        for y in td.neighbors_of(x):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    if len(order) != count:
+        problems.append("tree is not connected")
+    return order, parent, problems
+
+
 def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[str]]:
     """Check the three decomposition axioms plus tree shape.
 
@@ -76,31 +103,15 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
     does not hold v.  Cost O(sum |bag| * max degree + m), plus sorting
     the bag ids and the instance's edges.
     """
-    ids = sorted(td.bags)
-    if not ids:
-        return False, ["decomposition has no bags"]
-
-    # tree shape: connected and acyclic
-    shape: list[str] = []
-    if len(td.edges) != len(ids) - 1:
-        shape.append(
-            f"{len(td.edges)} tree edges for {len(ids)} bags (a tree needs {len(ids) - 1})"
-        )
-    parent: dict[int, int | None] = {ids[0]: None}
-    order = [ids[0]]
-    for x in order:
-        for y in td.neighbors_of(x):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-    if len(parent) != len(ids):
-        shape.append("tree is not connected")
+    order, parent, shape = _root(td)
+    if not order:
+        return False, shape
 
     violations: list[str] = []
     bags = td.bags
     n = instance.n
     holders: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in ids:
+    for i in sorted(bags):
         for v in bags[i]:
             if 1 <= v <= n:
                 holders[v].append(i)
@@ -139,10 +150,10 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
     at elimination time; each bag hangs off the bag of its earliest
     later-eliminated neighbor.
 
-    MIN_DEGREE keeps a lazy-deletion heap of (degree, vertex) entries,
-    one pushed whenever a degree changes, so its cost is
-    O(sum |bag|^2 log n).  MIN_FILL still scores every remaining vertex
-    at every step, which is quadratic in n; the benchmark does not run it.
+    Both keep a lazy-deletion heap of (score, vertex) entries.  MIN_DEGREE
+    re-pushes the eliminated vertex's neighbors, so its cost is
+    O(sum |bag|^2 log n); MIN_FILL re-scores every vertex within distance
+    2 of it, so its cost grows with the bags' neighborhoods, not with n.
     """
     nbrs = instance.neighbors
     return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)}, strategy)
@@ -179,28 +190,25 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
     if n == 0:
         return TreeDecomposition({1: frozenset()})
 
-    def fill_count(v: int) -> int:
-        nbrs = sorted(adj[v])
-        return sum(
-            1
-            for i, a in enumerate(nbrs)
-            for b in nbrs[i + 1 :]
-            if b not in adj[a]
-        )
+    def fill_count(nb: set[int]) -> int:
+        # pairs of nb with no edge between them: nb - adj[a] holds a and
+        # a's non-neighbors in nb, and adjacency is symmetric
+        return (sum([len(nb - adj[a]) for a in nb]) - len(nb)) // 2
 
-    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
+    # a lazy-deletion heap of (score, vertex) entries: a vertex is pushed
+    # whenever its score may have moved, and an entry is stale once its
+    # vertex is gone or its score differs from the vertex's current one
+    by_degree = strategy == MIN_DEGREE
+    score = len if by_degree else fill_count
+    heap = [(score(nbrs), v) for v, nbrs in adj.items()]
     heapq.heapify(heap)
     order: list[int] = []
     bags: list[frozenset[int]] = []
     while adj:
-        if strategy == MIN_DEGREE:
-            # an entry is stale once its vertex is gone or its degree moved
-            while True:
-                d, v = heapq.heappop(heap)
-                if v in adj and len(adj[v]) == d:
-                    break
-        else:
-            v = min(adj, key=lambda x: (fill_count(x), x))
+        while True:
+            s, v = heapq.heappop(heap)
+            if v in adj and score(adj[v]) == s:
+                break
         nbrs = sorted(adj[v])
         bags.append(frozenset([v] + nbrs))
         for i, a in enumerate(nbrs):
@@ -211,9 +219,11 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
             adj[a].discard(v)
         del adj[v]
         order.append(v)
-        if strategy == MIN_DEGREE:
-            for a in nbrs:
-                heapq.heappush(heap, (len(adj[a]), a))
+        # degrees move only in N(v); a fill count moves only where a fill
+        # edge lands between two of the vertex's neighbors, so within
+        # distance 2 of v
+        for a in nbrs if by_degree else set(nbrs).union(*[adj[a] for a in nbrs]):
+            heapq.heappush(heap, (score(adj[a]), a))
 
     pos = {v: i for i, v in enumerate(order)}
     bag_ids = {i: i + 1 for i in range(n)}
@@ -294,30 +304,13 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     Raises ValueError when the bags do not form a tree; the other
     axioms are left to validate.
     """
-    ids = sorted(td.bags)
-    if not ids:
-        raise ValueError("decomposition has no bags")
-    if len(td.edges) != len(ids) - 1:
-        raise ValueError(
-            f"{len(td.edges)} tree edges for {len(ids)} bags (a tree needs {len(ids) - 1})"
-        )
-    root = ids[0]
-
-    parent: dict[int, int | None] = {root: None}
-    bfs = [root]
-    for x in bfs:
-        for y in td.neighbors_of(x):
-            if y not in parent:
-                parent[y] = x
-                bfs.append(y)
-    if len(parent) != len(ids):
-        raise ValueError("decomposition tree is not connected")
-    children: dict[int, list[int]] = {i: [] for i in ids}
-    for y, p in parent.items():
-        if p is not None:
-            children[p].append(y)
-    for i in ids:
-        children[i].sort()
+    order, parent, problems = _root(td)
+    if problems:
+        raise ValueError(problems[0])
+    # neighbors_of is sorted, so each bag's children arrive in ascending order
+    children: dict[int, list[int]] = {i: [] for i in order}
+    for y in order[1:]:
+        children[parent[y]].append(y)
 
     nodes: list[NiceNode] = []
     append = nodes.append
@@ -335,7 +328,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         return top
 
     top_of: dict[int, int] = {}
-    for b in reversed(bfs):  # children before parents
+    for b in reversed(order):  # children before parents
         bag = td.bags[b]
         pieces = [chain_to(td.bags[c], bag, top_of[c]) for c in children[b]]
         if not pieces:
@@ -347,7 +340,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             acc = len(nodes) - 1
         top_of[b] = acc
 
-    chain_to(td.bags[root], frozenset(), top_of[root])
+    chain_to(td.bags[order[0]], frozenset(), top_of[order[0]])
     return NiceTreeDecomposition(nodes)
 
 

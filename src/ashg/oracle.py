@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .coloring import Coloring, is_stable_coloring
+from .coloring import Coloring
 from .errors import OracleCapError
 from .game import AshgInstance, Partition, _connected_block, _first_violation
 
@@ -122,8 +122,6 @@ def brute_force_stable_coloring(
             f"search space {effective}**{instance.n} exceeds the cap {cap}"
         )
     for labels in _rgs(instance.n, max_blocks=k):
-        coloring = Coloring(k, tuple(c + 1 for c in labels))
-        ok, _ = is_stable_coloring(instance, coloring)
-        if ok:
-            return coloring
+        if _first_violation(instance, labels) is None:
+            return Coloring(k, tuple(c + 1 for c in labels))
     return None

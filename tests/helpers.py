@@ -112,6 +112,13 @@ def tree_instance(n, rng, max_degree=3, w_lo=-3, w_hi=3, symmetric=False):
     return AshgInstance(n, arcs)
 
 
+def random_graph_instance(n, p, rng):
+    """G(n, p): each vertex pair joined with probability p, by one arc of
+    unit weight."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return AshgInstance(n, {pair: 1 for pair in pairs if rng.random() < p})
+
+
 def cycle_instance(n, rng, w_lo=-3, w_hi=3):
     """Cycle 1-2-...-n-1, each direction of each edge weighted independently."""
     arcs = {}
@@ -218,10 +225,12 @@ def naive_validate(td, instance):
     return not violations, violations
 
 
-def naive_min_degree_bags(instance):
-    """Min-degree elimination by a min() over all remaining vertices.
+def naive_elimination_bags(instance, strategy):
+    """Elimination by a min() over all remaining vertices, keyed by degree
+    for "min-degree" and by fill count (non-adjacent neighbor pairs) for
+    "min-fill", ties toward the lowest vertex id.
 
-    Reference for `heuristic_decompose(..., MIN_DEGREE)`: returns the
+    Reference for `heuristic_decompose(instance, strategy)`: returns the
     (bags, edges) pair it must produce.
     """
     n = instance.n
@@ -231,9 +240,16 @@ def naive_min_degree_bags(instance):
     for u, v in instance.underlying_edges():
         adj[u].add(v)
         adj[v].add(u)
+
+    def key(x):
+        if strategy == "min-degree":
+            return len(adj[x]), x
+        pairs = itertools.combinations(sorted(adj[x]), 2)
+        return sum(1 for a, b in pairs if b not in adj[a]), x
+
     order, bags = [], []
     while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
+        v = min(adj, key=key)
         nbrs = adj.pop(v)
         bags.append(frozenset(nbrs | {v}))
         for a in nbrs:

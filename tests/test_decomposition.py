@@ -28,14 +28,17 @@ from ashg.decomposition import (
     LEAF,
     MIN_DEGREE,
     MIN_FILL,
+    _eliminate,
+    _square_adjacency,
     decompose_square,
     run_nice_dp,
 )
 from helpers import (
     grid_instance,
-    naive_min_degree_bags,
+    naive_elimination_bags,
     naive_validate,
     path_instance,
+    random_graph_instance,
     suite_instance,
     tree_instance,
     uniform_instance,
@@ -173,11 +176,18 @@ class TestHeuristicDecompose:
                 assert ok, problems
 
     def test_min_degree_matches_min_loop_reference(self):
+        # both strategies, on G and on G^2's adjacency, sparse to dense:
+        # the lazy heap must pick what a min() over all vertices picks
         rng = random.Random(53)
-        for t in range(60):
-            inst = uniform_instance(rng, n_max=60, max_degree=2 + t % 7)
-            td = heuristic_decompose(inst, MIN_DEGREE)
-            assert (dict(td.bags), td.edges) == naive_min_degree_bags(inst)
+        for t in range(48):
+            p = (0.02, 0.05, 0.1, 0.2, 0.5)[t % 5]
+            inst = random_graph_instance(rng.randint(1, 60), p, rng)
+            for strategy in (MIN_DEGREE, MIN_FILL):
+                td = heuristic_decompose(inst, strategy)
+                assert (dict(td.bags), td.edges) == naive_elimination_bags(inst, strategy)
+                td = _eliminate(_square_adjacency(inst), strategy)
+                want = naive_elimination_bags(square_instance(inst), strategy)
+                assert (dict(td.bags), td.edges) == want
 
     def test_deterministic(self):
         inst = suite_instance(random.Random(5), 1, n_max=8)

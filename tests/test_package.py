@@ -1,9 +1,18 @@
-"""The package's public names: `ashg.__all__` lists each export once, and
-every listed name exists, so a removed export cannot linger in it."""
+"""The package's public names and sources: `ashg.__all__` lists each
+export once, every listed name exists, so a removed export cannot linger
+in it, and every module parses as the oldest Python that
+`pyproject.toml` admits."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import ashg
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ashg").glob("*.py"))
 
 
 def test_all_has_no_duplicates():
@@ -13,3 +22,9 @@ def test_all_has_no_duplicates():
 def test_every_name_in_all_resolves():
     missing = [name for name in ashg.__all__ if not hasattr(ashg, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_parses_as_python_3_10(path):
+    # pyproject.toml sets requires-python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -4,7 +4,8 @@ On a path the DP tables hold a handful of signatures, so decomposition,
 nice form, the walk and the traceback carry the time.  Time per nice
 node must stay about flat from n = 2 000 to n = 20 000: a linear layer
 keeps the ratio near 1, a quadratic one takes it near 10.  Reading the
-instance file back is held to the same bound per arc.
+instance file back is held to the same bound per arc, and the min-fill
+heuristic, which no solve runs by default, to the same bound per vertex.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ashg import (
     solve_connected_nash,
     solve_nash_via_coloring,
 )
+from ashg.decomposition import MIN_FILL
 from helpers import path_instance
 
 
@@ -62,6 +64,12 @@ def seconds_per_arc(n):
     return best_of_3(lambda: parse_instance(text)) / instance.arc_count()
 
 
+def seconds_per_vertex_min_fill(n):
+    """Best of 3 min-fill decompositions of a path."""
+    instance = path_instance(n, random.Random(n))
+    return best_of_3(lambda: heuristic_decompose(instance, MIN_FILL)) / n
+
+
 @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
 def test_time_per_nice_node_flat_on_paths(mode):
     small = seconds_per_nice_node(2_000, mode)
@@ -73,3 +81,9 @@ def test_parse_time_per_arc_flat_on_paths():
     small = seconds_per_arc(2_000)
     large = seconds_per_arc(20_000)
     assert large / small < 3, f"{large * 1e6:.2f} vs {small * 1e6:.2f} us per arc"
+
+
+def test_min_fill_time_per_vertex_flat_on_paths():
+    small = seconds_per_vertex_min_fill(2_000)
+    large = seconds_per_vertex_min_fill(20_000)
+    assert large / small < 3, f"{large * 1e6:.2f} vs {small * 1e6:.2f} us per vertex"
