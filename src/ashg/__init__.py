@@ -22,7 +22,6 @@ from .game import (
 )
 from .decomposition import (
     NiceNode,
-    NiceTreeDecomposition,
     TreeDecomposition,
     heuristic_decompose,
     make_nice,
@@ -84,7 +83,6 @@ __all__ = [
     "is_connected_partition",
     "better_response_dynamics",
     "TreeDecomposition",
-    "NiceTreeDecomposition",
     "NiceNode",
     "validate",
     "heuristic_decompose",

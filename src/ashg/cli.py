@@ -74,12 +74,11 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _report(command: str, instance: AshgInstance, answer: str, t0: float,
-            width: int | None = None, peak: int | None = None,
-            steps: int | None = None) -> None:
+            stats: dict | None = None) -> None:
     """Print the command's summary as `c` lines.
 
     `answer` is SOME, NONE, UNKNOWN, STABLE or UNSTABLE; width, peak
-    table and steps print only when given.
+    table and steps print only when `stats` holds them.
     """
     lines = [
         f"c command {command}",
@@ -88,9 +87,9 @@ def _report(command: str, instance: AshgInstance, answer: str, t0: float,
         f"c max-degree {instance.max_degree}",
         f"c max-weight {instance.max_abs_weight}",
     ]
-    for key, value in (("width", width), ("peak-table", peak), ("steps", steps)):
-        if value is not None:
-            lines.append(f"c {key} {value}")
+    for key in ("width", "peak_table", "steps"):
+        if stats and key in stats:
+            lines.append(f"c {key.replace('_', '-')} {stats[key]}")
     lines.append(f"c answer {answer}")
     lines.append(f"c wall-time {time.perf_counter() - t0:.3f}s")
     print("\n".join(lines))
@@ -134,8 +133,7 @@ def cmd_solve(args) -> int:
         except ResourceLimitError as exc:
             print(f"c resource limit: {exc}", file=sys.stderr)
             answer = "UNKNOWN"
-    _report("solve", instance, answer, t0, stats.get("width"),
-            stats.get("peak_table"), stats.get("steps"))
+    _report("solve", instance, answer, t0, stats)
     if partition is not None:
         _emit(args.out, formats.serialize_partition(partition))
     return _EXIT_BY_ANSWER[answer]
@@ -184,6 +182,8 @@ def _parse_assignment(path: str, num_vars: int) -> list[bool]:
 
 
 def cmd_gen(args) -> int:
+    if args.witness and args.witness_out is None and args.out is None:
+        raise ValueError("--witness needs --witness-out when the instance goes to stdout")
     witness = None
     if args.generator == "square":
         instance = square_instance(_load_instance(args.source))
@@ -213,8 +213,6 @@ def cmd_gen(args) -> int:
         if args.witness:
             packing = formats.parse_int_list(_read(args.witness))
             witness = witness_bin_packing(layout, packing)
-    if witness is not None and args.witness_out is None and args.out is None:
-        raise ValueError("--witness needs --witness-out when the instance goes to stdout")
     _emit(args.out, formats.serialize_instance(instance))
     if witness is not None:
         _emit(args.witness_out, formats.serialize_partition(witness))
@@ -252,7 +250,7 @@ def cmd_decompose(args) -> int:
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     td = heuristic_decompose(instance, args.strategy)
-    _report("decompose", instance, "SOME", t0, td.width)
+    _report("decompose", instance, "SOME", t0, {"width": td.width})
     _emit(args.out, formats.serialize_decomposition(td, instance.n))
     return EXIT_SOME
 

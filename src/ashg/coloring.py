@@ -98,20 +98,19 @@ def solve_nash_via_coloring(
     width of the G^2 decomposition, `peak_table` and `nice_nodes`, also
     when the cap is hit (`peak_table` is then the size that crossed it).
     """
-    ntd = make_nice(decompose_square(instance))
-    introduce, forget = _transitions(instance)
     return run_nice_dp(
-        ntd, table_cap, (), introduce, forget,
-        join=lambda nd: lambda left, right: left,
+        make_nice(decompose_square(instance)), table_cap, (), *_transitions(instance),
         classes=lambda sig: sig,
         stats=stats,
     )
 
 
-def _transitions(instance: AshgInstance) -> tuple[Callable, Callable]:
-    """The INTRODUCE and FORGET step factories of run_nice_dp for one solve.
+def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
+    """The INTRODUCE and FORGET step factories and the JOIN step of
+    run_nice_dp for one solve.
 
-    A signature is the bag's classes as a canonical label tuple.
+    A signature is the bag's classes as a canonical label tuple, so the
+    two children of a JOIN agree on it exactly and the left one stands.
     """
     weight = instance.arcs.get
     closed = [frozenset()] + [
@@ -199,4 +198,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable]:
 
         return step
 
-    return introduce, forget
+    def join(left, right):
+        return left
+
+    return introduce, forget, join

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 from .decomposition import (
     DEFAULT_TABLE_CAP,
     FORGET,
-    NiceTreeDecomposition,
+    NiceNode,
     TreeDecomposition,
     canonical_labels,
     heuristic_decompose,
@@ -124,17 +124,19 @@ _shared_plan = lru_cache(maxsize=1 << 14)
 
 
 @_shared_plan
-def _introduce_plan(pi1: tuple[int, ...], p: int) -> tuple:
-    """(class t, new pi1, util gather) for each placement of a vertex at position p.
+def _placements(pi1: tuple, pi2: tuple, p: int, adjacent: tuple[bool, ...]) -> tuple:
+    """(new pi1, new pi2, util gather) for each placement of a vertex at position p.
 
-    The gather reads the old util extended by one trailing zero: the new
+    adjacent[q] says whether the vertex touches child position q.  The
+    gather reads the old util extended by one trailing zero: the new
     vertex's row and a new class's column come from that zero, every
     other entry moves to its relabelled column.
     """
     m = len(pi1)
     ncls = max(pi1) + 1 if pi1 else 0
+    npi2 = max(pi2) + 1 if pi2 else 0
     zero = m * ncls
-    plan = []
+    out = []
     for t in range(ncls + 1):
         new_pi1, cmap = canonical_labels(pi1[:p] + (t,) + pi1[p:])
         old_class = list(cmap)  # old label of each new label; ncls is v's new class
@@ -145,22 +147,12 @@ def _introduce_plan(pi1: tuple[int, ...], p: int) -> tuple:
             else:
                 row = (q - (q > p)) * ncls
                 indices.extend(row + c if c < ncls else zero for c in old_class)
-        plan.append((t, new_pi1, _gather(indices)))
-    return tuple(plan)
-
-
-@_shared_plan
-def _placements(pi1: tuple, pi2: tuple, p: int, adjacent: tuple[bool, ...]) -> tuple:
-    """(new pi1, new pi2, util gather) per placement; adjacent[q]: v touches child position q."""
-    npi2 = max(pi2) + 1 if pi2 else 0
-    out = []
-    for t, new_pi1, gather in _introduce_plan(pi1, p):
         # v merges the realized components of its class it touches, or starts one
         merged = {pi2[q] for q, lab in enumerate(pi1) if lab == t and adjacent[q]}
         target = min(merged) if merged else npi2
         raw2 = [target if lab in merged else lab for lab in pi2]
         raw2.insert(p, target)
-        out.append((new_pi1, canonical_labels(raw2)[0], gather))
+        out.append((new_pi1, canonical_labels(raw2)[0], _gather(indices)))
     return tuple(out)
 
 
@@ -217,7 +209,7 @@ def solve_connected_nash(
     valid by construction and not checked again.  A given `td` must be a
     TreeDecomposition of the instance's own graph (not of its square):
     validate checks it once, ValueError says why it fails, and the DP
-    runs on make_nice(td).  Anything else, a NiceTreeDecomposition
+    runs on make_nice(td).  Anything else, make_nice's tuple of nodes
     included, is a TypeError.  The first trace in the tables' insertion
     order is returned, so the output is deterministic.  Raises
     ResourceLimitError when a signature table would exceed table_cap.
@@ -230,16 +222,16 @@ def solve_connected_nash(
         ok, violations = validate(td, instance)
         if not ok:
             raise ValueError("invalid decomposition: " + "; ".join(violations))
-    introduce, forget, join = _transitions(instance)
     return run_nice_dp(
-        make_nice(td), table_cap, EMPTY_SIGNATURE, introduce, forget, join,
+        make_nice(td), table_cap, EMPTY_SIGNATURE, *_transitions(instance),
         classes=attrgetter("pi1"),
         stats=stats,
     )
 
 
 def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
-    """The INTRODUCE, FORGET and JOIN step factories of run_nice_dp for one solve.
+    """The INTRODUCE and FORGET step factories and the JOIN step of
+    run_nice_dp for one solve.
 
     Only what reads the game is built here; the plans are shared.
     """
@@ -299,7 +291,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
 
         return step
 
-    def join_step(left, right):
+    def join(left, right):
         return ConnectedSignature(
             left.pi1,
             _pi2_union(left.pi2, right.pi2),
@@ -307,15 +299,12 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
             tuple(map(max, left.best, right.best)),
         )
 
-    def join(nd):
-        return join_step
-
     return introduce, forget, join
 
 
 def signature_of(
     instance: AshgInstance,
-    ntd: NiceTreeDecomposition,
+    nodes: tuple[NiceNode, ...],
     node_id: int,
     partition: Partition,
 ) -> ConnectedSignature:
@@ -327,12 +316,17 @@ def signature_of(
     node (below it but not in its bag), flat and row-major by bag
     position, as in the module docstring.
     """
-    if not (0 <= node_id < len(ntd.nodes)):
+    if not (0 <= node_id < len(nodes)):
         raise ValueError(f"node id {node_id} out of range")
     if partition.n != instance.n:
         raise ValueError("partition does not cover the instance")
-    bag = ntd.nodes[node_id].bag
-    below = ntd.vertices_below(node_id)
+    bag = nodes[node_id].bag
+    below: set[int] = set()  # the union of the bags in the node's subtree
+    stack = [node_id]
+    while stack:
+        nd = nodes[stack.pop()]
+        below.update(nd.bag)
+        stack.extend(nd.children)
     forgotten = below - set(bag)
 
     pi1_raw = [partition.class_of(v) for v in bag]
@@ -386,7 +380,7 @@ def signature_of(
 
 def trace_survives_forget_filters(
     instance: AshgInstance,
-    ntd: NiceTreeDecomposition,
+    nodes: tuple[NiceNode, ...],
     partition: Partition,
 ) -> bool:
     """Check that a partition's signature trace passes every forget filter.
@@ -394,11 +388,11 @@ def trace_survives_forget_filters(
     For a connected Nash Stable partition this must hold at every FORGET
     node, otherwise the dynamic program would wrongly discard it.
     """
-    for nd in ntd.nodes:
+    for nd in nodes:
         if nd.kind != FORGET:
             continue
-        child_bag = ntd.nodes[nd.children[0]].bag
-        sig = signature_of(instance, ntd, nd.children[0], partition)
+        child_bag = nodes[nd.children[0]].bag
+        sig = signature_of(instance, nodes, nd.children[0], partition)
         arcs_from_x = tuple(instance.arcs.get((nd.vertex, u), 0) for u in child_bag)
         if not forget_filter_passes(sig, child_bag.index(nd.vertex), arcs_from_x):
             return False

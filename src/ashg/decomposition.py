@@ -209,30 +209,27 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
             s, v = heapq.heappop(heap)
             if v in adj and score(adj[v]) == s:
                 break
-        nbrs = sorted(adj[v])
-        bags.append(frozenset([v] + nbrs))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
+        nbrs = adj.pop(v)
+        bags.append(frozenset(nbrs) | {v})
         for a in nbrs:
-            adj[a].discard(v)
-        del adj[v]
+            row = adj[a]
+            row |= nbrs
+            row.discard(a)
+            row.discard(v)
         order.append(v)
         # degrees move only in N(v); a fill count moves only where a fill
         # edge lands between two of the vertex's neighbors, so within
         # distance 2 of v
-        for a in nbrs if by_degree else set(nbrs).union(*[adj[a] for a in nbrs]):
+        for a in nbrs if by_degree else nbrs.union(*[adj[a] for a in nbrs]):
             heapq.heappush(heap, (score(adj[a]), a))
 
     pos = {v: i for i, v in enumerate(order)}
-    bag_ids = {i: i + 1 for i in range(n)}
     edges = []
     for i in range(n - 1):
         later = [pos[u] for u in bags[i] if pos[u] > i]
         parent = min(later) if later else i + 1
-        edges.append((bag_ids[i], bag_ids[parent]))
-    return TreeDecomposition({bag_ids[i]: bags[i] for i in range(n)}, edges)
+        edges.append((i + 1, parent + 1))
+    return TreeDecomposition({i + 1: bag for i, bag in enumerate(bags)}, edges)
 
 
 LEAF = "leaf"
@@ -248,51 +245,12 @@ class NiceNode(NamedTuple):
     children: tuple[int, ...]
 
 
-class NiceTreeDecomposition:
-    """Rooted binary nice form: leaf/introduce/forget/join nodes.
-
-    Nodes are stored children-before-parents, so iterating by index is a
-    valid bottom-up order; the root is the last node and has an empty
-    bag, as do all leaves.
-    """
-
-    __slots__ = ("nodes", "root", "_below")
-
-    def __init__(self, nodes: list[NiceNode]):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "root", len(nodes) - 1)
-        object.__setattr__(self, "_below", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("NiceTreeDecomposition is immutable")
-
-    @property
-    def max_bag_size(self) -> int:
-        return max((len(nd.bag) for nd in self.nodes), default=0)
-
-    @property
-    def width(self) -> int:
-        return max(0, self.max_bag_size - 1)
-
-    def vertices_below(self, node_id: int) -> frozenset[int]:
-        """Union of bags in the subtree rooted at node_id (inclusive)."""
-        cached = self._below
-        if cached is None:
-            cached = []
-            for nd in self.nodes:
-                acc = set(nd.bag)
-                for c in nd.children:
-                    acc |= cached[c]
-                cached.append(frozenset(acc))
-            object.__setattr__(self, "_below", tuple(cached))
-        return self._below[node_id]
-
-    def __repr__(self) -> str:
-        return f"NiceTreeDecomposition(nodes={len(self.nodes)}, width={self.width})"
-
-
-def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
+def make_nice(td: TreeDecomposition) -> tuple[NiceNode, ...]:
     """Convert a decomposition to nice form without increasing the width.
+
+    Nodes come children before parents, so iterating by index is a valid
+    bottom-up order; the root is the last node and has an empty bag, as
+    do all leaves.
 
     The lowest bag id is taken as the root; between a bag and its parent
     the out-of-parent vertices are forgotten in ascending order and the
@@ -341,7 +299,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         top_of[b] = acc
 
     chain_to(td.bags[order[0]], frozenset(), top_of[order[0]])
-    return NiceTreeDecomposition(nodes)
+    return tuple(nodes)
 
 
 def canonical_labels(labels: Iterable[int]) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -360,24 +318,26 @@ DEFAULT_TABLE_CAP = 1_000_000
 
 
 def run_nice_dp(
-    ntd: NiceTreeDecomposition,
+    nodes: tuple[NiceNode, ...],
     table_cap: int,
     leaf: Hashable,
     introduce: Callable[[NiceNode, tuple[int, ...]], Callable[[Hashable], Iterable[Hashable]]],
     forget: Callable[[NiceNode, tuple[int, ...]], Callable[[Hashable], Hashable | None]],
-    join: Callable[[NiceNode], Callable[[Hashable, Hashable], Hashable | None]],
+    join: Callable[[Hashable, Hashable], Hashable | None],
     classes: Callable[[Hashable], tuple[int, ...]],
     stats: dict | None = None,
 ) -> Partition | None:
     """Run a signature dynamic program bottom-up, then trace one answer back.
 
-    The solver supplies the per-node transitions; each factory is called
-    once per node and returns the step applied to that node's signatures:
+    `nodes` is a nice decomposition as make_nice returns it, root last.
+    The solver supplies the transitions; the INTRODUCE and FORGET
+    factories are called once per node and return the step applied to
+    that node's signatures:
 
       leaf                           signature of the empty bag
       introduce(node, child_bag)     sig -> signatures that add node.vertex
       forget(node, child_bag)        sig -> projection without node.vertex, or None
-      join(node)                     (left, right) -> merged signature, or None
+      join(left, right)              merged signature, or None
       classes(sig)                   coalition label of each bag vertex, in
                                      first-occurrence order (0, 1, 2, ...)
 
@@ -401,14 +361,13 @@ def run_nice_dp(
     """
     if table_cap < 0:
         raise ValueError(f"table cap must be nonnegative, got {table_cap}")
-    nodes = ntd.nodes
-    if stats is not None:
-        stats["width"] = ntd.width
-        stats["nice_nodes"] = len(nodes)
+    if stats is None:
+        stats = {}
+    stats["width"] = max(0, max((len(nd.bag) for nd in nodes), default=0) - 1)
+    stats["nice_nodes"] = len(nodes)
 
     def over_cap(idx: int, kind: str, size: int) -> ResourceLimitError:
-        if stats is not None:
-            stats["peak_table"] = size
+        stats["peak_table"] = size
         return ResourceLimitError(f"signature table at node {idx} ({kind}) exceeds cap {table_cap}")
 
     tables: list[dict] = []
@@ -433,13 +392,12 @@ def run_nice_dp(
                     if len(table) > table_cap:
                         raise over_cap(idx, kind, len(table))
         elif kind == JOIN:
-            step2 = join(nd)
             by_classes: dict[tuple[int, ...], list] = {}
             for right in tables[kids[1]]:
                 by_classes.setdefault(classes(right), []).append(right)
             for left in tables[kids[0]]:
                 for right in by_classes.get(classes(left), ()):
-                    sig = step2(left, right)
+                    sig = join(left, right)
                     if sig is not None and sig not in table:
                         table[sig] = (left, right)
                         if len(table) > table_cap:
@@ -450,14 +408,14 @@ def run_nice_dp(
             peak = len(table)
         tables.append(table)
 
-    if stats is not None:
-        stats["peak_table"] = peak
+    stats["peak_table"] = peak
 
-    root_table = tables[ntd.root]
+    root = len(nodes) - 1
+    root_table = tables[root]
     if not root_table:
         return None
     assign: dict[int, int] = {}
-    stack = [(ntd.root, next(iter(root_table)))]
+    stack = [(root, next(iter(root_table)))]
     while stack:
         idx, sig = stack.pop()
         kind, bag, x, kids = nodes[idx]

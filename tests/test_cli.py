@@ -300,11 +300,16 @@ class TestGen:
         verify = ["verify", str(tmp_path / "i.ashg"), str(tmp_path / "w.part")]
         assert main(verify + (["--connected"] if generator[0] == "binpack" else [])) == 0
 
-    def test_witness_to_stdout_collision_rejected(self, capsys):
+    def test_witness_to_stdout_collision_rejected(self, monkeypatch, capsys):
+        # refused before the generator builds anything
+        called = []
+        monkeypatch.setattr(ashg.cli, "gen_three_partition_star",
+                            lambda *args: called.append(args))
         args = ["gen", "3part", golden("items_3part.txt"), "--target", "16",
                 "--witness", golden("triples.txt")]
         assert main(args) == 3
         assert "--witness-out" in capsys.readouterr().err
+        assert called == []
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_sat_high_degree_witness_verifies(self, capsys, tmp_path):

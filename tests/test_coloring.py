@@ -254,7 +254,7 @@ def introduce_cases(draw):
 def test_introduce_matches_reference(case):
     inst, bag, v, sig = case
     child_bag = tuple(u for u in bag if u != v)
-    introduce, _ = _transitions(inst)
+    introduce, _, _ = _transitions(inst)
     got = introduce(NiceNode(INTRODUCE, bag, v, (0,)), child_bag)(sig)
 
     def complete(u, within):
@@ -276,12 +276,12 @@ def test_introduce_negative_weight_pulls_other_class_below_own():
     # vertex 1 has own sum 1 (vertex 2) and class sum 2 toward vertex 3;
     # v = 4 joining 3's class brings that class to 2 - 2 = 0, so 1 is stable
     inst = AshgInstance(4, {(1, 2): 1, (1, 3): 2, (1, 4): -2})
-    introduce, _ = _transitions(inst)
+    introduce, _, _ = _transitions(inst)
     step = introduce(NiceNode(INTRODUCE, (1, 2, 3, 4), 4, (0,)), (1, 2, 3))
     assert step((0, 0, 1)) == [(0, 0, 1, 1)]
     # with a second class beating vertex 1's own sum, v can pull down only one
     inst = AshgInstance(5, {(1, 2): 1, (1, 3): 2, (1, 4): 2, (1, 5): -2})
-    introduce, _ = _transitions(inst)
+    introduce, _, _ = _transitions(inst)
     step = introduce(NiceNode(INTRODUCE, (1, 2, 3, 4, 5), 5, (0,)), (1, 2, 3, 4))
     assert step((0, 0, 1, 2)) == []
 
@@ -292,6 +292,6 @@ def test_forget_matches_reference(raw, data):
     sig = canonical_labels(raw)[0]
     p = data.draw(st.integers(0, len(sig) - 1))
     child_bag = tuple(range(1, len(sig) + 1))
-    _, forget = _transitions(AshgInstance(len(sig)))
+    _, forget, _ = _transitions(AshgInstance(len(sig)))
     step = forget(NiceNode(FORGET, child_bag[:p] + child_bag[p + 1 :], p + 1, (0,)), child_bag)
     assert step(sig) == canonical_labels(sig[:p] + sig[p + 1 :])[0]

@@ -10,7 +10,6 @@ from ashg import (
     AshgInstance,
     ConnectedSignature,
     NiceNode,
-    NiceTreeDecomposition,
     Partition,
     ResourceLimitError,
     brute_force_connected_nash,
@@ -47,46 +46,44 @@ def friends() -> AshgInstance:
     return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
 
 
-def triangle_ntd() -> NiceTreeDecomposition:
+def triangle_nodes() -> tuple[NiceNode, ...]:
     """Hand-built nice form for a single bag {1,2,3}, peeling 1 early."""
-    return NiceTreeDecomposition(
-        [
-            NiceNode(LEAF, (), None, ()),
-            NiceNode(INTRODUCE, (2,), 2, (0,)),
-            NiceNode(INTRODUCE, (2, 3), 3, (1,)),
-            NiceNode(INTRODUCE, (1, 2, 3), 1, (2,)),
-            NiceNode(FORGET, (1, 3), 2, (3,)),
-            NiceNode(FORGET, (1,), 3, (4,)),
-            NiceNode(FORGET, (), 1, (5,)),
-        ]
+    return (
+        NiceNode(LEAF, (), None, ()),
+        NiceNode(INTRODUCE, (2,), 2, (0,)),
+        NiceNode(INTRODUCE, (2, 3), 3, (1,)),
+        NiceNode(INTRODUCE, (1, 2, 3), 1, (2,)),
+        NiceNode(FORGET, (1, 3), 2, (3,)),
+        NiceNode(FORGET, (1,), 3, (4,)),
+        NiceNode(FORGET, (), 1, (5,)),
     )
 
 
 class TestSignatureOf:
     def test_root_gives_empty_signature(self):
         inst = friends()
-        ntd = make_nice(heuristic_decompose(inst))
+        nodes = make_nice(heuristic_decompose(inst))
         part = Partition([1, 1])
-        assert signature_of(inst, ntd, ntd.root, part) == EMPTY_SIGNATURE
+        assert signature_of(inst, nodes, len(nodes) - 1, part) == EMPTY_SIGNATURE
 
     def test_best_completed_coalition_value(self):
         # bag {1}; coalition {2,3} finished below with w(1,2)=2, w(1,3)=-1:
         # the best completed-coalition payoff for vertex 1 is max(0, 1) = 1
         inst = AshgInstance(3, [(1, 2, 2), (1, 3, -1), (2, 3, 0), (2, 1, 0), (3, 1, 0)])
-        ntd = triangle_ntd()
+        nodes = triangle_nodes()
         part = Partition.from_blocks([[1], [2, 3]])
-        node = next(i for i, nd in enumerate(ntd.nodes) if nd.bag == (1,))
-        sig = signature_of(inst, ntd, node, part)
+        node = next(i for i, nd in enumerate(nodes) if nd.bag == (1,))
+        sig = signature_of(inst, nodes, node, part)
         assert sig.pi1 == (0,)
         assert sig.best == (1,)
         assert sig.util == (0,)  # vertex 1 is alone in its class
 
     def test_cross_class_utilities_tracked(self):
         inst = AshgInstance(3, [(1, 2, 2), (1, 3, -1), (2, 3, 0), (2, 1, 0), (3, 1, 0)])
-        ntd = triangle_ntd()
+        nodes = triangle_nodes()
         part = Partition.from_blocks([[1], [2, 3]])
-        node = next(i for i, nd in enumerate(ntd.nodes) if nd.bag == (1, 3))
-        sig = signature_of(inst, ntd, node, part)
+        node = next(i for i, nd in enumerate(nodes) if nd.bag == (1, 3))
+        sig = signature_of(inst, nodes, node, part)
         # classes: vertex 1 alone (class 0), vertex 3 with forgotten 2 (class 1)
         assert sig.pi1 == (0, 1)
         # row of vertex 1 counts the forgotten member only: w(1,2) toward class 1
@@ -150,15 +147,15 @@ class TestTraceSurvival:
             part = brute_force_connected_nash(inst)
             if part is None:
                 continue
-            ntd = make_nice(heuristic_decompose(inst))
-            assert trace_survives_forget_filters(inst, ntd, part)
+            nodes = make_nice(heuristic_decompose(inst))
+            assert trace_survives_forget_filters(inst, nodes, part)
             checked += 1
         assert checked >= 40
 
     def test_unstable_partition_fails_somewhere(self):
         inst = stalker()
-        ntd = make_nice(heuristic_decompose(inst))
-        assert not trace_survives_forget_filters(inst, ntd, Partition([1, 1]))
+        nodes = make_nice(heuristic_decompose(inst))
+        assert not trace_survives_forget_filters(inst, nodes, Partition([1, 1]))
 
 
 class TestSolveConnectedNash:
@@ -205,13 +202,13 @@ class TestSolveConnectedNash:
     def test_invalid_nice_decomposition_rejected(self):
         # the solver builds the nice form itself and takes none: here node 0
         # is the child of nodes 1 and 3, and node 2 of none
-        misrooted = NiceTreeDecomposition([
+        misrooted = (
             NiceNode(LEAF, (), None, ()),
             NiceNode(INTRODUCE, (2,), 2, (0,)),
             NiceNode(FORGET, (), 2, (1,)),
             NiceNode(INTRODUCE, (1,), 1, (0,)),
             NiceNode(FORGET, (), 1, (3,)),
-        ])
+        )
         with pytest.raises(TypeError, match="expected a TreeDecomposition"):
             solve_connected_nash(AshgInstance(2), misrooted)
 
@@ -267,7 +264,7 @@ class TestSolveConnectedNash:
 
 
 def stable_traces(count):
-    """(instance, nice decomposition, connected stable partition) triples:
+    """(instance, nice nodes, connected stable partition) triples:
     suite games and weighted stars, the stars so that JOIN nodes occur."""
     rng = random.Random(2718)
     found = []
@@ -289,25 +286,31 @@ def stable_traces(count):
     return found
 
 
+def vertices_below(nodes, node_id):
+    """Union of the bags in the subtree rooted at node_id."""
+    nd = nodes[node_id]
+    return set(nd.bag).union(*(vertices_below(nodes, c) for c in nd.children))
+
+
 class TestTransitions:
     """The DP's transitions reproduce signature_of along stable traces."""
 
     def test_transitions_match_signature_of(self):
         kinds = {INTRODUCE: 0, FORGET: 0, JOIN: 0}
-        for inst, ntd, part in stable_traces(60):
+        for inst, nodes, part in stable_traces(60):
             introduce, forget, join = _transitions(inst)
-            sigs = [signature_of(inst, ntd, i, part) for i in range(len(ntd.nodes))]
-            for i, nd in enumerate(ntd.nodes):
+            sigs = [signature_of(inst, nodes, i, part) for i in range(len(nodes))]
+            for i, nd in enumerate(nodes):
                 if nd.kind == LEAF:
                     assert sigs[i] == EMPTY_SIGNATURE
                     continue
                 kinds[nd.kind] += 1
                 if nd.kind == JOIN:
                     left, right = nd.children
-                    assert join(nd)(sigs[left], sigs[right]) == sigs[i]
+                    assert join(sigs[left], sigs[right]) == sigs[i]
                     continue
                 child = nd.children[0]
-                child_bag = ntd.nodes[child].bag
+                child_bag = nodes[child].bag
                 if nd.kind == INTRODUCE:
                     assert sigs[i] in introduce(nd, child_bag)(sigs[child])
                 else:
@@ -316,15 +319,15 @@ class TestTransitions:
 
     def test_introduced_row_is_zero(self):
         # no neighbour of a vertex is forgotten below its INTRODUCE node
-        for inst, ntd, part in stable_traces(30):
+        for inst, nodes, part in stable_traces(30):
             introduce, _, _ = _transitions(inst)
-            for i, nd in enumerate(ntd.nodes):
+            for i, nd in enumerate(nodes):
                 if nd.kind != INTRODUCE:
                     continue
                 p = nd.bag.index(nd.vertex)
                 child = nd.children[0]
-                for sig in introduce(nd, ntd.nodes[child].bag)(
-                    signature_of(inst, ntd, child, part)
+                for sig in introduce(nd, nodes[child].bag)(
+                    signature_of(inst, nodes, child, part)
                 ):
                     ncls = max(sig.pi1) + 1
                     assert sig.util[p * ncls : (p + 1) * ncls] == (0,) * ncls
@@ -333,29 +336,29 @@ class TestTransitions:
     def test_join_adds_utilities(self):
         # the two children's forgotten sets are disjoint, so their rows add
         joins = 0
-        for inst, ntd, part in stable_traces(60):
-            for i, nd in enumerate(ntd.nodes):
+        for inst, nodes, part in stable_traces(60):
+            for i, nd in enumerate(nodes):
                 if nd.kind != JOIN:
                     continue
                 joins += 1
-                left, right = (signature_of(inst, ntd, c, part) for c in nd.children)
-                here = signature_of(inst, ntd, i, part)
+                left, right = (signature_of(inst, nodes, c, part) for c in nd.children)
+                here = signature_of(inst, nodes, i, part)
                 assert here.util == tuple(a + b for a, b in zip(left.util, right.util))
                 assert here.best == tuple(max(a, b) for a, b in zip(left.best, right.best))
         assert joins > 0
 
     def test_in_bag_sums_complete_the_forgotten_row(self):
         # at a FORGET, stored row + in-bag sums = utility toward (class ∩ below)
-        for inst, ntd, part in stable_traces(30):
-            for nd in ntd.nodes:
+        for inst, nodes, part in stable_traces(30):
+            for nd in nodes:
                 if nd.kind != FORGET:
                     continue
                 child = nd.children[0]
-                bag = ntd.nodes[child].bag
-                below = ntd.vertices_below(child)
+                bag = nodes[child].bag
+                below = vertices_below(nodes, child)
                 x = nd.vertex
                 p = bag.index(x)
-                sig = signature_of(inst, ntd, child, part)
+                sig = signature_of(inst, nodes, child, part)
                 ncls = max(sig.pi1) + 1
                 arcs = tuple(inst.weight(x, u) for u in bag)
                 full = [

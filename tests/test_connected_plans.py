@@ -29,7 +29,6 @@ from ashg.decomposition import INTRODUCE, JOIN, LEAF
 from helpers import grid_instance, suite_instance
 
 SHARED_PLANS = (
-    connected._introduce_plan,
     connected._placements,
     connected._forget_plan,
     connected._drop,
@@ -118,18 +117,18 @@ def games_with_partitions(draw):
 @given(games_with_partitions())
 def test_transitions_reproduce_signature_of_on_connected_partitions(case):
     inst, part = case
-    ntd = make_nice(heuristic_decompose(inst))
+    nodes = make_nice(heuristic_decompose(inst))
     introduce, forget, join = _transitions(inst)
-    sigs = [signature_of(inst, ntd, i, part) for i in range(len(ntd.nodes))]
-    for i, nd in enumerate(ntd.nodes):
+    sigs = [signature_of(inst, nodes, i, part) for i in range(len(nodes))]
+    for i, nd in enumerate(nodes):
         if nd.kind == LEAF:
             assert sigs[i] == EMPTY_SIGNATURE
         elif nd.kind == JOIN:
             left, right = nd.children
-            assert join(nd)(sigs[left], sigs[right]) == sigs[i]
+            assert join(sigs[left], sigs[right]) == sigs[i]
         else:
             child = nd.children[0]
-            child_bag = ntd.nodes[child].bag
+            child_bag = nodes[child].bag
             if nd.kind == INTRODUCE:
                 assert sigs[i] in introduce(nd, child_bag)(sigs[child])
             else:

@@ -11,7 +11,6 @@ import pytest
 from ashg import (
     AshgInstance,
     NiceNode,
-    NiceTreeDecomposition,
     Partition,
     ResourceLimitError,
     TreeDecomposition,
@@ -199,17 +198,17 @@ class TestHeuristicDecompose:
 class TestMakeNice:
     def test_single_bag_chain_structure(self):
         td = TreeDecomposition({1: [1, 2]}, [])
-        ntd = make_nice(td)
-        kinds = [nd.kind for nd in ntd.nodes]
+        nodes = make_nice(td)
+        kinds = [nd.kind for nd in nodes]
         assert kinds == [LEAF, INTRODUCE, INTRODUCE, FORGET, FORGET]
-        assert [nd.vertex for nd in ntd.nodes] == [None, 1, 2, 1, 2]
-        assert ntd.nodes[ntd.root].bag == ()
+        assert [nd.vertex for nd in nodes] == [None, 1, 2, 1, 2]
+        assert nodes[-1].bag == ()
 
     def test_two_bag_path_width_preserved(self):
         td = TreeDecomposition({1: [1, 2], 2: [2, 3]}, [(1, 2)])
-        ntd = make_nice(td)
-        assert_nice(ntd, path3())
-        assert ntd.width == td.width == 1
+        nodes = make_nice(td)
+        assert_nice(nodes, path3())
+        assert nice_width(nodes) == td.width == 1
 
     def test_cyclic_or_disconnected_tree_rejected(self):
         bags = {1: [1, 2], 2: [2, 3], 3: [2]}
@@ -219,26 +218,26 @@ class TestMakeNice:
             make_nice(TreeDecomposition(bags | {4: [3]}, [(1, 2), (2, 3), (1, 3)]))
 
     def test_empty_graph_leaf_only(self):
-        ntd = make_nice(TreeDecomposition({1: []}, []))
-        assert len(ntd.nodes) == 1
-        assert ntd.nodes[0].kind == LEAF
+        nodes = make_nice(TreeDecomposition({1: []}, []))
+        assert len(nodes) == 1
+        assert nodes[0].kind == LEAF
 
     def test_star_decomposition_produces_joins(self):
         inst = AshgInstance(
             5, {(1, v): 1 for v in (2, 3, 4, 5)} | {(v, 1): 1 for v in (2, 3, 4, 5)}
         )
-        ntd = make_nice(heuristic_decompose(inst))
-        assert any(nd.kind == JOIN for nd in ntd.nodes)
-        assert_nice(ntd, inst)
+        nodes = make_nice(heuristic_decompose(inst))
+        assert any(nd.kind == JOIN for nd in nodes)
+        assert_nice(nodes, inst)
 
     def test_valid_and_width_preserving_on_random_instances(self):
         rng = random.Random(92)
         for t in range(120):
             inst = suite_instance(rng, t, n_max=8)
             td = heuristic_decompose(inst)
-            ntd = make_nice(td)
-            assert_nice(ntd, inst)
-            assert ntd.width == td.width
+            nodes = make_nice(td)
+            assert_nice(nodes, inst)
+            assert nice_width(nodes) == td.width
 
     def test_valid_exactly_when_the_input_is(self):
         # every nice bag lies in an input bag and every input bag appears
@@ -259,35 +258,33 @@ class TestMakeNice:
                 if kind in ("cycle", "disconnected"):
                     continue  # make_nice needs a tree
                 given = TreeDecomposition(bags, edges)
-                ntd = make_nice(given)
+                nodes = make_nice(given)
                 for target in (inst, fewer):
                     ok, problems = validate(given, target)
-                    assert axioms_via_copy(ntd, target)[0] == ok, kind
+                    assert axioms_via_copy(nodes, target)[0] == ok, kind
                     seen.update(problems)
         for text in ("is in no bag", "unknown vertex", "not connected in the tree"):
             assert any(text in p for p in seen), text
 
-    def test_vertices_below_root_is_everything(self):
-        inst = path_instance(6)
-        ntd = make_nice(heuristic_decompose(inst))
-        assert ntd.vertices_below(ntd.root) == frozenset(range(1, 7))
+
+def nice_width(nodes):
+    return max(0, max(len(nd.bag) for nd in nodes) - 1)
 
 
-def axioms_via_copy(ntd, inst):
+def axioms_via_copy(nodes, inst):
     """The decomposition axioms of the nice nodes, checked by validate on a
     TreeDecomposition copy of the nodes and their child links."""
     td = TreeDecomposition(
-        {i: nd.bag for i, nd in enumerate(ntd.nodes)},
-        [(i, c) for i, nd in enumerate(ntd.nodes) for c in nd.children],
+        {i: nd.bag for i, nd in enumerate(nodes)},
+        [(i, c) for i, nd in enumerate(nodes) for c in nd.children],
     )
     return validate(td, inst)
 
 
-def assert_nice(ntd, inst):
+def assert_nice(nodes, inst):
     """Per-kind nice structure, one parent per non-root node, and the
     axioms on a copy of the nodes."""
-    nodes = ntd.nodes
-    assert nodes[ntd.root].bag == ()
+    assert nodes[-1].bag == ()
     below = sorted(c for nd in nodes for c in nd.children)
     assert below == list(range(len(nodes) - 1))  # a tree rooted at the last node
     for i, nd in enumerate(nodes):
@@ -304,24 +301,22 @@ def assert_nice(ntd, inst):
             assert set(nd.bag) == kids[0] - {nd.vertex}
         else:
             assert nd.kind == JOIN and kids == [set(nd.bag)] * 2
-    assert axioms_via_copy(ntd, inst) == (True, [])
+    assert axioms_via_copy(nodes, inst) == (True, [])
 
 
-def two_branch_ntd() -> NiceTreeDecomposition:
+def two_branch_nodes() -> tuple[NiceNode, ...]:
     """Bag {1} with one branch adding 2 and one adding 3, joined, then emptied."""
-    return NiceTreeDecomposition(
-        [
-            NiceNode(LEAF, (), None, ()),
-            NiceNode(INTRODUCE, (1,), 1, (0,)),
-            NiceNode(INTRODUCE, (1, 2), 2, (1,)),
-            NiceNode(FORGET, (1,), 2, (2,)),
-            NiceNode(LEAF, (), None, ()),
-            NiceNode(INTRODUCE, (1,), 1, (4,)),
-            NiceNode(INTRODUCE, (1, 3), 3, (5,)),
-            NiceNode(FORGET, (1,), 3, (6,)),
-            NiceNode(JOIN, (1,), None, (3, 7)),
-            NiceNode(FORGET, (), 1, (8,)),
-        ]
+    return (
+        NiceNode(LEAF, (), None, ()),
+        NiceNode(INTRODUCE, (1,), 1, (0,)),
+        NiceNode(INTRODUCE, (1, 2), 2, (1,)),
+        NiceNode(FORGET, (1,), 2, (2,)),
+        NiceNode(LEAF, (), None, ()),
+        NiceNode(INTRODUCE, (1,), 1, (4,)),
+        NiceNode(INTRODUCE, (1, 3), 3, (5,)),
+        NiceNode(FORGET, (1,), 3, (6,)),
+        NiceNode(JOIN, (1,), None, (3, 7)),
+        NiceNode(FORGET, (), 1, (8,)),
     )
 
 
@@ -330,7 +325,7 @@ def canon(labels) -> tuple[int, ...]:
     return tuple(first.setdefault(lab, len(first)) for lab in labels)
 
 
-def run_partition_dp(ntd, placements, table_cap=100, stats=None):
+def run_partition_dp(nodes, placements, table_cap=100, stats=None):
     """Signatures are the bag's class labels; placements(v, sig, p) lists
     the labels the introduced vertex v may take at bag position p."""
 
@@ -345,8 +340,8 @@ def run_partition_dp(ntd, placements, table_cap=100, stats=None):
         return lambda sig: canon(sig[:p] + sig[p + 1 :])
 
     return run_nice_dp(
-        ntd, table_cap, (), introduce, forget,
-        join=lambda nd: lambda left, right: left,
+        nodes, table_cap, (), introduce, forget,
+        join=lambda left, right: left,
         classes=lambda sig: sig,
         stats=stats,
     )
@@ -364,14 +359,14 @@ class TestRunNiceDp:
             return [sig[0] if v % 2 == 0 else fresh_label(sig)]
 
         stats = {}
-        part = run_partition_dp(two_branch_ntd(), placements, stats=stats)
+        part = run_partition_dp(two_branch_nodes(), placements, stats=stats)
         assert part == Partition([1, 1, 2])
         assert stats == {"width": 1, "peak_table": 1, "nice_nodes": 10}
 
     def test_first_trace_in_insertion_order_wins(self):
-        ntd = make_nice(TreeDecomposition({1: [1, 2]}, []))
-        together_first = run_partition_dp(ntd, lambda v, sig, p: [*sig, fresh_label(sig)])
-        apart_first = run_partition_dp(ntd, lambda v, sig, p: [fresh_label(sig), *sig])
+        nodes = make_nice(TreeDecomposition({1: [1, 2]}, []))
+        together_first = run_partition_dp(nodes, lambda v, sig, p: [*sig, fresh_label(sig)])
+        apart_first = run_partition_dp(nodes, lambda v, sig, p: [fresh_label(sig), *sig])
         assert together_first == Partition([1, 1])
         assert apart_first == Partition([1, 2])
 
@@ -379,42 +374,42 @@ class TestRunNiceDp:
         def placements(v, sig, p):
             return [] if v == 3 else [fresh_label(sig)]
 
-        assert run_partition_dp(two_branch_ntd(), placements) is None
+        assert run_partition_dp(two_branch_nodes(), placements) is None
 
     def test_empty_decomposition_gives_empty_partition(self):
-        ntd = make_nice(TreeDecomposition({1: []}, []))
-        assert run_partition_dp(ntd, lambda v, sig, p: []) == Partition([])
+        nodes = make_nice(TreeDecomposition({1: []}, []))
+        assert run_partition_dp(nodes, lambda v, sig, p: []) == Partition([])
 
     def test_cap_writes_stats_before_raising(self):
         # the table that crossed the cap is the peak, reported with the width
         # and the node count of the walk it stopped
         stats = {}
         with pytest.raises(ResourceLimitError, match="at node 2 .introduce. exceeds cap 1"):
-            run_partition_dp(two_branch_ntd(), lambda v, sig, p: [0, fresh_label(sig)],
+            run_partition_dp(two_branch_nodes(), lambda v, sig, p: [0, fresh_label(sig)],
                              table_cap=1, stats=stats)
         assert stats == {"width": 1, "peak_table": 2, "nice_nodes": 10}
 
     def test_negative_cap_rejected_before_the_walk(self):
         stats = {}
         with pytest.raises(ValueError, match="table cap must be nonnegative, got -1"):
-            run_partition_dp(two_branch_ntd(), lambda v, sig, p: [0], table_cap=-1, stats=stats)
+            run_partition_dp(two_branch_nodes(), lambda v, sig, p: [0], table_cap=-1, stats=stats)
         assert stats == {}
 
     def test_traceback_on_isolated_vertices(self):
         # three one-vertex bags: every vertex is forgotten with an empty bag
-        ntd = make_nice(heuristic_decompose(AshgInstance(3)))
-        assert run_partition_dp(ntd, lambda v, sig, p: [fresh_label(sig)]) == Partition([1, 2, 3])
+        nodes = make_nice(heuristic_decompose(AshgInstance(3)))
+        assert run_partition_dp(nodes, lambda v, sig, p: [fresh_label(sig)]) == Partition([1, 2, 3])
 
     def test_cap_checked_on_every_insert(self):
         # the step never ends; only a per-insert check stops the node
         def endless(nd, child_bag):
             return lambda sig: ((i,) for i in itertools.count())
 
-        ntd = make_nice(TreeDecomposition({1: [1]}, []))
+        nodes = make_nice(TreeDecomposition({1: [1]}, []))
         with pytest.raises(ResourceLimitError):
             run_nice_dp(
-                ntd, 5, (), endless, lambda nd, bag: lambda sig: (),
-                join=lambda nd: lambda left, right: left,
+                nodes, 5, (), endless, lambda nd, bag: lambda sig: (),
+                join=lambda left, right: left,
                 classes=lambda sig: sig,
             )
 
@@ -430,7 +425,7 @@ class TestDecomposeSquare:
             want = heuristic_decompose(square_instance(inst))
             got = decompose_square(inst)
             assert got.bags == want.bags and got.edges == want.edges
-            assert make_nice(got).nodes == make_nice(want).nodes
+            assert make_nice(got) == make_nice(want)
 
 
 class TestSquareInstance:
@@ -478,7 +473,7 @@ def test_layers_outside_the_dp_scale_linearly():
     start = time.perf_counter()
     td = heuristic_decompose(inst)
     assert validate(td, inst) == (True, [])
-    assert len(make_nice(td).nodes) == 2 * n + 1
+    assert len(make_nice(td)) == 2 * n + 1
     stats = {}
     assert better_response_dynamics(inst, max_steps=4 * n, stats=stats) == Partition([1] * n)
     assert stats["steps"] == n - 1

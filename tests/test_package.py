@@ -1,11 +1,12 @@
 """The package's public names and sources: `ashg.__all__` lists each
 export once, every listed name exists, so a removed export cannot linger
-in it, and every module parses as the oldest Python that
-`pyproject.toml` admits."""
+in it, every module parses as the oldest Python that `pyproject.toml`
+admits, and the runtime imports nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,18 @@ def test_every_name_in_all_resolves():
 def test_source_parses_as_python_3_10(path):
     # pyproject.toml sets requires-python >= 3.10
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

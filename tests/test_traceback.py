@@ -20,20 +20,18 @@ from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, decompose_square, 
 from helpers import grid_instance, suite_instance, tree_instance
 
 
-def reference_run_nice_dp(ntd, table_cap, leaf, introduce, forget, join, classes):
-    nodes = ntd.nodes
+def reference_run_nice_dp(nodes, table_cap, leaf, introduce, forget, join, classes):
     tables: list[dict] = []
     for idx, nd in enumerate(nodes):
         kind = nd.kind
         if kind == LEAF:
             pairs = ((leaf, None),)
         elif kind == JOIN:
-            step2 = join(nd)
             by_classes: dict[tuple[int, ...], list] = {}
             for right in tables[nd.children[1]]:
                 by_classes.setdefault(classes(right), []).append(right)
             pairs = (
-                (step2(left, right), (left, right))
+                (join(left, right), (left, right))
                 for left in tables[nd.children[0]]
                 for right in by_classes.get(classes(left), ())
             )
@@ -55,12 +53,13 @@ def reference_run_nice_dp(ntd, table_cap, leaf, introduce, forget, join, classes
                     )
         tables.append(table)
 
-    root_table = tables[ntd.root]
+    root = len(nodes) - 1
+    root_table = tables[root]
     if not root_table:
         return None
     assign: dict[int, int] = {}
     fresh = 0
-    stack = [(ntd.root, next(iter(root_table)), [])]
+    stack = [(root, next(iter(root_table)), [])]
     while stack:
         idx, sig, ids = stack.pop()
         nd = nodes[idx]
@@ -96,20 +95,18 @@ def reference_run_nice_dp(ntd, table_cap, leaf, introduce, forget, join, classes
 
 
 def dp_arguments(instance, mode):
-    """(nice decomposition, leaf, introduce, forget, join, classes) of one solve."""
+    """(nice nodes, leaf, introduce, forget, join, classes) of one solve."""
     if mode == "nash":
-        introduce, forget = coloring._transitions(instance)
-        ntd = make_nice(decompose_square(instance))
-        return ntd, (), introduce, forget, lambda nd: lambda left, right: left, lambda sig: sig
-    introduce, forget, join = connected._transitions(instance)
-    ntd = make_nice(heuristic_decompose(instance))
-    return ntd, connected.EMPTY_SIGNATURE, introduce, forget, join, attrgetter("pi1")
+        nodes = make_nice(decompose_square(instance))
+        return nodes, (), *coloring._transitions(instance), lambda sig: sig
+    nodes = make_nice(heuristic_decompose(instance))
+    return nodes, connected.EMPTY_SIGNATURE, *connected._transitions(instance), attrgetter("pi1")
 
 
 def outcome(engine, instance, mode, table_cap):
-    ntd, leaf, introduce, forget, join, classes = dp_arguments(instance, mode)
+    nodes, leaf, introduce, forget, join, classes = dp_arguments(instance, mode)
     try:
-        return engine(ntd, table_cap, leaf, introduce, forget, join, classes)
+        return engine(nodes, table_cap, leaf, introduce, forget, join, classes)
     except ResourceLimitError as exc:
         return str(exc)
 
