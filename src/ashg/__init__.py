@@ -18,7 +18,6 @@ from .game import (
     is_connected_partition,
     is_nash_stable,
     utility,
-    utility_toward,
 )
 from .decomposition import (
     NiceNode,
@@ -28,23 +27,15 @@ from .decomposition import (
     square_instance,
     validate,
 )
-from .coloring import (
-    Coloring,
-    coloring_to_partition,
-    is_stable_coloring,
-    solve_nash_via_coloring,
-)
+from .coloring import solve_nash_via_coloring
 from .connected import (
     ConnectedSignature,
     forget_filter_passes,
-    signature_of,
     solve_connected_nash,
-    trace_survives_forget_filters,
 )
 from .oracle import (
     brute_force_connected_nash,
     brute_force_nash,
-    brute_force_stable_coloring,
     enumerate_partitions,
 )
 from .formats import (
@@ -78,7 +69,6 @@ __all__ = [
     "Partition",
     "DeviationWitness",
     "utility",
-    "utility_toward",
     "is_nash_stable",
     "is_connected_partition",
     "better_response_dynamics",
@@ -88,19 +78,13 @@ __all__ = [
     "heuristic_decompose",
     "make_nice",
     "square_instance",
-    "Coloring",
-    "is_stable_coloring",
-    "coloring_to_partition",
     "solve_nash_via_coloring",
     "ConnectedSignature",
     "solve_connected_nash",
-    "signature_of",
     "forget_filter_passes",
-    "trace_survives_forget_filters",
     "enumerate_partitions",
     "brute_force_nash",
     "brute_force_connected_nash",
-    "brute_force_stable_coloring",
     "CnfFormula",
     "SatHighDegreeLayout",
     "SatBoundedDegreeLayout",

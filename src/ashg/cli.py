@@ -22,6 +22,7 @@ from .decomposition import (
     DEFAULT_TABLE_CAP,
     MIN_DEGREE,
     MIN_FILL,
+    _check_table_cap,
     heuristic_decompose,
     square_instance,
 )
@@ -117,6 +118,7 @@ def cmd_solve(args) -> int:
         if partition is None:
             print(f"c no convergence within {args.max_steps} steps", file=sys.stderr)
     else:
+        _check_table_cap(args.table_cap)  # also before a --td or --strategy tree
         try:
             if args.mode == "nash":
                 partition = solve_nash_via_coloring(

@@ -20,52 +20,17 @@ no color count ever needs capping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .decomposition import (
     DEFAULT_TABLE_CAP,
+    _check_table_cap,
     canonical_labels,
     decompose_square,
     make_nice,
     run_nice_dp,
 )
-from .game import AshgInstance, DeviationWitness, Partition, _stability_witness
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A total assignment of colors 1..k to vertices 1..n."""
-
-    k: int
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        for v, c in enumerate(self.colors, start=1):
-            if not (1 <= c <= self.k):
-                raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
-
-
-def is_stable_coloring(
-    instance: AshgInstance, coloring: Coloring
-) -> tuple[bool, DeviationWitness | None]:
-    """Check the stability condition for every vertex.
-
-    The witness target is a color class id, or SINGLETON when the vertex
-    fails against the empty class (own utility negative).
-    """
-    if len(coloring.colors) != instance.n:
-        raise ValueError(
-            f"coloring assigns {len(coloring.colors)} vertices, instance has {instance.n}"
-        )
-    return _stability_witness(instance, coloring.colors)
-
-
-def coloring_to_partition(coloring: Coloring) -> Partition:
-    """Nonempty color classes as coalitions (ids renormalized)."""
-    return Partition(coloring.colors)
+from .game import AshgInstance, Partition
 
 
 def solve_nash_via_coloring(
@@ -94,10 +59,12 @@ def solve_nash_via_coloring(
     in the tables' insertion order, so the output is deterministic.
 
     Returns a Nash Stable partition or None; raises ResourceLimitError
-    when a signature table would exceed table_cap.  `stats` receives the
+    when a signature table would exceed table_cap, and ValueError for a
+    negative table_cap before any decomposition work.  `stats` receives the
     width of the G^2 decomposition, `peak_table` and `nice_nodes`, also
     when the cap is hit (`peak_table` is then the size that crossed it).
     """
+    _check_table_cap(table_cap)
     return run_nice_dp(
         make_nice(decompose_square(instance)), table_cap, (), *_transitions(instance),
         classes=lambda sig: sig,

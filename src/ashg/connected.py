@@ -41,9 +41,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import (
     DEFAULT_TABLE_CAP,
-    FORGET,
-    NiceNode,
     TreeDecomposition,
+    _check_table_cap,
     canonical_labels,
     heuristic_decompose,
     make_nice,
@@ -86,27 +85,18 @@ def _in_bag_sums(pi1: tuple[int, ...], p: int, arcs_from_x: Sequence[int]) -> li
     return sums
 
 
-def forget_filter_passes(
-    sig: ConnectedSignature,
-    p: int,
-    arcs_from_x: Sequence[int],
-    in_bag: Sequence[int] | None = None,
-) -> bool:
+def forget_filter_passes(sig: ConnectedSignature, p: int, in_bag: Sequence[int]) -> bool:
     """Stability-and-connectivity test applied when bag position p is forgotten.
 
-    arcs_from_x[q] is w(x, bag[q]) for the leaving vertex x.  `in_bag`,
-    when given, must be x's utility toward each class's other bag
-    members as computed from arcs_from_x; the DP passes its cached copy.
-    The vertex leaving the bag has its whole neighborhood inside B+, so
-    its stored row plus its in-bag class sums is its exact utility
-    toward every class, and the checks are exact: own utility
-    nonnegative, no better pi1 class, no better completed coalition, and
-    its pi2 component must still touch the bag if the coalition is
-    supposed to have other members.
+    `in_bag` is the leaving vertex x's utility toward each pi1 class's
+    other bag members (as _in_bag_sums computes it).  x has its whole
+    neighborhood inside B+, so its stored row plus its in-bag class sums
+    is its exact utility toward every class, and the checks are exact:
+    own utility nonnegative, no better pi1 class, no better completed
+    coalition, and its pi2 component must still touch the bag if the
+    coalition is supposed to have other members.
     """
     pi1, pi2, util, best = sig
-    if in_bag is None:
-        in_bag = _in_bag_sums(pi1, p, arcs_from_x)
     ncls = len(in_bag)
     full = tuple(map(add, util[p * ncls : (p + 1) * ncls], in_bag))
     cls = pi1[p]
@@ -212,8 +202,10 @@ def solve_connected_nash(
     runs on make_nice(td).  Anything else, make_nice's tuple of nodes
     included, is a TypeError.  The first trace in the tables' insertion
     order is returned, so the output is deterministic.  Raises
-    ResourceLimitError when a signature table would exceed table_cap.
+    ResourceLimitError when a signature table would exceed table_cap, and
+    ValueError for a negative table_cap before any decomposition work.
     """
+    _check_table_cap(table_cap)
     if td is None:
         td = heuristic_decompose(instance)
     elif not isinstance(td, TreeDecomposition):
@@ -275,7 +267,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
                     addvec = tuple(vec)
                 plan = plans[pi1] = (_in_bag_sums(pi1, p, arcs_from_x), new_pi1, gather, addvec, column)
             in_bag, new_pi1, gather, addvec, column = plan
-            if not forget_filter_passes(sig, p, arcs_from_x, in_bag):
+            if not forget_filter_passes(sig, p, in_bag):
                 return None
             new_pi2 = _drop(pi2, p)
             rest = best[:p] + best[p + 1 :]
@@ -300,100 +292,3 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
         )
 
     return introduce, forget, join
-
-
-def signature_of(
-    instance: AshgInstance,
-    nodes: tuple[NiceNode, ...],
-    node_id: int,
-    partition: Partition,
-) -> ConnectedSignature:
-    """The signature a full partition induces at one node, computed directly.
-
-    This is the independent reference for the DP transitions: it looks
-    at the real coalitions, restricted to the vertices below the node.
-    `util` counts only coalition members already forgotten below the
-    node (below it but not in its bag), flat and row-major by bag
-    position, as in the module docstring.
-    """
-    if not (0 <= node_id < len(nodes)):
-        raise ValueError(f"node id {node_id} out of range")
-    if partition.n != instance.n:
-        raise ValueError("partition does not cover the instance")
-    bag = nodes[node_id].bag
-    below: set[int] = set()  # the union of the bags in the node's subtree
-    stack = [node_id]
-    while stack:
-        nd = nodes[stack.pop()]
-        below.update(nd.bag)
-        stack.extend(nd.children)
-    forgotten = below - set(bag)
-
-    pi1_raw = [partition.class_of(v) for v in bag]
-    pi1, _ = canonical_labels(pi1_raw)
-    nclasses = max(pi1) + 1 if pi1 else 0
-    class_block: list[set[int]] = [set() for _ in range(nclasses)]
-    for q, v in enumerate(bag):
-        class_block[pi1[q]] = set(partition.members(partition.class_of(v)))
-
-    # realized connectivity: components of (coalition ∩ below)
-    comp_of: dict[int, int] = {}
-    comp_count = 0
-    for c in range(nclasses):
-        part = sorted(class_block[c] & below)
-        part_set = set(part)
-        seen: set[int] = set()
-        for start in part:
-            if start in seen:
-                continue
-            comp_count += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp_of[x] = comp_count
-                for y in instance.neighbors[x]:
-                    if y in part_set and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-    pi2, _ = canonical_labels([comp_of[v] for v in bag])
-
-    util = tuple(
-        sum(w for u, w in instance.out[x] if u in class_block[c] and u in forgotten)
-        for x in bag
-        for c in range(nclasses)
-    )
-
-    best = []
-    for x in bag:
-        cand = 0
-        for blk in partition.blocks():
-            blk_set = set(blk)
-            if blk_set & set(bag):
-                continue
-            if not blk_set <= below:
-                continue
-            cand = max(cand, sum(w for u, w in instance.out[x] if u in blk_set))
-        best.append(cand)
-    return ConnectedSignature(pi1, pi2, util, tuple(best))
-
-
-def trace_survives_forget_filters(
-    instance: AshgInstance,
-    nodes: tuple[NiceNode, ...],
-    partition: Partition,
-) -> bool:
-    """Check that a partition's signature trace passes every forget filter.
-
-    For a connected Nash Stable partition this must hold at every FORGET
-    node, otherwise the dynamic program would wrongly discard it.
-    """
-    for nd in nodes:
-        if nd.kind != FORGET:
-            continue
-        child_bag = nodes[nd.children[0]].bag
-        sig = signature_of(instance, nodes, nd.children[0], partition)
-        arcs_from_x = tuple(instance.arcs.get((nd.vertex, u), 0) for u in child_bag)
-        if not forget_filter_passes(sig, child_bag.index(nd.vertex), arcs_from_x):
-            return False
-    return True

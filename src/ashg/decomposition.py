@@ -209,6 +209,15 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
             s, v = heapq.heappop(heap)
             if v in adj and score(adj[v]) == s:
                 break
+        if len(adj[v]) == len(adj) - 1:
+            # v sees every other vertex.  With the least degree, all do; with
+            # the least fill, no pair is missing, since a vertex of a missing
+            # pair would have less fill than v.  So what is left is a clique,
+            # every score ties, and both heuristics eliminate it by id
+            rest = sorted(adj)
+            bags.extend([frozenset(rest[i:]) for i in range(len(rest))])
+            order.extend(rest)
+            break
         nbrs = adj.pop(v)
         bags.append(frozenset(nbrs) | {v})
         for a in nbrs:
@@ -317,6 +326,13 @@ def canonical_labels(labels: Iterable[int]) -> tuple[tuple[int, ...], dict[int, 
 DEFAULT_TABLE_CAP = 1_000_000
 
 
+def _check_table_cap(table_cap: int) -> None:
+    """Both solvers and `ashg solve` call this before any decomposition
+    work, so a bad cap costs nothing."""
+    if table_cap < 0:
+        raise ValueError(f"table cap must be nonnegative, got {table_cap}")
+
+
 def run_nice_dp(
     nodes: tuple[NiceNode, ...],
     table_cap: int,
@@ -359,8 +375,7 @@ def run_nice_dp(
     signature, or opens a coalition of its own.  Vertices must be 1..n,
     each forgotten once, as in a validated decomposition.
     """
-    if table_cap < 0:
-        raise ValueError(f"table cap must be nonnegative, got {table_cap}")
+    _check_table_cap(table_cap)
     if stats is None:
         stats = {}
     stats["width"] = max(0, max((len(nd.bag) for nd in nodes), default=0) - 1)

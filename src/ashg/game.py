@@ -186,9 +186,9 @@ SINGLETON = None
 class DeviationWitness:
     """A strictly improving move certifying instability.
 
-    `target` is the id of an existing coalition (or color class), or
-    SINGLETON (None) for a move into a fresh empty coalition.  The
-    improvement is strict: target_utility > current_utility.
+    `target` is the id of an existing coalition, or SINGLETON (None) for
+    a move into a fresh empty coalition.  The improvement is strict:
+    target_utility > current_utility.
     """
 
     vertex: int
@@ -210,17 +210,6 @@ def utility(instance: AshgInstance, partition: Partition, v: int) -> int:
     cid = partition.class_of(v)
     labels = partition.labels
     return sum(w for u, w in instance.out[v] if labels[u - 1] == cid)
-
-
-def utility_toward(instance: AshgInstance, v: int, coalition: Iterable[int]) -> int:
-    """Utility v would get as a member of the given vertex set (v excluded)."""
-    if not (1 <= v <= instance.n):
-        raise ValueError(f"vertex {v} not in 1..{instance.n}")
-    members = set(coalition)
-    for u in members:
-        if not (1 <= u <= instance.n):
-            raise ValueError(f"coalition member {u} not in 1..{instance.n}")
-    return sum(w for u, w in instance.out[v] if u in members and u != v)
 
 
 def _first_violation(
@@ -260,19 +249,6 @@ def _first_violation(
     return None
 
 
-def _stability_witness(
-    instance: AshgInstance, labels: Sequence[int]
-) -> tuple[bool, DeviationWitness | None]:
-    """(stable, first deviation); a negative own utility goes to SINGLETON."""
-    hit = _first_violation(instance, labels)
-    if hit is None:
-        return True, None
-    v, own, target, gain = hit
-    if own < 0:
-        target, gain = SINGLETON, 0
-    return False, DeviationWitness(v, own, target, gain)
-
-
 def is_nash_stable(
     instance: AshgInstance, partition: Partition
 ) -> tuple[bool, DeviationWitness | None]:
@@ -283,7 +259,13 @@ def is_nash_stable(
     A negative own utility is reported as a move to SINGLETON.
     """
     _check_partition(instance, partition)
-    return _stability_witness(instance, partition.labels)
+    hit = _first_violation(instance, partition.labels)
+    if hit is None:
+        return True, None
+    v, own, target, gain = hit
+    if own < 0:
+        target, gain = SINGLETON, 0
+    return False, DeviationWitness(v, own, target, gain)
 
 
 def _connected_block(neighbors: Sequence[Sequence[int]], block: Sequence[int]) -> bool:

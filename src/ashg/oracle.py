@@ -8,19 +8,18 @@ they are written for clarity first and mild speed second.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .coloring import Coloring
 from .errors import OracleCapError
 from .game import AshgInstance, Partition, _connected_block, _first_violation
 
 DEFAULT_PARTITION_CAP = 12  # Bell(12) = 4,213,597 partitions
 
 
-def _rgs(n: int, max_blocks: int | None = None) -> Iterator[list[int]]:
+def _rgs(n: int) -> Iterator[list[int]]:
     """Restricted growth strings of length n, lexicographically.
 
-    label[i] <= 1 + max(label[:i]); optionally capped block count.
+    label[i] <= 1 + max(label[:i]).
     """
     if n == 0:
         yield []
@@ -31,13 +30,9 @@ def _rgs(n: int, max_blocks: int | None = None) -> Iterator[list[int]]:
     yield labels[:]
     while True:
         limit = maxes[i - 1] + 1 if i > 0 else 0
-        if max_blocks is not None:
-            limit = min(limit, max_blocks - 1)
         while i > 0 and labels[i] >= limit:
             i -= 1
             limit = maxes[i - 1] + 1 if i > 0 else 0
-            if max_blocks is not None:
-                limit = min(limit, max_blocks - 1)
         if i == 0:
             return
         labels[i] += 1
@@ -95,33 +90,4 @@ def brute_force_connected_nash(
         if all(_connected_block(nbrs, blk) for blk in blocks.values()):
             if _first_violation(instance, labels) is None:
                 return Partition(labels)
-    return None
-
-
-DEFAULT_COLORING_CAP = 10**9  # bound on the nominal k^n search space
-
-
-def brute_force_stable_coloring(
-    instance: AshgInstance, k: int, cap: int = DEFAULT_COLORING_CAP
-) -> Coloring | None:
-    """First stable k-coloring in enumeration order, or None.
-
-    Stability is invariant under renaming colors, and a coloring with
-    empty classes is stable iff the coloring using only its nonempty
-    classes is, so the k^n color vectors are searched through their
-    class partitions: restricted growth strings with at most k blocks.
-    The first hit is realized with colors 1..(block count).
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if cap < 0:
-        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
-    effective = min(k, instance.n)  # colors beyond n can never all be used
-    if instance.n and effective ** instance.n > cap:
-        raise OracleCapError(
-            f"search space {effective}**{instance.n} exceeds the cap {cap}"
-        )
-    for labels in _rgs(instance.n, max_blocks=k):
-        if _first_violation(instance, labels) is None:
-            return Coloring(k, tuple(c + 1 for c in labels))
     return None

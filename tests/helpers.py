@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import itertools
 
-from ashg import AshgInstance, CnfFormula, Partition
+from ashg import (
+    AshgInstance,
+    CnfFormula,
+    ConnectedSignature,
+    Partition,
+    enumerate_partitions,
+    forget_filter_passes,
+    is_nash_stable,
+)
+from ashg.decomposition import FORGET, canonical_labels
 
 
 def uniform_instance(rng, n_max=8, max_degree=4, w_lo=-3, w_hi=3):
@@ -225,6 +234,105 @@ def naive_validate(td, instance):
     return not violations, violations
 
 
+def signature_of(instance, nodes, node_id, partition):
+    """The signature a full partition induces at one node, computed directly.
+
+    This is the independent reference for the connected DP's transitions:
+    it looks at the real coalitions, restricted to the vertices below the
+    node.  `util` counts only coalition members already forgotten below
+    the node (below it but not in its bag), flat and row-major by bag
+    position, as in the `ashg.connected` module docstring.
+    """
+    if not (0 <= node_id < len(nodes)):
+        raise ValueError(f"node id {node_id} out of range")
+    if partition.n != instance.n:
+        raise ValueError("partition does not cover the instance")
+    bag = nodes[node_id].bag
+    below = set()  # the union of the bags in the node's subtree
+    stack = [node_id]
+    while stack:
+        nd = nodes[stack.pop()]
+        below.update(nd.bag)
+        stack.extend(nd.children)
+    forgotten = below - set(bag)
+
+    pi1_raw = [partition.class_of(v) for v in bag]
+    pi1, _ = canonical_labels(pi1_raw)
+    nclasses = max(pi1) + 1 if pi1 else 0
+    class_block = [set() for _ in range(nclasses)]
+    for q, v in enumerate(bag):
+        class_block[pi1[q]] = set(partition.members(partition.class_of(v)))
+
+    # realized connectivity: components of (coalition ∩ below)
+    comp_of = {}
+    comp_count = 0
+    for c in range(nclasses):
+        part = sorted(class_block[c] & below)
+        part_set = set(part)
+        seen = set()
+        for start in part:
+            if start in seen:
+                continue
+            comp_count += 1
+            stack = [start]
+            seen.add(start)
+            while stack:
+                x = stack.pop()
+                comp_of[x] = comp_count
+                for y in instance.neighbors[x]:
+                    if y in part_set and y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+    pi2, _ = canonical_labels([comp_of[v] for v in bag])
+
+    util = tuple(
+        sum(w for u, w in instance.out[x] if u in class_block[c] and u in forgotten)
+        for x in bag
+        for c in range(nclasses)
+    )
+
+    best = []
+    for x in bag:
+        cand = 0
+        for blk in partition.blocks():
+            blk_set = set(blk)
+            if blk_set & set(bag):
+                continue
+            if not blk_set <= below:
+                continue
+            cand = max(cand, sum(w for u, w in instance.out[x] if u in blk_set))
+        best.append(cand)
+    return ConnectedSignature(pi1, pi2, util, tuple(best))
+
+
+def in_bag_sums(pi1, p, arcs_from_x):
+    """Utility of the vertex x at bag position p toward each pi1 class's
+    other bag members, where arcs_from_x[q] is w(x, bag[q]); the reference
+    for the sums the connected DP caches per FORGET plan."""
+    return [
+        sum(w for q, (lab, w) in enumerate(zip(pi1, arcs_from_x)) if lab == c and q != p)
+        for c in range(max(pi1) + 1)
+    ]
+
+
+def trace_survives_forget_filters(instance, nodes, partition):
+    """Check that a partition's signature trace passes every forget filter.
+
+    For a connected Nash Stable partition this must hold at every FORGET
+    node, otherwise the dynamic program would wrongly discard it.
+    """
+    for nd in nodes:
+        if nd.kind != FORGET:
+            continue
+        child_bag = nodes[nd.children[0]].bag
+        sig = signature_of(instance, nodes, nd.children[0], partition)
+        arcs_from_x = tuple(instance.weight(nd.vertex, u) for u in child_bag)
+        p = child_bag.index(nd.vertex)
+        if not forget_filter_passes(sig, p, in_bag_sums(sig.pi1, p, arcs_from_x)):
+            return False
+    return True
+
+
 def naive_elimination_bags(instance, strategy):
     """Elimination by a min() over all remaining vertices, keyed by degree
     for "min-degree" and by fill count (non-adjacent neighbor pairs) for
@@ -275,6 +383,20 @@ def naive_stable_exists(instance):
             return True
     return False
 
+
+
+def first_stable_coloring(instance, k):
+    """First stable k-coloring in enumeration order, as its partition, or None.
+
+    An empty color class pays 0 like the empty coalition, so up to renaming
+    colors a stable k-coloring is a Nash stable partition with at most k
+    classes.
+    """
+    return next(
+        (p for p in enumerate_partitions(instance.n)
+         if p.num_classes <= k and is_nash_stable(instance, p)[0]),
+        None,
+    )
 
 def all_partitions(elements):
     """Every set partition of a list, by recursive first-element placement."""

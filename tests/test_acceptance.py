@@ -15,7 +15,6 @@ from pathlib import Path
 from ashg import (
     brute_force_connected_nash,
     brute_force_nash,
-    brute_force_stable_coloring,
     gen_bin_packing,
     gen_sat_bounded_degree,
     gen_sat_high_degree,
@@ -33,17 +32,18 @@ from ashg import (
     solve_connected_nash,
     solve_nash_via_coloring,
     square_instance,
-    trace_survives_forget_filters,
     witness_sat_bounded_degree,
     witness_sat_high_degree,
 )
 from ashg.cli import main
 from helpers import (
     bin_packing_feasible,
+    first_stable_coloring,
     random_satisfiable_cnf,
     path_instance,
     suite_instance,
     three_partition_feasible,
+    trace_survives_forget_filters,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,7 +110,7 @@ def test_criterion_3_stable_coloring_equivalence(capsys):
         inst = suite_instance(rng, t, n_max=7)
         k = max(1, heuristic_decompose(inst).max_bag_size * inst.max_degree)
         partition_exists = brute_force_nash(inst) is not None
-        coloring_exists = brute_force_stable_coloring(inst, k) is not None
+        coloring_exists = first_stable_coloring(inst, k) is not None
         if partition_exists != coloring_exists:
             mismatches += 1
     ok = mismatches == 0

@@ -164,6 +164,33 @@ class TestSolve:
         assert "table cap must be nonnegative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    def test_negative_table_cap_refused_before_decomposing(self, mode, monkeypatch, capsys):
+        # a 2 000-vertex star would spend minutes decomposing before the DP
+        # read the cap, so the solvers check it first, library and CLI alike
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (ashg.cli, ashg.coloring, ashg.connected, ashg.decomposition):
+            for name in ("heuristic_decompose", "decompose_square"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        solve = {"nash": ashg.solve_nash_via_coloring,
+                 "connected-nash": ashg.solve_connected_nash}[mode]
+        with pytest.raises(ValueError, match="table cap must be nonnegative, got -1"):
+            solve(parse_instance(golden_text("path6.ashg")), table_cap=-1)
+        args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "-1"]
+        assert main(args) == 3
+        if mode == "connected-nash":
+            assert main(args + ["--strategy", "min-fill"]) == 3
+        assert "table cap must be nonnegative, got -1" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
     def test_zero_table_cap_still_caps(self, mode, capsys):
         # the first INTRODUCE table already exceeds a cap of 0
         args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "0"]

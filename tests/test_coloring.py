@@ -12,20 +12,23 @@ from hypothesis import strategies as st
 
 from ashg import (
     AshgInstance,
-    Coloring,
     Partition,
     ResourceLimitError,
     brute_force_nash,
-    brute_force_stable_coloring,
-    coloring_to_partition,
     heuristic_decompose,
     is_nash_stable,
-    is_stable_coloring,
     solve_nash_via_coloring,
 )
 from ashg.coloring import _transitions
 from ashg.decomposition import FORGET, INTRODUCE, NiceNode, canonical_labels
-from helpers import grid_instance, naive_is_stable, path_instance, suite_instance, tree_instance
+from helpers import (
+    first_stable_coloring,
+    grid_instance,
+    naive_is_stable,
+    path_instance,
+    suite_instance,
+    tree_instance,
+)
 
 
 def stalker() -> AshgInstance:
@@ -42,57 +45,34 @@ def paper_k(inst: AshgInstance) -> int:
     return max(1, min(inst.n, heuristic_decompose(inst).max_bag_size * inst.max_degree))
 
 
-class TestColoring:
-    def test_rejects_out_of_range_color(self):
-        with pytest.raises(ValueError):
-            Coloring(2, (1, 3))
-        with pytest.raises(ValueError):
-            Coloring(0, ())
-
-
 class TestIsStableColoring:
+    """A coloring is stable exactly when its nonempty color classes form a
+    Nash stable partition, so is_nash_stable decides it."""
+
     def test_friends_monochrome_stable(self):
-        ok, witness = is_stable_coloring(friends(), Coloring(2, (1, 1)))
+        ok, witness = is_nash_stable(friends(), Partition((1, 1)))
         assert ok and witness is None
 
     def test_friends_split_unstable(self):
-        ok, witness = is_stable_coloring(friends(), Coloring(2, (1, 2)))
+        ok, witness = is_nash_stable(friends(), Partition((1, 2)))
         assert not ok
         assert (witness.vertex, witness.target, witness.target_utility) == (1, 2, 1)
 
     def test_stalker_all_two_colorings_fail(self):
         for colors in itertools.product((1, 2), repeat=2):
-            assert not is_stable_coloring(stalker(), Coloring(2, colors))[0]
-
-    def test_negative_own_reports_empty_class(self):
-        inst = AshgInstance(2, [(1, 2, -1)])
-        ok, witness = is_stable_coloring(inst, Coloring(1, (1, 1)))
-        assert not ok and witness.target is None
+            assert not is_nash_stable(stalker(), Partition(colors))[0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            is_stable_coloring(friends(), Coloring(2, (1,)))
+            is_nash_stable(friends(), Partition((1,)))
 
     def test_agrees_with_partition_stability_when_all_classes_used(self):
-        # a coloring whose classes are all nonempty is stable iff the
-        # induced partition is Nash stable
         rng = random.Random(211)
         for t in range(150):
             inst = suite_instance(rng, t, n_max=6)
             labels = [rng.randint(1, 3) for _ in range(inst.n)]
             part = Partition(labels)
-            k = part.num_classes
-            coloring = Coloring(k, tuple(part.labels))
-            assert is_stable_coloring(inst, coloring)[0] == naive_is_stable(inst, part)
-
-
-class TestColoringToPartition:
-    def test_merges_and_normalizes(self):
-        assert coloring_to_partition(Coloring(3, (2, 2, 3))) == Partition([1, 1, 2])
-
-    def test_three_path_split(self):
-        part = coloring_to_partition(Coloring(2, (1, 2, 1)))
-        assert part.blocks() == ((1, 3), (2,))
+            assert is_nash_stable(inst, part)[0] == naive_is_stable(inst, part)
 
 
 class TestSolveNashViaColoring:
@@ -148,7 +128,7 @@ class TestSolveNashViaColoring:
         for t in range(60):
             inst = suite_instance(rng, t, n_max=5)
             got = solve_nash_via_coloring(inst)
-            coloring = brute_force_stable_coloring(inst, paper_k(inst))
+            coloring = first_stable_coloring(inst, paper_k(inst))
             assert (got is None) == (coloring is None)
 
     def test_grid_peak_table_stays_small(self):

@@ -18,12 +18,10 @@ from ashg import (
     is_connected_partition,
     is_nash_stable,
     make_nice,
-    signature_of,
     solve_connected_nash,
     solve_nash_via_coloring,
     square_instance,
     TreeDecomposition,
-    trace_survives_forget_filters,
 )
 from ashg.connected import EMPTY_SIGNATURE, _in_bag_sums, _transitions
 from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF
@@ -31,9 +29,12 @@ from helpers import (
     caterpillar_instance,
     cycle_instance,
     grid_instance,
+    in_bag_sums,
     naive_is_stable,
     path_instance,
+    signature_of,
     suite_instance,
+    trace_survives_forget_filters,
     tree_instance,
 )
 
@@ -94,46 +95,52 @@ class TestSignatureOf:
         assert full == [0, 1]
 
 
+def passes(sig, p, arcs_from_x):
+    """The forget filter, fed the in-bag sums of the test reference."""
+    return forget_filter_passes(sig, p, in_bag_sums(sig.pi1, p, arcs_from_x))
+
+
 class TestForgetFilter:
     # util is flat and row-major: util[q * ncls + c]
     def test_negative_own_rejected(self):
         sig = ConnectedSignature((0,), (0,), (-1,), (0,))
-        assert not forget_filter_passes(sig, 0, (0,))
+        assert not passes(sig, 0, (0,))
 
     def test_negative_own_from_in_bag_arcs_rejected(self):
         # stored row is 0, but the in-bag partner at position 1 is disliked
         sig = ConnectedSignature((0, 0), (0, 0), (0, 0), (0, 0))
-        assert not forget_filter_passes(sig, 0, (0, -1))
+        assert not passes(sig, 0, (0, -1))
 
     def test_better_cross_class_rejected(self):
         sig = ConnectedSignature((0, 1), (0, 1), (0, 2, 0, 0), (0, 0))
-        assert not forget_filter_passes(sig, 0, (0, 0))
+        assert not passes(sig, 0, (0, 0))
 
     def test_better_cross_class_from_in_bag_arcs_rejected(self):
         # the other class's bag member at position 1 is worth 2 to position 0
         sig = ConnectedSignature((0, 1), (0, 1), (0, 0, 0, 0), (0, 0))
-        assert not forget_filter_passes(sig, 0, (0, 2))
-        assert forget_filter_passes(sig, 0, (0, 0))
+        assert not passes(sig, 0, (0, 2))
+        assert passes(sig, 0, (0, 0))
 
     def test_better_completed_coalition_rejected(self):
         sig = ConnectedSignature((0,), (0,), (1,), (2,))
-        assert not forget_filter_passes(sig, 0, (0,))
+        assert not passes(sig, 0, (0,))
 
     def test_unreachable_component_rejected(self):
         # vertex at position 1 shares its class with position 0 but sits in
         # its own connectivity component: it can never reconnect
         sig = ConnectedSignature((0, 0), (0, 1), (1, 1), (0, 0))
-        assert not forget_filter_passes(sig, 1, (0, 0))
+        assert not passes(sig, 1, (0, 0))
 
     def test_happy_path_passes(self):
         sig = ConnectedSignature((0, 0), (0, 0), (1, 1), (0, 0))
-        assert forget_filter_passes(sig, 0, (0, 0))
+        assert passes(sig, 0, (0, 0))
 
     def test_cached_in_bag_sums_agree(self):
-        sig = ConnectedSignature((0, 1, 0), (0, 1, 2), (1, 0, 0, 0, 0, 0), (0, 0, 0))
-        for arcs in ((0, 0, 0), (0, 3, 0), (0, 0, -2), (0, -1, 1)):
-            in_bag = _in_bag_sums(sig.pi1, 0, arcs)
-            assert forget_filter_passes(sig, 0, arcs, in_bag) == forget_filter_passes(sig, 0, arcs)
+        # the DP caches _in_bag_sums per FORGET plan; the reference sums apart
+        pi1 = (0, 1, 0)
+        for arcs in ((0, 0, 0), (0, 3, 0), (0, 0, -2), (0, -1, 1), (4, -1, 1)):
+            for p in range(3):
+                assert _in_bag_sums(pi1, p, arcs) == in_bag_sums(pi1, p, arcs)
 
 
 class TestTraceSurvival:

@@ -20,13 +20,12 @@ from ashg import (
     forget_filter_passes,
     heuristic_decompose,
     make_nice,
-    signature_of,
     solve_connected_nash,
 )
 from ashg import connected
 from ashg.connected import EMPTY_SIGNATURE, _transitions
 from ashg.decomposition import INTRODUCE, JOIN, LEAF
-from helpers import grid_instance, suite_instance
+from helpers import grid_instance, in_bag_sums, signature_of, suite_instance
 
 SHARED_PLANS = (
     connected._placements,
@@ -134,6 +133,7 @@ def test_transitions_reproduce_signature_of_on_connected_partitions(case):
             else:
                 p = child_bag.index(nd.vertex)
                 arcs_from_x = tuple(inst.weight(nd.vertex, u) for u in child_bag)
-                passes = forget_filter_passes(sigs[child], p, arcs_from_x)
+                in_bag = in_bag_sums(sigs[child].pi1, p, arcs_from_x)
+                passes = forget_filter_passes(sigs[child], p, in_bag)
                 expected = sigs[i] if passes else None
                 assert forget(nd, child_bag)(sigs[child]) == expected

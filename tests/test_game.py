@@ -16,7 +16,6 @@ from ashg import (
     is_connected_partition,
     is_nash_stable,
     utility,
-    utility_toward,
 )
 from helpers import frustrated_instance, naive_is_stable, suite_instance
 
@@ -166,18 +165,11 @@ class TestPartition:
 
 
 class TestUtilities:
-    def test_utility_toward_single_friend(self):
-        assert utility_toward(friends(), 1, [2]) == 1
-
     def test_utility_in_partition(self):
         inst = path3()
         grand = Partition([1, 1, 1])
         assert utility(inst, grand, 2) == 2
         assert utility(inst, grand, 1) == 1
-
-    def test_utility_toward_rejects_bad_member(self):
-        with pytest.raises(ValueError):
-            utility_toward(friends(), 1, [5])
 
 
 class TestIsNashStable:

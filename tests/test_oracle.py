@@ -9,20 +9,17 @@ import pytest
 
 from ashg import (
     AshgInstance,
-    Coloring,
     OracleCapError,
     Partition,
     brute_force_connected_nash,
     brute_force_nash,
-    brute_force_stable_coloring,
     enumerate_partitions,
     is_connected_partition,
-    is_nash_stable,
-    is_stable_coloring,
 )
 from helpers import (
     all_partitions,
     bell_numbers,
+    first_stable_coloring,
     naive_is_stable,
     naive_stable_exists,
     suite_instance,
@@ -148,40 +145,22 @@ class TestBruteForceConnectedNash:
 
 class TestBruteForceStableColoring:
     def test_friends_monochrome(self):
-        coloring = brute_force_stable_coloring(friends(), k=2)
-        assert coloring is not None
-        assert coloring.colors[0] == coloring.colors[1]
+        part = first_stable_coloring(friends(), k=2)
+        assert part == Partition([1, 1])
 
     def test_stalker_none_even_with_four_colors(self):
-        assert brute_force_stable_coloring(stalker(), k=4) is None
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            brute_force_stable_coloring(friends(), k=0)
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_negative_cap_rejected(self, n):
-        # n = 0 has a one-point search space that no cap check reaches
-        with pytest.raises(ValueError, match="oracle cap must be nonnegative, got -1"):
-            brute_force_stable_coloring(AshgInstance(n), k=1, cap=-1)
-        assert brute_force_stable_coloring(AshgInstance(n), k=1, cap=1) is not None
-
-    def test_cap_uses_effective_colors(self):
-        # k far above n is harmless: only min(k, n) colors can be used
-        assert brute_force_stable_coloring(friends(), k=10**6) is not None
-        with pytest.raises(OracleCapError):
-            brute_force_stable_coloring(AshgInstance(12), k=12, cap=10**6)
+        assert first_stable_coloring(stalker(), k=4) is None
 
     def test_existence_matches_full_color_product(self):
         rng = random.Random(737)
         for t in range(60):
             inst = suite_instance(rng, t, n_max=4)
             for k in (1, 2, 3):
-                got = brute_force_stable_coloring(inst, k)
+                got = first_stable_coloring(inst, k)
                 expected = any(
-                    is_stable_coloring(inst, Coloring(k, colors))[0]
+                    naive_is_stable(inst, Partition(colors))
                     for colors in itertools.product(range(1, k + 1), repeat=inst.n)
                 )
                 assert (got is not None) == expected
                 if got is not None:
-                    assert is_stable_coloring(inst, got)[0]
+                    assert got.num_classes <= k and naive_is_stable(inst, got)
