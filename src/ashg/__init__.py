@@ -48,21 +48,6 @@ from .formats import (
     serialize_instance,
     serialize_partition,
 )
-from .reductions import (
-    BinPackingLayout,
-    CnfFormula,
-    SatBoundedDegreeLayout,
-    SatHighDegreeLayout,
-    ThreePartitionLayout,
-    gen_bin_packing,
-    gen_sat_bounded_degree,
-    gen_sat_high_degree,
-    gen_three_partition_star,
-    witness_bin_packing,
-    witness_sat_bounded_degree,
-    witness_sat_high_degree,
-    witness_three_partition_star,
-)
 
 __all__ = [
     "AshgInstance",
@@ -109,3 +94,29 @@ __all__ = [
     "ResourceLimitError",
     "OracleCapError",
 ]
+
+# The generators and their layouts live in .reductions, which is imported
+# on the first use of one of these names (PEP 562), not with the package.
+_REDUCTIONS = frozenset({
+    "BinPackingLayout",
+    "CnfFormula",
+    "SatBoundedDegreeLayout",
+    "SatHighDegreeLayout",
+    "ThreePartitionLayout",
+    "gen_bin_packing",
+    "gen_sat_bounded_degree",
+    "gen_sat_high_degree",
+    "gen_three_partition_star",
+    "witness_bin_packing",
+    "witness_sat_bounded_degree",
+    "witness_sat_high_degree",
+    "witness_three_partition_star",
+})
+
+
+def __getattr__(name: str):
+    if name in _REDUCTIONS:
+        from . import reductions
+
+        return getattr(reductions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,16 +38,6 @@ from .oracle import (
     brute_force_connected_nash,
     brute_force_nash,
 )
-from .reductions import (
-    gen_bin_packing,
-    gen_sat_bounded_degree,
-    gen_sat_high_degree,
-    gen_three_partition_star,
-    witness_bin_packing,
-    witness_sat_bounded_degree,
-    witness_sat_high_degree,
-    witness_three_partition_star,
-)
 
 EXIT_SOME = 0
 EXIT_NONE = 1
@@ -186,6 +176,18 @@ def _parse_assignment(path: str, num_vars: int) -> list[bool]:
 def cmd_gen(args) -> int:
     if args.witness and args.witness_out is None and args.out is None:
         raise ValueError("--witness needs --witness-out when the instance goes to stdout")
+    # imported here, so that no other command pays for the generators' import
+    from .reductions import (
+        gen_bin_packing,
+        gen_sat_bounded_degree,
+        gen_sat_high_degree,
+        gen_three_partition_star,
+        witness_bin_packing,
+        witness_sat_bounded_degree,
+        witness_sat_high_degree,
+        witness_three_partition_star,
+    )
+
     witness = None
     if args.generator == "square":
         instance = square_instance(_load_instance(args.source))

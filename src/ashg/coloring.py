@@ -40,7 +40,7 @@ def solve_nash_via_coloring(
 ) -> Partition | None:
     """Decide Nash stability by dynamic programming over bag partitions.
 
-    The DP runs on a min-degree decomposition of the square G^2, where
+    The DP runs on a min-fill decomposition of the square G^2, where
     every closed neighborhood N[v] is a clique and therefore lies inside
     some bag; decompose_square builds it from G's neighbor lists without
     building G^2 itself.  A signature records how the current bag is
@@ -92,10 +92,12 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
         # N[u] in the bag, as (u's child position or -1 for v, arcs to
         # targets other than v by child position, w(u, v))
         bag_set = set(nd.bag)
-        pos = {u: q for q, u in enumerate(child_bag)}
+        pos = None  # built only once some check fires
         checks = []
         for u in closed[v]:
             if closed[u] <= bag_set:
+                if pos is None:
+                    pos = {u: q for q, u in enumerate(child_bag)}
                 arcs = [(pos[t], w) for t, w in instance.out[u] if t != v]
                 checks.append((pos.get(u, -1), arcs, weight((u, v), 0)))
         shifts: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ResourceLimitError
@@ -39,13 +40,16 @@ class TreeDecomposition:
             edge_list.append((a, b) if a < b else (b, a))
         if len(set(edge_list)) != len(edge_list):
             raise ValueError("duplicate tree edge")
+        edge_list.sort()
         adj: dict[int, list[int]] = {i: [] for i in bag_map}
         for a, b in edge_list:
             adj[a].append(b)
             adj[b].append(a)
+        # the edges are sorted with a < b, so each node's list comes out sorted:
+        # its lower neighbors first, then its higher ones
         object.__setattr__(self, "bags", bag_map)
-        object.__setattr__(self, "edges", tuple(sorted(edge_list)))
-        object.__setattr__(self, "_adj", {i: tuple(sorted(v)) for i, v in adj.items()})
+        object.__setattr__(self, "edges", tuple(edge_list))
+        object.__setattr__(self, "_adj", {i: tuple(v) for i, v in adj.items()})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("TreeDecomposition is immutable")
@@ -145,27 +149,32 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
     """Elimination-ordering decomposition of G, deterministic for a fixed input.
 
     MIN_DEGREE picks the vertex with fewest remaining neighbors, MIN_FILL
-    the vertex whose elimination adds the fewest fill edges; both break
-    ties toward the lowest vertex id.  Bags are the closed neighborhoods
-    at elimination time; each bag hangs off the bag of its earliest
-    later-eliminated neighbor.
+    the vertex whose elimination adds the fewest fill edges, and among
+    simplicial vertices (no fill edge) the one of least degree; both break
+    remaining ties toward the lowest vertex id.  Once the least fill
+    exceeds that vertex's degree, MIN_FILL eliminates the rest by least
+    degree.  Bags are the closed neighborhoods at elimination time; each
+    bag hangs off the bag of its earliest later-eliminated neighbor.
 
-    Both keep a lazy-deletion heap of (score, vertex) entries.  MIN_DEGREE
-    re-pushes the eliminated vertex's neighbors, so its cost is
-    O(sum |bag|^2 log n); MIN_FILL re-scores every vertex within distance
-    2 of it, so its cost grows with the bags' neighborhoods, not with n.
+    Both keep a lazy-deletion heap and re-push the eliminated vertex's
+    neighbors, so MIN_DEGREE costs O(sum |bag|^2 log n).  MIN_FILL keeps
+    every fill count exact as edges come and go: each fill edge ab costs
+    O(|N(a)| + |N(b)|) and re-pushes the common neighbors of a and b.  A
+    vertex's first count, O(degree^2), is taken when it first reaches the
+    top of the heap.  The switch to least degree caps the fill bookkeeping
+    at about the cost of the elimination itself.
     """
     nbrs = instance.neighbors
     return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)}, strategy)
 
 
 def decompose_square(instance: AshgInstance) -> TreeDecomposition:
-    """MIN_DEGREE decomposition of the square G^2, built from G's neighbor lists.
+    """MIN_FILL decomposition of the square G^2, built from G's neighbor lists.
 
-    The same as heuristic_decompose(square_instance(instance)), bag for
-    bag, without building the square's arcs or instance.
+    The same as heuristic_decompose(square_instance(instance), MIN_FILL),
+    bag for bag, without building the square's arcs or instance.
     """
-    return _eliminate(_square_adjacency(instance), MIN_DEGREE)
+    return _eliminate(_square_adjacency(instance), MIN_FILL)
 
 
 def _square_adjacency(instance: AshgInstance) -> dict[int, set[int]]:
@@ -190,54 +199,118 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
     if n == 0:
         return TreeDecomposition({1: frozenset()})
 
-    def fill_count(nb: set[int]) -> int:
-        # pairs of nb with no edge between them: nb - adj[a] holds a and
-        # a's non-neighbors in nb, and adjacency is symmetric
-        return (sum([len(nb - adj[a]) for a in nb]) - len(nb)) // 2
-
-    # a lazy-deletion heap of (score, vertex) entries: a vertex is pushed
-    # whenever its score may have moved, and an entry is stale once its
-    # vertex is gone or its score differs from the vertex's current one
+    # A lazy-deletion heap of (fill, tie, vertex) entries, where tie is the
+    # degree for a simplicial vertex (fill 0) and 0 otherwise; min-degree
+    # keeps every fill at 0.  An entry is stale once its vertex is gone or
+    # its key differs from the vertex's current one.  `score` holds each
+    # vertex's exact fill count, taken the first time the vertex reaches
+    # the top of the heap and kept exact from then on; until then its key
+    # (0, degree) is a lower bound, so the pick order is the same as with
+    # every count taken up front.
     by_degree = strategy == MIN_DEGREE
-    score = len if by_degree else fill_count
-    heap = [(score(nbrs), v) for v, nbrs in adj.items()]
+    score: dict[int, int] = {}
+    heap = [(0, len(nbrs), v) for v, nbrs in adj.items()]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     order: list[int] = []
     bags: list[frozenset[int]] = []
     while adj:
-        while True:
-            s, v = heapq.heappop(heap)
-            if v in adj and score(adj[v]) == s:
-                break
-        if len(adj[v]) == len(adj) - 1:
+        f, e, v = heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None:
+            continue
+        d = len(nbrs)
+        s = 0
+        if not by_degree:
+            s = score.get(v)
+            if s is None:
+                # pairs of nbrs with no edge between them: nbrs - adj[a]
+                # holds a and a's non-neighbors in nbrs.  A single pair, the
+                # common case on sparse graphs, takes one lookup
+                if d == 2:
+                    a, b = nbrs
+                    s = score[v] = int(b not in adj[a])
+                else:
+                    s = score[v] = (sum([len(nbrs - adj[a]) for a in nbrs]) - d) // 2
+                if s:
+                    heappush(heap, (s, 0, v))
+                    continue
+        if f != s or e != (0 if s else d):
+            continue
+        if s > d:
+            # the fill bookkeeping would now cost more than the elimination
+            # itself: eliminate the rest by least degree
+            by_degree = True
+            heap = [(0, len(row), u) for u, row in adj.items()]
+            heapq.heapify(heap)
+            continue
+        if d == len(adj) - 1:
             # v sees every other vertex.  With the least degree, all do; with
             # the least fill, no pair is missing, since a vertex of a missing
             # pair would have less fill than v.  So what is left is a clique,
-            # every score ties, and both heuristics eliminate it by id
+            # every key ties but the id, and both heuristics eliminate it by id
             rest = sorted(adj)
             bags.extend([frozenset(rest[i:]) for i in range(len(rest))])
             order.extend(rest)
             break
-        nbrs = adj.pop(v)
+        del adj[v]
         bags.append(frozenset(nbrs) | {v})
+        order.append(v)
+        if by_degree:
+            for a in nbrs:
+                row = adj[a]
+                row |= nbrs
+                row.discard(a)
+                row.discard(v)
+                heappush(heap, (0, len(row), a))
+            continue
+        # dropping v from N(a) loses the pairs (v, c) with c outside N(v);
+        # a vertex of fill 0 has none, as N(a) is then a clique holding v.
+        # With no fill edge (v simplicial) only N(v)'s keys move
         for a in nbrs:
             row = adj[a]
-            row |= nbrs
-            row.discard(a)
             row.discard(v)
-        order.append(v)
-        # degrees move only in N(v); a fill count moves only where a fill
-        # edge lands between two of the vertex's neighbors, so within
-        # distance 2 of v
-        for a in nbrs if by_degree else nbrs.union(*[adj[a] for a in nbrs]):
-            heapq.heappush(heap, (score(adj[a]), a))
+            f = score.get(a)
+            if f:
+                f = score[a] = f - len(row - nbrs)
+            if not s:
+                heappush(heap, (f or 0, 0 if f else len(row), a))
+        if not s:
+            continue
+        # each fill edge ab closes the pair ab in N(c) for every common
+        # neighbor c, and opens the pairs (b, x), x in N(a) - N(b), in N(a),
+        # and the same way in N(b)
+        moved = set()
+        for a in nbrs:
+            ra = adj[a]
+            for b in nbrs - ra:
+                if b == a:
+                    continue
+                rb = adj[b]
+                for c in ra & rb:
+                    if c in score:
+                        score[c] -= 1
+                        moved.add(c)
+                if a in score:
+                    score[a] += len(ra - rb)
+                if b in score:
+                    score[b] += len(rb - ra)
+                ra.add(b)
+                rb.add(a)
+        for a in nbrs:
+            f = score.get(a, 0)
+            heappush(heap, (f, 0 if f else len(adj[a]), a))
+        for c in moved - nbrs:
+            f = score[c]
+            heappush(heap, (f, 0 if f else len(adj[c]), c))
 
-    pos = {v: i for i, v in enumerate(order)}
+    # bag i hangs off the bag of its earliest other vertex, all of whose
+    # positions are above i; a bag of one vertex hangs off bag i + 1
+    pos = {v: i for i, v in enumerate(order)}.__getitem__
     edges = []
     for i in range(n - 1):
-        later = [pos[u] for u in bags[i] if pos[u] > i]
-        parent = min(later) if later else i + 1
-        edges.append((i + 1, parent + 1))
+        later = sorted(map(pos, bags[i]))
+        edges.append((i + 1, (later[1] if len(later) > 1 else i + 1) + 1))
     return TreeDecomposition({i + 1: bag for i, bag in enumerate(bags)}, edges)
 
 
@@ -281,16 +354,19 @@ def make_nice(td: TreeDecomposition) -> tuple[NiceNode, ...]:
 
     nodes: list[NiceNode] = []
     append = nodes.append
+    node = tuple.__new__  # NiceNode's own __new__ is a Python-level call
 
     def chain_to(bag_from: frozenset[int], bag_to: frozenset[int], top: int) -> int:
+        if bag_from == bag_to:
+            return top
         cur = sorted(bag_from)
         for v in sorted(bag_from - bag_to):
             cur.remove(v)
-            append(NiceNode(FORGET, tuple(cur), v, (top,)))
+            append(node(NiceNode, (FORGET, tuple(cur), v, (top,))))
             top = len(nodes) - 1
         for v in sorted(bag_to - bag_from):
             insort(cur, v)
-            append(NiceNode(INTRODUCE, tuple(cur), v, (top,)))
+            append(node(NiceNode, (INTRODUCE, tuple(cur), v, (top,))))
             top = len(nodes) - 1
         return top
 
@@ -299,11 +375,11 @@ def make_nice(td: TreeDecomposition) -> tuple[NiceNode, ...]:
         bag = td.bags[b]
         pieces = [chain_to(td.bags[c], bag, top_of[c]) for c in children[b]]
         if not pieces:
-            append(NiceNode(LEAF, (), None, ()))
+            append(node(NiceNode, (LEAF, (), None, ())))
             pieces.append(chain_to(frozenset(), bag, len(nodes) - 1))
         acc = pieces[0]
         for nxt in pieces[1:]:
-            append(NiceNode(JOIN, tuple(sorted(bag)), None, (acc, nxt)))
+            append(node(NiceNode, (JOIN, tuple(sorted(bag)), None, (acc, nxt))))
             acc = len(nodes) - 1
         top_of[b] = acc
 
@@ -378,7 +454,7 @@ def run_nice_dp(
     _check_table_cap(table_cap)
     if stats is None:
         stats = {}
-    stats["width"] = max(0, max((len(nd.bag) for nd in nodes), default=0) - 1)
+    stats["width"] = max(0, max(map(len, map(itemgetter(1), nodes)), default=0) - 1)
     stats["nice_nodes"] = len(nodes)
 
     def over_cap(idx: int, kind: str, size: int) -> ResourceLimitError:

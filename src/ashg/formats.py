@@ -8,9 +8,13 @@ comment lines and raise ValueError on anything malformed.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .decomposition import TreeDecomposition
 from .game import MAX_VERTICES, AshgInstance, Partition
-from .reductions import CnfFormula
+
+if TYPE_CHECKING:
+    from .reductions import CnfFormula
 
 # Largest variable count parse_cnf accepts.  The SAT generators size
 # their gadgets by it: at 1024 variables `gen sat-bd` already builds
@@ -182,6 +186,8 @@ def parse_cnf(text: str) -> CnfFormula:
         raise ValueError("last clause is not 0-terminated")
     if len(clauses) != num_clauses:
         raise ValueError(f"header promises {num_clauses} clauses, file has {len(clauses)}")
+    from .reductions import CnfFormula  # the generators' module, imported on use
+
     return CnfFormula.from_clauses(num_vars, clauses)
 
 

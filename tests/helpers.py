@@ -334,9 +334,11 @@ def trace_survives_forget_filters(instance, nodes, partition):
 
 
 def naive_elimination_bags(instance, strategy):
-    """Elimination by a min() over all remaining vertices, keyed by degree
-    for "min-degree" and by fill count (non-adjacent neighbor pairs) for
-    "min-fill", ties toward the lowest vertex id.
+    """Elimination by a min() over all remaining vertices.  "min-degree"
+    keys by (degree, id).  "min-fill" keys by (fill count, degree, id),
+    the fill count being the non-adjacent neighbor pairs and the degree
+    counting only at fill 0, until the least key's fill exceeds its
+    degree; from then on it keys by (degree, id).
 
     Reference for `heuristic_decompose(instance, strategy)`: returns the
     (bags, edges) pair it must produce.
@@ -349,15 +351,18 @@ def naive_elimination_bags(instance, strategy):
         adj[u].add(v)
         adj[v].add(u)
 
-    def key(x):
-        if strategy == "min-degree":
-            return len(adj[x]), x
+    def fill(x):
         pairs = itertools.combinations(sorted(adj[x]), 2)
-        return sum(1 for a, b in pairs if b not in adj[a]), x
+        return sum(1 for a, b in pairs if b not in adj[a])
 
+    by_degree = strategy == "min-degree"
     order, bags = [], []
     while adj:
-        v = min(adj, key=key)
+        if not by_degree:
+            v = min(adj, key=lambda x: (fill(x), 0 if fill(x) else len(adj[x]), x))
+            by_degree = fill(v) > len(adj[v])
+        if by_degree:
+            v = min(adj, key=lambda x: (len(adj[x]), x))
         nbrs = adj.pop(v)
         bags.append(frozenset(nbrs | {v}))
         for a in nbrs:

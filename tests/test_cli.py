@@ -330,7 +330,7 @@ class TestGen:
     def test_witness_to_stdout_collision_rejected(self, monkeypatch, capsys):
         # refused before the generator builds anything
         called = []
-        monkeypatch.setattr(ashg.cli, "gen_three_partition_star",
+        monkeypatch.setattr(ashg.reductions, "gen_three_partition_star",
                             lambda *args: called.append(args))
         args = ["gen", "3part", golden("items_3part.txt"), "--target", "16",
                 "--witness", golden("triples.txt")]

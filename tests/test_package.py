@@ -1,11 +1,14 @@
 """The package's public names and sources: `ashg.__all__` lists each
 export once, every listed name exists, so a removed export cannot linger
 in it, every module parses as the oldest Python that `pyproject.toml`
-admits, and the runtime imports nothing outside the standard library."""
+admits, the runtime imports nothing outside the standard library, and
+the generators' module loads only when a generator name is used."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,18 @@ def test_imports_are_relative_or_stdlib(path):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_reductions_imported_only_on_use():
+    # its dataclasses cost about a third of the package's import time, and
+    # only `ashg gen`, `parse_cnf` and the generator names need them
+    probe = (
+        "import sys, ashg, ashg.cli\n"
+        "print('ashg.reductions' in sys.modules)\n"
+        "ashg.gen_bin_packing\n"
+        "print('ashg.reductions' in sys.modules)\n"
+    )
+    src = str(Path(ashg.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "True"]
