@@ -91,11 +91,8 @@ def _report(command: str, instance: AshgInstance, answer: str, t0: float,
 
 
 def cmd_solve(args) -> int:
-    for flag, value in (("--td", args.td), ("--strategy", args.strategy)):
-        if value and args.mode != "connected-nash":
-            raise ValueError(f"{flag} applies to --mode connected-nash only, not {args.mode}")
-    if args.td and args.strategy:
-        raise ValueError("--strategy picks the heuristic used without --td; give one of them")
+    if args.td and args.mode != "connected-nash":
+        raise ValueError(f"--td applies to --mode connected-nash only, not {args.mode}")
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     stats: dict[str, int] = {}
@@ -108,7 +105,7 @@ def cmd_solve(args) -> int:
         if partition is None:
             print(f"c no convergence within {args.max_steps} steps", file=sys.stderr)
     else:
-        _check_table_cap(args.table_cap)  # also before a --td or --strategy tree
+        _check_table_cap(args.table_cap)  # also before reading a --td tree
         try:
             if args.mode == "nash":
                 partition = solve_nash_via_coloring(
@@ -116,8 +113,7 @@ def cmd_solve(args) -> int:
                 )
             else:
                 # the solver validates a given tree; by default it builds its own
-                td = (formats.parse_decomposition(_read(args.td)) if args.td else
-                      heuristic_decompose(instance, args.strategy) if args.strategy else None)
+                td = formats.parse_decomposition(_read(args.td)) if args.td else None
                 partition = solve_connected_nash(
                     instance, td, table_cap=args.table_cap, stats=stats
                 )
@@ -281,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=["nash", "connected-nash", "dynamics"],
                          default="nash")
     p_solve.add_argument("--td", help="tree decomposition file for --mode connected-nash "
-                         "(default: heuristic); nash mode decomposes G^2 itself")
-    p_solve.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL],
-                         help="heuristic when no --td is given, for --mode connected-nash "
-                         f"only (default {MIN_DEGREE})")
+                         f"(default: a {MIN_DEGREE} tree of G; `ashg decompose --strategy` "
+                         "writes others); nash mode decomposes G^2 itself")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
     p_solve.add_argument("--max-steps", type=int, default=1000,

@@ -21,9 +21,15 @@ MIN_FILL = "min-fill"
 
 
 class TreeDecomposition:
-    """Bags keyed by integer node id plus undirected tree edges."""
+    """Bags keyed by integer node id plus undirected tree edges, rooted once.
 
-    __slots__ = ("bags", "edges", "_adj")
+    Raises ValueError unless the bags and edges form one tree.  The root
+    is the lowest bag id; `order` lists the bag ids breadth-first from
+    it, each bag's neighbors in ascending id, and `parent` maps each bag
+    id to its parent's (None at the root).
+    """
+
+    __slots__ = ("bags", "edges", "order", "parent")
 
     def __init__(
         self,
@@ -31,6 +37,8 @@ class TreeDecomposition:
         edges: Iterable[tuple[int, int]] = (),
     ):
         bag_map = {int(i): frozenset(b) for i, b in bags.items()}
+        if not bag_map:
+            raise ValueError("decomposition has no bags")
         edge_list = []
         for a, b in edges:
             if a not in bag_map or b not in bag_map:
@@ -40,16 +48,30 @@ class TreeDecomposition:
             edge_list.append((a, b) if a < b else (b, a))
         if len(set(edge_list)) != len(edge_list):
             raise ValueError("duplicate tree edge")
+        count = len(bag_map)
+        if len(edge_list) != count - 1:
+            raise ValueError(f"{len(edge_list)} tree edges for {count} bags (a tree needs {count - 1})")
         edge_list.sort()
+        # the edges are sorted with a < b, so each node's list comes out sorted:
+        # its lower neighbors first, then its higher ones
         adj: dict[int, list[int]] = {i: [] for i in bag_map}
         for a, b in edge_list:
             adj[a].append(b)
             adj[b].append(a)
-        # the edges are sorted with a < b, so each node's list comes out sorted:
-        # its lower neighbors first, then its higher ones
+        root = min(bag_map)
+        parent: dict[int, int | None] = {root: None}
+        order = [root]
+        for x in order:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    order.append(y)
+        if len(order) != count:
+            raise ValueError("tree is not connected")
         object.__setattr__(self, "bags", bag_map)
         object.__setattr__(self, "edges", tuple(edge_list))
-        object.__setattr__(self, "_adj", {i: tuple(v) for i, v in adj.items()})
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "parent", parent)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("TreeDecomposition is immutable")
@@ -62,55 +84,21 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(0, self.max_bag_size - 1)
 
-    def neighbors_of(self, node: int) -> tuple[int, ...]:
-        return self._adj[node]
-
     def __repr__(self) -> str:
         return f"TreeDecomposition(bags={len(self.bags)}, width={self.width})"
 
 
-def _root(td: TreeDecomposition) -> tuple[list[int], dict[int, int | None], list[str]]:
-    """Root the tree at its lowest bag id by breadth-first search.
-
-    Returns (order, parent, problems): the bags reached, in BFS order from
-    the root; each reached bag's parent (None at the root); and what keeps
-    the bags from forming a tree, if anything: no bags at all (order is
-    then empty), a wrong edge count, or a bag the root cannot reach.
-    """
-    if not td.bags:
-        return [], {}, ["decomposition has no bags"]
-    problems: list[str] = []
-    count = len(td.bags)
-    if len(td.edges) != count - 1:
-        problems.append(f"{len(td.edges)} tree edges for {count} bags (a tree needs {count - 1})")
-    root = min(td.bags)
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    for x in order:
-        for y in td.neighbors_of(x):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-    if len(order) != count:
-        problems.append("tree is not connected")
-    return order, parent, problems
-
-
 def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[str]]:
-    """Check the three decomposition axioms plus tree shape.
+    """Check the three decomposition axioms; the tree shape is the type's.
 
     Returns (ok, violations); violations are human-readable strings and
-    the list is empty iff ok.  One traversal roots the tree and one pass
-    lists, per vertex, the bags that hold it.  An edge is then checked
-    against the shorter holder list of its two ends, and the bags holding
-    v form a connected subtree iff exactly one of them has a parent that
-    does not hold v.  Cost O(sum |bag| * max degree + m), plus sorting
-    the bag ids and the instance's edges.
+    the list is empty iff ok.  One pass lists, per vertex, the bags that
+    hold it.  An edge is then checked against the shorter holder list of
+    its two ends, and the bags holding v form a connected subtree iff
+    exactly one of them has a parent that does not hold v.  Cost
+    O(sum |bag| * max degree + m), plus sorting the bag ids and the
+    instance's edges.
     """
-    order, parent, shape = _root(td)
-    if not order:
-        return False, shape
-
     violations: list[str] = []
     bags = td.bags
     n = instance.n
@@ -121,7 +109,6 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
                 holders[v].append(i)
             else:
                 violations.append(f"bag {i} contains unknown vertex {v}")
-    violations.extend(shape)
 
     for v in range(1, n + 1):
         if not holders[v]:
@@ -132,16 +119,15 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
         if not any(other in bags[i] for i in holders[short]):
             violations.append(f"edge {{{u},{v}}} is in no bag")
 
-    # connected subtree per vertex (only meaningful if the tree itself is ok)
-    if not shape:
-        for v in range(1, n + 1):
-            tops = 0
-            for i in holders[v]:
-                p = parent[i]
-                if p is None or v not in bags[p]:
-                    tops += 1
-            if tops > 1:
-                violations.append(f"bags holding vertex {v} are not connected in the tree")
+    parent = td.parent
+    for v in range(1, n + 1):
+        tops = 0
+        for i in holders[v]:
+            p = parent[i]
+            if p is None or v not in bags[p]:
+                tops += 1
+        if tops > 1:
+            violations.append(f"bags holding vertex {v} are not connected in the tree")
     return not violations, violations
 
 
@@ -334,20 +320,18 @@ def make_nice(td: TreeDecomposition) -> tuple[NiceNode, ...]:
     bottom-up order; the root is the last node and has an empty bag, as
     do all leaves.
 
-    The lowest bag id is taken as the root; between a bag and its parent
+    The tree is rooted as `td` roots it; between a bag and its parent
     the out-of-parent vertices are forgotten in ascending order and the
     new ones introduced in ascending order, leaves grow from an empty
     LEAF, and multiple children fold left-to-right through JOIN nodes.
     The final root forgets the root bag down to empty.  Every node's
     bag is a subset of an input bag and every input bag appears whole,
-    so the nice form is a valid decomposition exactly when `td` is.
-    Raises ValueError when the bags do not form a tree; the other
+    so the nice form is a valid decomposition exactly when `td` is; the
     axioms are left to validate.
     """
-    order, parent, problems = _root(td)
-    if problems:
-        raise ValueError(problems[0])
-    # neighbors_of is sorted, so each bag's children arrive in ascending order
+    order, parent = td.order, td.parent
+    # order visits neighbors in ascending id, so each bag's children arrive
+    # in ascending order
     children: dict[int, list[int]] = {i: [] for i in order}
     for y in order[1:]:
         children[parent[y]].append(y)
@@ -476,12 +460,11 @@ def run_nice_dp(
                             raise over_cap(idx, kind, len(table))
         elif kind == FORGET:
             step = forget(nd, nodes[kids[0]].bag)
+            # no cap check: each child signature maps to at most one signature
             for old in tables[kids[0]]:
                 sig = step(old)
                 if sig is not None and sig not in table:
                     table[sig] = old
-                    if len(table) > table_cap:
-                        raise over_cap(idx, kind, len(table))
         elif kind == JOIN:
             by_classes: dict[tuple[int, ...], list] = {}
             for right in tables[kids[1]]:

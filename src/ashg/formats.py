@@ -117,9 +117,7 @@ def parse_partition(text: str) -> Partition:
 # then one `<id> <id>` line per tree edge
 
 
-def serialize_decomposition(td: TreeDecomposition, n: int | None = None) -> str:
-    if n is None:
-        n = max((max(bag) for bag in td.bags.values() if bag), default=0)
+def serialize_decomposition(td: TreeDecomposition, n: int) -> str:
     lines = [f"s td {len(td.bags)} {td.max_bag_size} {n}"]
     for bag_id in sorted(td.bags):
         lines.append(" ".join(["b", str(bag_id), *map(str, sorted(td.bags[bag_id]))]))

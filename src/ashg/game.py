@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Constructor guard: utility sums stay below this with room for 4x slack.
 _MAX_REPRESENTABLE = sys.maxsize
@@ -182,8 +181,7 @@ class Partition:
 SINGLETON = None
 
 
-@dataclass(frozen=True)
-class DeviationWitness:
+class DeviationWitness(NamedTuple):
     """A strictly improving move certifying instability.
 
     `target` is the id of an existing coalition, or SINGLETON (None) for

@@ -62,8 +62,7 @@ class TestSolve:
         assert "invalid decomposition: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nash", "dynamics"])
-    @pytest.mark.parametrize("flag, value", [("--td", golden("path5.td")),
-                                             ("--strategy", "min-degree")])
+    @pytest.mark.parametrize("flag, value", [("--td", golden("path5.td"))])
     def test_decomposition_refused_outside_connected_mode(self, flag, value, mode, capsys):
         args = ["solve", golden("path5.ashg"), "--mode", mode, flag, value]
         assert main(args) == 3
@@ -71,12 +70,19 @@ class TestSolve:
         assert f"{flag} applies to --mode connected-nash only, not {mode}" in captured.err
         assert captured.out == ""
 
-    def test_strategy_with_connected_mode(self, capsys):
+    def test_strategy_with_connected_mode(self, tmp_path, capsys):
+        # the connected DP runs on a chosen heuristic's tree through a file;
+        # solve itself has no --strategy
+        td = tmp_path / "min-fill.td"
+        assert main(["decompose", golden("path5.ashg"), "--strategy", "min-fill",
+                     "--out", str(td)]) == 0
         args = ["solve", golden("path5.ashg"), "--mode", "connected-nash"]
-        assert main(args + ["--strategy", "min-fill"]) == 0
-        assert "c width 1\n" in capsys.readouterr().out
-        assert main(args + ["--strategy", "min-fill", "--td", golden("path5.td")]) == 3
-        assert "give one of them" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(args + ["--td", str(td)]) == 0
+        out = capsys.readouterr().out
+        assert "c answer SOME\n" in out and "c width 1\n" in out
+        assert main(args + ["--strategy", "min-fill"]) == 3
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
 
     def test_nash_mode_reports_width_of_the_square(self, capsys):
         # the DP runs on a decomposition of G^2, where a path has width 2
@@ -186,7 +192,7 @@ class TestSolve:
         args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "-1"]
         assert main(args) == 3
         if mode == "connected-nash":
-            assert main(args + ["--strategy", "min-fill"]) == 3
+            assert main(args + ["--td", golden("path5.td")]) == 3
         assert "table cap must be nonnegative, got -1" in capsys.readouterr().err
         assert calls == []
 
@@ -299,6 +305,26 @@ class TestGen:
         assert main(args) == 3
         assert f"names item {index}, outside 1..6" in capsys.readouterr().err
         assert not (tmp_path / "w.part").exists()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # sat-hd: degree vs n/log2(n)
+    @pytest.mark.parametrize("generator, source, certificate, message", [
+        (["sat-hd", "--degree", "2"], "phi.cnf", "0\n",
+         "assignment file must hold 2 values from {0,1}, got [0]"),
+        (["sat-bd"], "phi.cnf", "0 2\n",
+         "assignment file must hold 2 values from {0,1}, got [0, 2]"),
+        (["3part", "--target", "16"], "items_3part.txt", "1 2 3\n4 5\n",
+         "triple file must hold 3 indices per triple"),
+    ], ids=["assignment-count", "assignment-value", "triple-count"])
+    def test_malformed_certificate_exits_three(self, generator, source, certificate, message,
+                                               tmp_path, capsys):
+        cert = tmp_path / "cert.txt"
+        cert.write_text(certificate, encoding="utf-8")
+        args = ["gen", generator[0], golden(source), *generator[1:],
+                "--out", str(tmp_path / "i.ashg"), "--witness", str(cert),
+                "--witness-out", str(tmp_path / "w.part")]
+        assert main(args) == 3
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "i.ashg").exists() and not (tmp_path / "w.part").exists()
 
     @pytest.mark.parametrize("generator, source, certificate", [
         (["sat-hd", "--degree", "2"], "phi.cnf", "assign.txt"),

@@ -206,6 +206,17 @@ class TestSolveConnectedNash:
         # width and node count come before the walk, the crossing size on cap
         assert stats == {"width": 1, "nice_nodes": 17, "peak_table": 2}
 
+    def test_table_cap_enforced_at_a_join(self):
+        # a star's center bag joins its branches: every table below the
+        # first JOIN fits in 4 signatures, and the JOIN outgrows both children
+        inst = AshgInstance(6, [(1, 2, -2), (2, 1, 2), (1, 3, 2), (3, 1, 0), (1, 4, 3),
+                                (4, 1, 0), (1, 5, 1), (5, 1, -2), (1, 6, -1), (6, 1, -1)])
+        stats = {}
+        with pytest.raises(ResourceLimitError, match=r"^signature table at node 18 \(join\) "
+                                                     r"exceeds cap 4$"):
+            solve_connected_nash(inst, table_cap=4, stats=stats)
+        assert stats == {"width": 1, "nice_nodes": 25, "peak_table": 5}
+
     def test_invalid_nice_decomposition_rejected(self):
         # the solver builds the nice form itself and takes none: here node 0
         # is the child of nodes 1 and 3, and node 2 of none
@@ -219,15 +230,15 @@ class TestSolveConnectedNash:
         with pytest.raises(TypeError, match="expected a TreeDecomposition"):
             solve_connected_nash(AshgInstance(2), misrooted)
 
-    @pytest.mark.parametrize("edges, violation", [
+    @pytest.mark.parametrize("edges, problem", [
         ([(1, 2), (2, 3), (1, 3)], "3 tree edges for 3 bags (a tree needs 2)"),
-        ([(1, 2)], "1 tree edges for 3 bags (a tree needs 2); tree is not connected"),
+        ([(1, 2)], "1 tree edges for 3 bags (a tree needs 2)"),
     ], ids=["cyclic", "disconnected"])
-    def test_invalid_decomposition_rejected(self, edges, violation):
-        td = TreeDecomposition({1: [1, 2], 2: [2, 3], 3: [2]}, edges)
+    def test_invalid_decomposition_rejected(self, edges, problem):
+        # a tree that is not one never reaches the solver: the type refuses it
         with pytest.raises(ValueError) as exc:
-            solve_connected_nash(path_instance(3), td)
-        assert str(exc.value) == "invalid decomposition: " + violation
+            TreeDecomposition({1: [1, 2], 2: [2, 3], 3: [2]}, edges)
+        assert str(exc.value) == problem
 
     def test_default_decomposition_is_the_heuristic_one(self, monkeypatch):
         # without a tree the solver decomposes G itself and skips validate;

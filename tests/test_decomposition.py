@@ -74,6 +74,21 @@ class TestTreeDecomposition:
         with pytest.raises(ValueError):
             TreeDecomposition({1: [1]}, [(1, 1)])
 
+    def test_cyclic_or_disconnected_tree_rejected(self):
+        with pytest.raises(ValueError, match="^decomposition has no bags$"):
+            TreeDecomposition({})
+        bags = {1: [1, 2], 2: [2, 3], 3: [2]}
+        with pytest.raises(ValueError, match=r"^3 tree edges for 3 bags \(a tree needs 2\)$"):
+            TreeDecomposition(bags, [(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(ValueError, match="^tree is not connected$"):
+            TreeDecomposition(bags | {4: [3]}, [(1, 2), (2, 3), (1, 3)])
+
+    def test_rooted_breadth_first_from_the_lowest_id(self):
+        # neighbors in ascending id, whatever order the edges come in
+        td = TreeDecomposition({5: [1], 2: [1], 9: [1], 7: [1]}, [(9, 7), (5, 2), (2, 9)])
+        assert td.order == (2, 5, 9, 7)
+        assert td.parent == {2: None, 5: 2, 9: 2, 7: 9}
+
 
 def corrupted_decompositions(rng, inst, td):
     """(kind, bags, edges) for td itself and five ways of breaking it."""
@@ -126,9 +141,9 @@ class TestValidate:
         assert not ok
 
     def test_disconnected_tree_detected(self):
-        td = TreeDecomposition({1: [1, 2], 2: [2, 3], 3: [2]}, [(1, 2)])
-        ok, problems = validate(td, path3())
-        assert not ok
+        # before validate: the type refuses a tree that is not one
+        with pytest.raises(ValueError, match="a tree needs 2"):
+            TreeDecomposition({1: [1, 2], 2: [2, 3], 3: [2]}, [(1, 2)])
 
     def test_matches_naive_validate(self):
         rng = random.Random(47)
@@ -144,13 +159,17 @@ class TestValidate:
             if len(td.bags) < 3:
                 continue
             for kind, bags, edges in corrupted_decompositions(rng, inst, td):
+                if kind in ("cycle", "disconnected"):
+                    # one edge too many or too few: the type refuses it
+                    with pytest.raises(ValueError, match="tree edges for"):
+                        TreeDecomposition(bags, edges)
+                    continue
                 cand = TreeDecomposition(bags, edges)
                 got = validate(cand, inst)
                 assert got == naive_validate(cand, inst), kind
                 if not got[0]:
                     failing.add(kind)
-        assert failing == {"dropped edge", "broken subtree", "unknown vertex",
-                           "cycle", "disconnected"}
+        assert failing == {"dropped edge", "broken subtree", "unknown vertex"}
 
 
 class TestHeuristicDecompose:
@@ -222,13 +241,6 @@ class TestMakeNice:
         nodes = make_nice(td)
         assert_nice(nodes, path3())
         assert nice_width(nodes) == td.width == 1
-
-    def test_cyclic_or_disconnected_tree_rejected(self):
-        bags = {1: [1, 2], 2: [2, 3], 3: [2]}
-        with pytest.raises(ValueError, match="a tree needs 2"):
-            make_nice(TreeDecomposition(bags, [(1, 2), (2, 3), (1, 3)]))
-        with pytest.raises(ValueError, match="not connected"):
-            make_nice(TreeDecomposition(bags | {4: [3]}, [(1, 2), (2, 3), (1, 3)]))
 
     def test_empty_graph_leaf_only(self):
         nodes = make_nice(TreeDecomposition({1: []}, []))

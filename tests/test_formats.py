@@ -124,9 +124,10 @@ class TestDecompositionFormat:
             "s td 2 2 3\nb 1 1 2\nb 2 1 3\n1 2\n"
         )
 
-    def test_vertex_count_defaults_to_max_bag_member(self):
+    def test_vertex_count_is_the_given_one(self):
+        # vertex 5 is in no bag: n comes from the caller, not from the bags
         td = TreeDecomposition({1: [4, 2]}, [])
-        assert serialize_decomposition(td).startswith("s td 1 2 4\n")
+        assert serialize_decomposition(td, 5).startswith("s td 1 2 5\n")
 
     def test_round_trip_is_byte_exact(self):
         rng = random.Random(23)
@@ -160,6 +161,15 @@ class TestDecompositionFormat:
     def test_garbage_line_rejected(self):
         with pytest.raises(ValueError, match="bag or edge"):
             parse_decomposition("s td 1 1 1\nb 1 1\nx y z\n")
+
+    def test_bag_line_without_id_rejected(self):
+        with pytest.raises(ValueError, match="bag line needs an id"):
+            parse_decomposition("s td 1 1 1\nb\n")
+
+    def test_non_tree_rejected_by_the_parser(self):
+        # the type's own message, before any axiom is checked
+        with pytest.raises(ValueError, match=r"^tree is not connected$"):
+            parse_decomposition("s td 4 1 1\nb 1 1\nb 2 1\nb 3 1\nb 4 1\n1 2\n2 3\n1 3\n")
 
 
 class TestCnfFormat:

@@ -48,6 +48,10 @@ class TestAshgInstance:
         assert inst.underlying_edges() == {(1, 2), (2, 3)}
         assert inst.max_degree == 2
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+            AshgInstance(-1)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             AshgInstance(2, [(1, 1, 1)])
@@ -163,6 +167,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([1]).class_of(2)
 
+    def test_members_bounds(self):
+        with pytest.raises(ValueError, match="^no coalition with id 0$"):
+            Partition([1]).members(0)
+
 
 class TestUtilities:
     def test_utility_in_partition(self):
@@ -224,6 +232,10 @@ class TestBetterResponseDynamics:
 
     def test_empty_instance(self):
         assert better_response_dynamics(AshgInstance(0)) == Partition([])
+
+    def test_negative_step_budget_rejected(self):
+        with pytest.raises(ValueError, match="^max_steps must be nonnegative$"):
+            better_response_dynamics(friends(), max_steps=-1)
 
     def test_converged_results_are_stable(self):
         rng = random.Random(88)

@@ -61,6 +61,16 @@ class TestCnfFormula:
         assert phi.is_satisfied_by([True, True])
         assert phi.is_satisfied_by([False, False])
         assert not phi.is_satisfied_by([False, True])
+        with pytest.raises(ValueError, match="^assignment has 1 values for 2 variables$"):
+            phi.is_satisfied_by([True])
+
+    @pytest.mark.parametrize("num_vars, clauses, message", [
+        (-1, (), "num_vars must be nonnegative"),
+        (2, ((1, 2),), "clause 0 does not have exactly 3 literal slots"),
+    ], ids=["negative-count", "two-slots"])
+    def test_malformed_formula_rejected(self, num_vars, clauses, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CnfFormula(num_vars, clauses)
 
 
 class TestSatHighDegree:
@@ -292,6 +302,11 @@ class TestThreePartitionStar:
         with pytest.raises(ValueError):
             witness_three_partition_star(lay, [(1, 2, 3), (1, 2, 3)])
 
+    def test_witness_rejects_short_triple(self):
+        _, lay = gen_three_partition_star([5, 5, 6, 5, 5, 6], 16)
+        with pytest.raises(ValueError, match=r"^triple \(1, 2\) does not have 3 items$"):
+            witness_three_partition_star(lay, [(1, 2), (3, 4, 5, 6)])
+
     @pytest.mark.parametrize("index", [0, -1, 7, 99])
     def test_witness_rejects_index_out_of_range(self, index):
         _, lay = gen_three_partition_star([5, 5, 6, 5, 5, 6], 16)
@@ -354,10 +369,41 @@ class TestBinPacking:
         assert ok, dev
         assert is_connected_partition(inst, part)[0]
 
+    @pytest.mark.parametrize("unit", [False, True], ids=["weighted", "unit"])
+    def test_witness_places_padding(self, unit):
+        # items [2, 1] fill 3 of 6: the three padding items go to bin 1,
+        # then twice to bin 2
+        inst, lay = gen_bin_packing([2, 1], 3, 2, unit_weights=unit)
+        assert lay.items == (2, 1, 1, 1, 1)
+        part = witness_bin_packing(lay, [1, 2])
+        ok, dev = is_nash_stable(inst, part)
+        assert ok, dev
+        assert is_connected_partition(inst, part)[0]
+        first = part.class_of(lay.bin_ids[0])
+        assert [part.class_of(v) == first for v in lay.item_ids] == [
+            True, False, True, False, False]
+
     def test_witness_rejects_overfull_bin(self):
         _, lay = gen_bin_packing([2, 2], 2, 2)
         with pytest.raises(ValueError):
             witness_bin_packing(lay, [1, 1])
+
+    @pytest.mark.parametrize("packing, message", [
+        ([1], "packing assigns 1 of 2 items"),
+        ([1, 0], "bin index 0 out of range"),
+    ], ids=["count", "bin-zero"])
+    def test_witness_rejects_malformed_packing(self, packing, message):
+        _, lay = gen_bin_packing([2, 1], 3, 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            witness_bin_packing(lay, packing)
+
+    @pytest.mark.parametrize("items, capacity, message", [
+        ([1, 0], 2, "item weights must be positive"),
+        ([1], 0, "capacity and bin count must be positive"),
+    ], ids=["item-zero", "capacity-zero"])
+    def test_nonpositive_input_rejected(self, items, capacity, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_bin_packing(items, capacity, 2)
 
     @pytest.mark.parametrize("items, capacity, bins, unit, digest", [
         ([1, 1, 2], 2, 2, False, "de1863f35bed430c"),
