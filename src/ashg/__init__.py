@@ -9,7 +9,7 @@ additionally requires every coalition to induce a connected subgraph of
 the underlying undirected graph (zero-weight arcs count as edges).
 """
 
-from .errors import OracleCapError, ResourceLimitError
+from .errors import ResourceLimitError
 from .game import (
     AshgInstance,
     DeviationWitness,
@@ -36,7 +36,6 @@ from .connected import (
 from .oracle import (
     brute_force_connected_nash,
     brute_force_nash,
-    enumerate_partitions,
 )
 from .formats import (
     parse_cnf,
@@ -67,7 +66,6 @@ __all__ = [
     "ConnectedSignature",
     "solve_connected_nash",
     "forget_filter_passes",
-    "enumerate_partitions",
     "brute_force_nash",
     "brute_force_connected_nash",
     "CnfFormula",
@@ -92,30 +90,15 @@ __all__ = [
     "parse_cnf",
     "parse_int_list",
     "ResourceLimitError",
-    "OracleCapError",
 ]
 
 # The generators and their layouts live in .reductions, which is imported
-# on the first use of one of these names (PEP 562), not with the package.
-_REDUCTIONS = frozenset({
-    "BinPackingLayout",
-    "CnfFormula",
-    "SatBoundedDegreeLayout",
-    "SatHighDegreeLayout",
-    "ThreePartitionLayout",
-    "gen_bin_packing",
-    "gen_sat_bounded_degree",
-    "gen_sat_high_degree",
-    "gen_three_partition_star",
-    "witness_bin_packing",
-    "witness_sat_bounded_degree",
-    "witness_sat_high_degree",
-    "witness_three_partition_star",
-})
+# on the first use of one of their names (PEP 562), not with the package.
+# Every other name in __all__ is bound above, so only those reach here.
 
 
 def __getattr__(name: str):
-    if name in _REDUCTIONS:
+    if name in __all__:
         from . import reductions
 
         return getattr(reductions, name)

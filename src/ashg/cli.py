@@ -1,9 +1,9 @@
 """Command-line surface: solve, verify, gen, oracle, decompose.
 
 Exit codes are a contract: 0 = SOME/stable, 1 = NONE/unstable,
-2 = unknown (resource or step limit hit), 3 = input error.  Reports are
-emitted as `c`-prefixed comment lines so that stdout stays parseable
-when a partition or instance follows them.
+2 = unknown (resource or step limit hit, or out of memory), 3 = input
+error.  Reports are emitted as `c`-prefixed comment lines so that stdout
+stays parseable when a partition or instance follows them.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .decomposition import (
     heuristic_decompose,
     square_instance,
 )
-from .errors import OracleCapError, ResourceLimitError
+from .errors import ResourceLimitError
 from .game import (
     AshgInstance,
+    _check_max_steps,
     better_response_dynamics,
     is_connected_partition,
     is_nash_stable,
@@ -93,6 +94,9 @@ def _report(command: str, instance: AshgInstance, answer: str, t0: float,
 def cmd_solve(args) -> int:
     if args.td and args.mode != "connected-nash":
         raise ValueError(f"--td applies to --mode connected-nash only, not {args.mode}")
+    # every mode refuses a negative limit, also one it does not use
+    _check_table_cap(args.table_cap)
+    _check_max_steps(args.max_steps)
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     stats: dict[str, int] = {}
@@ -105,7 +109,6 @@ def cmd_solve(args) -> int:
         if partition is None:
             print(f"c no convergence within {args.max_steps} steps", file=sys.stderr)
     else:
-        _check_table_cap(args.table_cap)  # also before reading a --td tree
         try:
             if args.mode == "nash":
                 partition = solve_nash_via_coloring(
@@ -233,7 +236,7 @@ def cmd_oracle(args) -> int:
         else:
             partition = brute_force_connected_nash(instance, cap=args.cap)
         answer = "SOME" if partition is not None else "NONE"
-    except OracleCapError as exc:
+    except ResourceLimitError as exc:
         print(f"c oracle cap: {exc}", file=sys.stderr)
         answer = "UNKNOWN"
     _report("oracle", instance, answer, t0)
@@ -373,8 +376,8 @@ def main(argv=None) -> int:
         command = {"solve": cmd_solve, "verify": cmd_verify, "gen": cmd_gen,
                    "oracle": cmd_oracle, "decompose": cmd_decompose}[args.cmd]
         return command(args)
-    except (ResourceLimitError, OracleCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_UNKNOWN
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,5 @@
-"""Error types that map to distinct CLI exit codes."""
+"""The error type that maps to the CLI's resource-limit exit code."""
 
 
 class ResourceLimitError(RuntimeError):
-    """A dynamic-programming table grew past the configured cap."""
-
-
-class OracleCapError(RuntimeError):
-    """A brute-force enumeration request exceeds the configured cap."""
+    """A configured cap would be passed: the DP table cap or the oracle cap."""

@@ -138,8 +138,7 @@ class Partition:
         if len(assign) != count or None in labels:
             missing = [v for v in range(1, count + 1) if v not in assign]
             extra = [v for v in assign if not (1 <= v <= count)]
-            if missing or extra:
-                raise ValueError(f"blocks do not cover 1..{count}: missing {missing}, extra {extra}")
+            raise ValueError(f"blocks do not cover 1..{count}: missing {missing}, extra {extra}")
         return cls(labels)
 
     def class_of(self, v: int) -> int:
@@ -177,14 +176,10 @@ class Partition:
         return f"Partition({list(self.blocks())})"
 
 
-#: Witness target marker for a deviation into a fresh singleton coalition.
-SINGLETON = None
-
-
 class DeviationWitness(NamedTuple):
     """A strictly improving move certifying instability.
 
-    `target` is the id of an existing coalition, or SINGLETON (None) for
+    `target` is the id of an existing coalition, or None for
     a move into a fresh empty coalition.  The improvement is strict:
     target_utility > current_utility.
     """
@@ -219,7 +214,7 @@ def _first_violation(
     stops at the first hit.  Returns (vertex, own_utility, target,
     target_utility): target is the best class that pays more than own
     utility, ties broken by lowest class id, even when own utility is
-    negative; it is SINGLETON (with target utility 0) when only the empty
+    negative; it is None (with target utility 0) when only the empty
     coalition improves.  Only coalitions holding an out-neighbor can beat
     a nonnegative own utility, so the scan per vertex is over out-arcs only.
     """
@@ -243,7 +238,7 @@ def _first_violation(
         if best_c is not None:
             return (v, own, best_c, best)
         if own < 0:
-            return (v, own, SINGLETON, 0)
+            return (v, own, None, 0)
     return None
 
 
@@ -254,7 +249,7 @@ def is_nash_stable(
 
     Deterministic: vertices are scanned in ascending order and the best
     improving target is reported, ties broken by lowest coalition id.
-    A negative own utility is reported as a move to SINGLETON.
+    A negative own utility is reported as a move to a new singleton (None).
     """
     _check_partition(instance, partition)
     hit = _first_violation(instance, partition.labels)
@@ -262,7 +257,7 @@ def is_nash_stable(
         return True, None
     v, own, target, gain = hit
     if own < 0:
-        target, gain = SINGLETON, 0
+        target, gain = None, 0
     return False, DeviationWitness(v, own, target, gain)
 
 
@@ -296,6 +291,12 @@ def is_connected_partition(
     return True, None
 
 
+def _check_max_steps(max_steps: int) -> None:
+    """`better_response_dynamics` and `ashg solve` call this before any work."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+
+
 def better_response_dynamics(
     instance: AshgInstance,
     max_steps: int = 1000,
@@ -321,8 +322,7 @@ def better_response_dynamics(
     step, then O((outdeg(v) + indeg(v)) log n) per move of v, plus the
     stable vertices that move wakes.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
+    _check_max_steps(max_steps)
     n = instance.n
     labels = list(range(1, n + 1))
     into: list[list[int]] = [[] for _ in range(n + 1)]
@@ -346,7 +346,7 @@ def better_response_dynamics(
         if hit is None or applied >= max_steps:
             break
         v, _, target, gain = hit
-        if target is SINGLETON or gain < 0:  # the empty coalition pays 0
+        if target is None or gain < 0:  # the empty coalition pays 0
             labels[v - 1] = next_id
             next_id += 1
         else:

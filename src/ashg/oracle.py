@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import OracleCapError
+from .errors import ResourceLimitError
 from .game import AshgInstance, Partition, _connected_block, _first_violation
 
 DEFAULT_PARTITION_CAP = 12  # Bell(12) = 4,213,597 partitions
@@ -48,19 +48,7 @@ def _check_cap(n: int, cap: int) -> None:
     if cap < 0:
         raise ValueError(f"oracle cap must be nonnegative, got {cap}")
     if n > cap:
-        raise OracleCapError(f"n={n} exceeds the enumeration cap {cap}")
-
-
-def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[Partition]:
-    """All partitions of 1..n in restricted-growth order.
-
-    Raises OracleCapError when n exceeds the cap (Bell numbers explode).
-    The arguments are checked at call time, before the generator exists.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_cap(n, cap)
-    return map(Partition, _rgs(n))
+        raise ResourceLimitError(f"n={n} exceeds the enumeration cap {cap}")
 
 
 def brute_force_nash(

@@ -14,11 +14,26 @@ from ashg import (
     CnfFormula,
     ConnectedSignature,
     Partition,
-    enumerate_partitions,
     forget_filter_passes,
     is_nash_stable,
 )
 from ashg.decomposition import FORGET, canonical_labels
+from ashg.oracle import _rgs
+
+
+def stalker():
+    """Two vertices, 1 wants 2 and 2 shuns 1: no Nash stable partition."""
+    return AshgInstance(2, [(1, 2, 1), (2, 1, -1)])
+
+
+def friends():
+    """Two vertices that like each other: the grand coalition is stable."""
+    return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
+
+
+def path3():
+    """The path 1-2-3 with unit weights both ways."""
+    return AshgInstance(3, [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)])
 
 
 def uniform_instance(rng, n_max=8, max_degree=4, w_lo=-3, w_hi=3):
@@ -387,7 +402,7 @@ def first_stable_coloring(instance, k):
     classes.
     """
     return next(
-        (p for p in enumerate_partitions(instance.n)
+        (p for p in map(Partition, _rgs(instance.n))
          if p.num_classes <= k and is_nash_stable(instance, p)[0]),
         None,
     )

@@ -163,11 +163,19 @@ class TestSolve:
         assert "c answer UNKNOWN" in captured.out
         assert "resource limit" in captured.err
 
-    @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash", "dynamics"])
     def test_negative_table_cap_is_input_error(self, mode, capsys):
         args = ["solve", golden("path6.ashg"), "--mode", mode, "--table-cap", "-1"]
         assert main(args) == 3
         assert "table cap must be nonnegative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["nash", "connected-nash", "dynamics"])
+    def test_negative_max_steps_is_input_error(self, mode, tmp_path, capsys):
+        # every mode checks both limits, before the instance is read
+        for instance in (golden("path6.ashg"), str(tmp_path / "missing.ashg")):
+            args = ["solve", instance, "--mode", mode, "--max-steps", "-1"]
+            assert main(args) == 3
+            assert "max_steps must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
     def test_negative_table_cap_refused_before_decomposing(self, mode, monkeypatch, capsys):
@@ -622,6 +630,15 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_out_of_memory_exits_unknown(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(ashg.cli, "solve_nash_via_coloring", exhausted)
+        assert main(["solve", golden("friends.ashg")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert gc.isenabled()
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash", "dynamics"])
     def test_cyclic_garbage_does_not_grow_with_the_input(self, mode, tmp_path, capsys):

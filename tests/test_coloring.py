@@ -23,20 +23,14 @@ from ashg.coloring import _transitions
 from ashg.decomposition import FORGET, INTRODUCE, NiceNode, canonical_labels
 from helpers import (
     first_stable_coloring,
+    friends,
     grid_instance,
     naive_is_stable,
     path_instance,
+    stalker,
     suite_instance,
     tree_instance,
 )
-
-
-def stalker() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, -1)])
-
-
-def friends() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
 
 
 def paper_k(inst: AshgInstance) -> int:

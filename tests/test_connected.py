@@ -28,23 +28,17 @@ from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 from helpers import (
     caterpillar_instance,
     cycle_instance,
+    friends,
     grid_instance,
     in_bag_sums,
     naive_is_stable,
     path_instance,
     signature_of,
+    stalker,
     suite_instance,
     trace_survives_forget_filters,
     tree_instance,
 )
-
-
-def stalker() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, -1)])
-
-
-def friends() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
 
 
 def triangle_nodes() -> tuple[NiceNode, ...]:

@@ -36,16 +36,13 @@ from helpers import (
     grid_instance,
     naive_elimination_bags,
     naive_validate,
+    path3,
     path_instance,
     random_graph_instance,
     suite_instance,
     tree_instance,
     uniform_instance,
 )
-
-
-def path3() -> AshgInstance:
-    return AshgInstance(3, [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)])
 
 
 def star_instance(n: int) -> AshgInstance:

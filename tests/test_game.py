@@ -17,19 +17,14 @@ from ashg import (
     is_nash_stable,
     utility,
 )
-from helpers import frustrated_instance, naive_is_stable, suite_instance
-
-
-def stalker() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, -1)])
-
-
-def friends() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
-
-
-def path3() -> AshgInstance:
-    return AshgInstance(3, [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)])
+from helpers import (
+    friends,
+    frustrated_instance,
+    naive_is_stable,
+    path3,
+    stalker,
+    suite_instance,
+)
 
 
 class TestAshgInstance:

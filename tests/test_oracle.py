@@ -9,32 +9,26 @@ import pytest
 
 from ashg import (
     AshgInstance,
-    OracleCapError,
     Partition,
+    ResourceLimitError,
     brute_force_connected_nash,
     brute_force_nash,
-    enumerate_partitions,
     is_connected_partition,
 )
+from ashg.oracle import _rgs
 from helpers import (
     all_partitions,
     bell_numbers,
     first_stable_coloring,
+    friends,
     naive_is_stable,
     naive_stable_exists,
+    stalker,
     suite_instance,
 )
 
 # Frozen from the Bell-triangle recurrence (helpers.bell_numbers).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-
-
-def stalker() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, -1)])
-
-
-def friends() -> AshgInstance:
-    return AshgInstance(2, [(1, 2, 1), (2, 1, 1)])
 
 
 class TestEnumeratePartitions:
@@ -43,38 +37,16 @@ class TestEnumeratePartitions:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_counts_are_bell_numbers(self, n):
-        assert sum(1 for _ in enumerate_partitions(n)) == BELL[n]
+        assert sum(1 for _ in _rgs(n)) == BELL[n]
 
     def test_partitions_distinct_and_complete(self):
-        seen = set(p.labels for p in enumerate_partitions(4))
+        seen = {Partition(labels).labels for labels in _rgs(4)}
         assert len(seen) == BELL[4]
         expected = {
             tuple(Partition.from_blocks(blocks, 4).labels)
             for blocks in all_partitions([1, 2, 3, 4])
         }
         assert seen == expected
-
-    def test_cap_enforced(self):
-        with pytest.raises(OracleCapError):
-            next(enumerate_partitions(13))
-
-    def test_cap_can_be_raised(self):
-        assert sum(1 for _ in enumerate_partitions(3, cap=3)) == 5
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            next(enumerate_partitions(-1))
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_negative_cap_rejected_at_call_time(self, n):
-        # raised by the call itself, not by the first next()
-        with pytest.raises(ValueError, match="oracle cap must be nonnegative, got -1"):
-            enumerate_partitions(n, cap=-1)
-
-    def test_cap_checked_at_call_time(self):
-        with pytest.raises(OracleCapError):
-            enumerate_partitions(13)
-        assert list(enumerate_partitions(0, cap=0)) == [Partition([])]
 
 
 class TestBruteForceNash:
@@ -92,7 +64,7 @@ class TestBruteForceNash:
         assert brute_force_nash(AshgInstance(0)) == Partition([])
 
     def test_cap_respected(self):
-        with pytest.raises(OracleCapError):
+        with pytest.raises(ResourceLimitError):
             brute_force_nash(AshgInstance(13))
 
     @pytest.mark.parametrize("oracle", [brute_force_nash, brute_force_connected_nash])
@@ -101,7 +73,7 @@ class TestBruteForceNash:
         with pytest.raises(ValueError, match="oracle cap must be nonnegative, got -1"):
             oracle(AshgInstance(0), cap=-1)
         assert oracle(AshgInstance(0), cap=0) == Partition([])
-        with pytest.raises(OracleCapError):
+        with pytest.raises(ResourceLimitError):
             oracle(AshgInstance(1), cap=0)
 
     def test_result_is_stable_and_existence_matches_label_products(self):

@@ -56,10 +56,11 @@ def test_reductions_imported_only_on_use():
     probe = (
         "import sys, ashg, ashg.cli\n"
         "print('ashg.reductions' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "print(hasattr(ashg, 'no_such_name'), 'ashg.reductions' in sys.modules)\n"
         "ashg.gen_bin_packing\n"
         "print('ashg.reductions' in sys.modules)\n"
     )
     src = str(Path(ashg.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "True"]
