@@ -31,12 +31,33 @@ alone, built once per process in a bounded memo that all solves share.
 The solver decomposes the graph itself unless it is given a tree
 decomposition, which it validates once; either way it builds the nice
 form itself.
+
+Dominance.  Take two signatures A and B with the same (pi1, pi2).  A
+dominates B when, for every bag position q, A's util toward q's own
+pi1 class is at least B's, A's util toward every other class is at
+most B's, and A's best is at most B's.  Every transition is monotone in
+these values:
+
+  INTRODUCE  adds the same zero row and zero column to A and B;
+  FORGET     the leaving vertex's own utility is no lower under A and
+             every alternative no higher, so the filter passes A whenever
+             it passes B; survivors get the same in-bag additions, and a
+             completed class feeds best from a column that is never the
+             survivor's own class;
+  JOIN       adds the same partner's util and maxes its best, and pi2
+             merges with the same partner pi2.
+
+So the image of A dominates the image of B at every later node, and
+whatever trace completes from B completes from A.  After each FORGET the
+solver therefore keeps only the undominated signatures of every
+(pi1, pi2) group (_prune).  JOIN tables are left whole: pruning them
+cost more time than it saved.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, le, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import (
@@ -98,18 +119,23 @@ def forget_filter_passes(sig: ConnectedSignature, p: int, in_bag: Sequence[int])
     """
     pi1, pi2, util, best = sig
     ncls = len(in_bag)
-    full = tuple(map(add, util[p * ncls : (p + 1) * ncls], in_bag))
-    cls = pi1[p]
+    row = util[p * ncls : (p + 1) * ncls]
+    return (_stable_leaving(row, best[p], pi1[p], in_bag)
+            and _drop(pi2, p, pi1.count(pi1[p]) == 1) is not None)
+
+
+def _stable_leaving(row: tuple[int, ...], best: int, cls: int, in_bag: Sequence[int]) -> bool:
+    """The leaving vertex's stability, from its stored row, best and class."""
+    full = tuple(map(add, row, in_bag))
     own = full[cls]
-    if own < 0 or own < best[p] or max(full) > own:
-        return False
-    return pi2.count(pi2[p]) > 1 or pi1.count(cls) == 1
+    return own >= 0 and own >= best and max(full) <= own
 
 
 # These plans depend only on bag-local keys, not on the game, so every solve
 # in the process shares their (immutable) values.  The bound evicts nothing
-# measured: at most 1 143 keys per memo over the benchmark workloads (seeds 0
-# and 1), and 7 180 on a 5 x 8 grid, weights 0..3 (width 7, peak table 87 941).
+# measured: at most 1 114 keys per memo over one benchmark workload (seeds 0
+# and 1), and 7 490 after the 5 x 8 grids with weights 0..3 of seeds 0 and 1
+# in one process (width 7, peak tables 28 488 and 41 438).
 _shared_plan = lru_cache(maxsize=1 << 14)
 
 
@@ -167,9 +193,13 @@ def _forget_plan(pi1: tuple[int, ...], p: int) -> tuple:
 
 
 @_shared_plan
-def _drop(labels: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Canonical labels of the bag without position p."""
-    return canonical_labels(labels[:p] + labels[p + 1 :])[0]
+def _drop(pi2: tuple[int, ...], p: int, alone: bool) -> tuple[int, ...] | None:
+    """Canonical pi2 of the bag without position p, or None when p's
+    realized component is cut off from the rest of its coalition: the
+    component is p alone, and p is not `alone` in its pi1 class."""
+    if not alone and pi2.count(pi2[p]) == 1:
+        return None
+    return canonical_labels(pi2[:p] + pi2[p + 1 :])[0]
 
 
 @_shared_plan
@@ -187,6 +217,47 @@ def _pi2_union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             return canonical_labels(labels)[0]
 
 
+@_shared_plan
+def _cost_signs(pi1: tuple[int, ...]) -> tuple[int, ...]:
+    """-1 for each util entry toward its row's own class, +1 for the others.
+
+    Multiplied into util they make every entry one to keep low, as best is.
+    """
+    ncls = max(pi1) + 1
+    return tuple(-1 if c == own else 1 for own in pi1 for c in range(ncls))
+
+
+def _prune(table: dict) -> dict:
+    """The entries of `table` that no other signature of their (pi1, pi2) dominates.
+
+    The survivors keep their order and back-pointers.  A signature's cost
+    is its sign-flipped util followed by best, so A dominates B exactly
+    when A's cost is at most B's everywhere.  A dominator sorts before
+    what it dominates, so one pass in cost order meets every dominator
+    first, and the costs it keeps are the group's frontier.
+    """
+    groups: dict[tuple, list] = {}
+    for sig in table:
+        groups.setdefault(sig[:2], []).append(sig)
+    dropped = set()
+    for (pi1, _), sigs in groups.items():
+        if len(sigs) == 1:
+            continue
+        signs = _cost_signs(pi1)
+        front: list[tuple[int, ...]] = []
+        costs = sorted([(tuple(map(mul, sig.util, signs)) + sig.best, sig) for sig in sigs])
+        for cost, sig in costs:
+            for kept in front:
+                if all(map(le, kept, cost)):
+                    dropped.add(sig)
+                    break
+            else:
+                front.append(cost)
+    if not dropped:
+        return table
+    return {sig: back for sig, back in table.items() if sig not in dropped}
+
+
 def solve_connected_nash(
     instance: AshgInstance,
     td: TreeDecomposition | None = None,
@@ -200,8 +271,10 @@ def solve_connected_nash(
     TreeDecomposition of the instance's own graph (not of its square):
     validate checks it once, ValueError says why it fails, and the DP
     runs on make_nice(td).  Anything else, make_nice's tuple of nodes
-    included, is a TypeError.  The first trace in the tables' insertion
-    order is returned, so the output is deterministic.  Raises
+    included, is a TypeError.  After each FORGET only the signatures no
+    other one dominates are kept (see the module docstring); the first
+    surviving trace in the tables' insertion order is returned, so the
+    output is deterministic.  Raises
     ResourceLimitError when a signature table would exceed table_cap, and
     ValueError for a negative table_cap before any decomposition work.
     """
@@ -218,6 +291,7 @@ def solve_connected_nash(
         make_nice(td), table_cap, EMPTY_SIGNATURE, *_transitions(instance),
         classes=attrgetter("pi1"),
         stats=stats,
+        prune=_prune,
     )
 
 
@@ -229,6 +303,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
     """
     weight = instance.arcs.get
     nbr_sets = [set(s) for s in instance.neighbors]
+    signature = tuple.__new__  # ConnectedSignature's own __new__ is a Python-level call
 
     def introduce(nd, child_bag):
         v = nd.vertex
@@ -240,7 +315,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
             ext = util + _ZERO
             new_best = best[:p] + _ZERO + best[p:]
             return [
-                ConnectedSignature(new_pi1, new_pi2, gather(ext), new_best)
+                signature(ConnectedSignature, (new_pi1, new_pi2, gather(ext), new_best))
                 for new_pi1, new_pi2, gather in _placements(pi1, pi2, p, adjacent)
             ]
 
@@ -255,6 +330,9 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
 
         def step(sig):
             pi1, pi2, util, best = sig
+            new_pi2 = _drop(pi2, p, pi1.count(pi1[p]) == 1)
+            if new_pi2 is None:
+                return None
             plan = plans.get(pi1)
             if plan is None:
                 new_pi1, gather, col, column = _forget_plan(pi1, p)
@@ -265,30 +343,35 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
                     vec = [0] * (len(wcol) * ncls)
                     vec[col::ncls] = wcol
                     addvec = tuple(vec)
-                plan = plans[pi1] = (_in_bag_sums(pi1, p, arcs_from_x), new_pi1, gather, addvec, column)
-            in_bag, new_pi1, gather, addvec, column = plan
-            if not forget_filter_passes(sig, p, in_bag):
+                ncls = max(pi1) + 1
+                plan = plans[pi1] = (
+                    p * ncls, (p + 1) * ncls, pi1[p], _in_bag_sums(pi1, p, arcs_from_x),
+                    new_pi1, gather, addvec, column,
+                )
+            lo, hi, cls, in_bag, new_pi1, gather, addvec, column = plan
+            if not _stable_leaving(util[lo:hi], best[p], cls, in_bag):
                 return None
-            new_pi2 = _drop(pi2, p)
             rest = best[:p] + best[p + 1 :]
             if addvec is None:
                 # x's class completes: each survivor's final value toward it feeds best
-                return ConnectedSignature(
+                return signature(ConnectedSignature, (
                     new_pi1, new_pi2, gather(util),
                     tuple(map(max, rest, map(add, column(util), wcol))),
-                )
-            return ConnectedSignature(
+                ))
+            return signature(ConnectedSignature, (
                 new_pi1, new_pi2, tuple(map(add, gather(util), addvec)), rest
-            )
+            ))
 
         return step
 
     def join(left, right):
-        return ConnectedSignature(
-            left.pi1,
-            _pi2_union(left.pi2, right.pi2),
-            tuple(map(add, left.util, right.util)),
-            tuple(map(max, left.best, right.best)),
-        )
+        pi1, pi2, util, best = left
+        _, right_pi2, right_util, right_best = right
+        return signature(ConnectedSignature, (
+            pi1,
+            pi2 if pi2 == right_pi2 else _pi2_union(pi2, right_pi2),
+            tuple(map(add, util, right_util)),
+            tuple(map(max, best, right_best)),
+        ))
 
     return introduce, forget, join

@@ -402,6 +402,7 @@ def run_nice_dp(
     join: Callable[[Hashable, Hashable], Hashable | None],
     classes: Callable[[Hashable], tuple[int, ...]],
     stats: dict | None = None,
+    prune: Callable[[dict], dict] | None = None,
 ) -> Partition | None:
     """Run a signature dynamic program bottom-up, then trace one answer back.
 
@@ -421,11 +422,15 @@ def run_nice_dp(
     a signature to its back-pointer (the child signature, or the (left,
     right) pair at a JOIN); tables keep insertion order and the first
     derivation of a signature wins, so the traced answer is the first in
-    insertion order.  ResourceLimitError is raised as soon as an insert
-    takes a table past table_cap, ValueError for a negative cap.  `stats`
-    receives `width` and `nice_nodes` before the walk and `peak_table`
-    after it; a capped run records as `peak_table` the size that crossed
-    the cap before the error propagates.
+    insertion order.  `prune`, when given, maps each finished FORGET table
+    to the entries it keeps, in their order and with their back-pointers;
+    every later table is built from the kept ones only.  A FORGET table is
+    never larger than its child, so the cap has acted before any pruning.
+    ResourceLimitError is raised as soon as an insert takes a table past
+    table_cap, ValueError for a negative cap.  `stats` receives `width`
+    and `nice_nodes` before the walk and `peak_table` (of the kept
+    entries) after it; a capped run records as `peak_table` the size that
+    crossed the cap before the error propagates.
 
     Returns None when the root table is empty.  Otherwise the first root
     signature is followed down its back-pointers.  The root bag is empty,
@@ -450,21 +455,23 @@ def run_nice_dp(
     for idx, nd in enumerate(nodes):
         kind, _, _, kids = nd
         table: dict = {}
+        insert = table.setdefault  # one hash per insert; the first derivation stays
         if kind == INTRODUCE:
             step = introduce(nd, nodes[kids[0]].bag)
             for old in tables[kids[0]]:
                 for sig in step(old):
-                    if sig not in table:
-                        table[sig] = old
-                        if len(table) > table_cap:
-                            raise over_cap(idx, kind, len(table))
+                    insert(sig, old)
+                    if len(table) > table_cap:
+                        raise over_cap(idx, kind, len(table))
         elif kind == FORGET:
             step = forget(nd, nodes[kids[0]].bag)
             # no cap check: each child signature maps to at most one signature
             for old in tables[kids[0]]:
                 sig = step(old)
-                if sig is not None and sig not in table:
-                    table[sig] = old
+                if sig is not None:
+                    insert(sig, old)
+            if prune is not None:
+                table = prune(table)
         elif kind == JOIN:
             by_classes: dict[tuple[int, ...], list] = {}
             for right in tables[kids[1]]:
@@ -472,8 +479,8 @@ def run_nice_dp(
             for left in tables[kids[0]]:
                 for right in by_classes.get(classes(left), ()):
                     sig = join(left, right)
-                    if sig is not None and sig not in table:
-                        table[sig] = (left, right)
+                    if sig is not None:
+                        insert(sig, (left, right))
                         if len(table) > table_cap:
                             raise over_cap(idx, kind, len(table))
         else:  # LEAF

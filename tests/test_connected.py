@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ashg import (
     AshgInstance,
@@ -23,8 +26,8 @@ from ashg import (
     square_instance,
     TreeDecomposition,
 )
-from ashg.connected import EMPTY_SIGNATURE, _in_bag_sums, _transitions
-from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF
+from ashg.connected import EMPTY_SIGNATURE, _in_bag_sums, _prune, _transitions
+from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, canonical_labels, run_nice_dp
 from helpers import (
     caterpillar_instance,
     cycle_instance,
@@ -39,6 +42,7 @@ from helpers import (
     trace_survives_forget_filters,
     tree_instance,
 )
+from test_traceback import CORPUS
 
 
 def triangle_nodes() -> tuple[NiceNode, ...]:
@@ -201,15 +205,15 @@ class TestSolveConnectedNash:
         assert stats == {"width": 1, "nice_nodes": 17, "peak_table": 2}
 
     def test_table_cap_enforced_at_a_join(self):
-        # a star's center bag joins its branches: every table below the
-        # first JOIN fits in 4 signatures, and the JOIN outgrows both children
-        inst = AshgInstance(6, [(1, 2, -2), (2, 1, 2), (1, 3, 2), (3, 1, 0), (1, 4, 3),
-                                (4, 1, 0), (1, 5, 1), (5, 1, -2), (1, 6, -1), (6, 1, -1)])
+        # a width-2 game whose pruned tables below the first JOIN fit in 8
+        # signatures, and the JOIN outgrows both children
+        inst = AshgInstance(6, [(1, 5, 3), (1, 6, 1), (2, 4, 0), (3, 5, -1), (4, 3, -2),
+                                (5, 1, -1), (5, 3, -1), (5, 4, 0), (6, 2, 1), (6, 5, 2)])
         stats = {}
-        with pytest.raises(ResourceLimitError, match=r"^signature table at node 18 \(join\) "
-                                                     r"exceeds cap 4$"):
-            solve_connected_nash(inst, table_cap=4, stats=stats)
-        assert stats == {"width": 1, "nice_nodes": 25, "peak_table": 5}
+        with pytest.raises(ResourceLimitError, match=r"^signature table at node 14 \(join\) "
+                                                     r"exceeds cap 8$"):
+            solve_connected_nash(inst, table_cap=8, stats=stats)
+        assert stats == {"width": 2, "nice_nodes": 22, "peak_table": 9}
 
     def test_invalid_nice_decomposition_rejected(self):
         # the solver builds the nice form itself and takes none: here node 0
@@ -389,23 +393,35 @@ class TestTransitions:
                 assert full == expected
 
 
-# Peak table and node count of the connected DP, recorded before utilities
-# counted forgotten members only; a change to the transitions must not move them.
-# (shape, size, weight low, weight high, seed, peak_table, nice_nodes, answer is SOME)
+def run_unpruned(inst, table_cap, stats):
+    """The connected DP on its default decomposition, every table kept whole."""
+    return run_nice_dp(
+        make_nice(heuristic_decompose(inst)), table_cap, EMPTY_SIGNATURE, *_transitions(inst),
+        classes=attrgetter("pi1"), stats=stats,
+    )
+
+
+# Peak table of the connected DP with every table kept whole and with FORGET
+# tables pruned to their undominated signatures, and the node count; a change
+# to the transitions or the pruning must not move them.  A case is named by
+# its instance and its unpruned work.
+# (shape, size, weight low, weight high, seed, unpruned peak_table, nice_nodes,
+#  answer is SOME, pruned peak_table)
 PINNED_TABLE_WORK = [
-    ("grid", 5, -3, 3, 0, 40, 49, False),
-    ("grid", 5, -3, 3, 1, 25, 49, False),
-    ("grid", 5, -3, 3, 2, 25, 49, False),
-    ("grid", 5, 0, 3, 0, 199, 49, True),
-    ("grid", 5, 0, 3, 1, 126, 49, True),
-    ("grid", 5, 0, 3, 2, 57, 49, True),
-    ("tree", 800, -3, 3, 0, 8, 2785, True),
-    ("tree", 800, -3, 3, 1, 16, 2825, True),
+    ("grid", 5, -3, 3, 0, 40, 49, False, 31),
+    ("grid", 5, -3, 3, 1, 25, 49, False, 17),
+    ("grid", 5, -3, 3, 2, 25, 49, False, 20),
+    ("grid", 5, 0, 3, 0, 199, 49, True, 119),
+    ("grid", 5, 0, 3, 1, 126, 49, True, 53),
+    ("grid", 5, 0, 3, 2, 57, 49, True, 50),
+    ("tree", 800, -3, 3, 0, 8, 2785, True, 2),
+    ("tree", 800, -3, 3, 1, 16, 2825, True, 2),
 ]
 
 
-@pytest.mark.parametrize("shape, size, lo, hi, seed, peak, nodes, some", PINNED_TABLE_WORK)
-def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some):
+@pytest.mark.parametrize("shape, size, lo, hi, seed, peak, nodes, some, kept", PINNED_TABLE_WORK,
+                         ids=["-".join(map(str, case[:-1])) for case in PINNED_TABLE_WORK])
+def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some, kept):
     rng = random.Random(seed)
     if shape == "grid":
         inst = grid_instance(3, size, rng, lo, hi)  # 3 x size grid
@@ -413,11 +429,14 @@ def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some):
         inst = tree_instance(size, rng, w_lo=lo, w_hi=hi, symmetric=True)
     stats = {}
     part = solve_connected_nash(inst, heuristic_decompose(inst), stats=stats)
-    assert (stats["peak_table"], stats["nice_nodes"]) == (peak, nodes)
+    assert (stats["peak_table"], stats["nice_nodes"]) == (kept, nodes)
     assert (part is not None) == some
     if part is not None:
         assert is_nash_stable(inst, part)[0]
         assert is_connected_partition(inst, part)[0]
+    unpruned = {}
+    assert (run_unpruned(inst, 10**6, unpruned) is not None) == some
+    assert (unpruned["peak_table"], unpruned["nice_nodes"]) == (peak, nodes)
 
 
 def test_coloring_dp_agrees_with_connected_dp_on_square_beyond_oracle_cap():
@@ -442,3 +461,152 @@ def test_coloring_dp_agrees_with_connected_dp_on_square_beyond_oracle_cap():
             assert is_connected_partition(sq, connected)[0]
         answers[plain is not None] += 1
     assert min(answers.values()) >= 50, answers
+
+
+def dominates(a, b) -> bool:
+    """Whether signature a is at least as good as b for every bag vertex:
+    same (pi1, pi2), util toward the own class no lower, util toward every
+    other class and best no higher."""
+    if (a.pi1, a.pi2) != (b.pi1, b.pi2):
+        return False
+    ncls = max(a.pi1, default=-1) + 1
+    for q, own in enumerate(a.pi1):
+        for c in range(ncls):
+            x, y = a.util[q * ncls + c], b.util[q * ncls + c]
+            if (x < y) if c == own else (x > y):
+                return False
+    return all(x <= y for x, y in zip(a.best, b.best))
+
+
+@st.composite
+def bag_signatures(draw, pi1=None):
+    """A signature over a bag of 1..4 positions; pi1 is drawn unless given."""
+    if pi1 is None:
+        m = draw(st.integers(1, 4))
+        pi1 = canonical_labels(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))[0]
+    m = len(pi1)
+    # pi2 refines pi1: each class splits along a drawn sub-label
+    sub = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    pi2 = canonical_labels(zip(pi1, sub))[0]
+    ncls = max(pi1) + 1
+    util = draw(st.lists(st.integers(-4, 4), min_size=m * ncls, max_size=m * ncls))
+    best = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    return ConnectedSignature(pi1, pi2, tuple(util), tuple(best))
+
+
+@st.composite
+def dominance_cases(draw):
+    """(game, introduced vertex, A, B, JOIN partner): B is a signature over
+    the bag of every vertex but the introduced one, A dominates B, and the
+    partner shares their pi1."""
+    b = draw(bag_signatures())
+    m = len(b.pi1)
+    ncls = max(b.pi1) + 1
+    gain = draw(st.lists(st.integers(0, 3), min_size=m * ncls + m, max_size=m * ncls + m))
+    util = tuple(
+        x + d if i % ncls == b.pi1[i // ncls] else x - d
+        for i, (x, d) in enumerate(zip(b.util, gain))
+    )
+    best = tuple(x - d for x, d in zip(b.best, gain[m * ncls :]))
+    a = ConnectedSignature(b.pi1, b.pi2, util, best)
+    n = m + 1
+    arcs = {}
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u != v and draw(st.booleans()):
+                arcs[(u, v)] = draw(st.integers(-3, 3))
+    v = draw(st.integers(1, n))
+    return AshgInstance(n, arcs), v, a, b, draw(bag_signatures(b.pi1))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(dominance_cases())
+def test_transitions_keep_dominance(case):
+    inst, v, a, b, partner = case
+    assert dominates(a, b)
+    introduce, forget, join = _transitions(inst)
+    child_bag = tuple(u for u in range(1, inst.n + 1) if u != v)
+    # INTRODUCE: placement by placement, A's image dominates B's
+    step = introduce(NiceNode(INTRODUCE, tuple(range(1, inst.n + 1)), v, (0,)), child_bag)
+    ia, ib = step(a), step(b)
+    assert len(ia) == len(ib) and all(map(dominates, ia, ib))
+    # FORGET of any bag vertex: the filter passes A whenever it passes B
+    for x in child_bag:
+        step = forget(NiceNode(FORGET, tuple(u for u in child_bag if u != x), x, (0,)), child_bag)
+        fa, fb = step(a), step(b)
+        if fb is not None:
+            assert fa is not None and dominates(fa, fb)
+    # JOIN with the same partner, on either side
+    assert dominates(join(a, partner), join(b, partner))
+    assert dominates(join(partner, a), join(partner, b))
+
+
+class TestPrune:
+    def test_keeps_the_undominated_in_order_with_back_pointers(self):
+        # two singleton classes; util is row-major [q0 own, q0 other, q1 other, q1 own]
+        worse = ConnectedSignature((0, 1), (0, 1), (1, 2, 0, 1), (0, 0))
+        better = ConnectedSignature((0, 1), (0, 1), (2, 1, 0, 1), (0, 0))
+        # more for q0's own class but a higher best: neither dominates the other
+        traded = ConnectedSignature((0, 1), (0, 1), (3, 2, 0, 1), (1, 0))
+        # same pi1, other pi2: never compared, though its values are lower
+        split = ConnectedSignature((0, 0), (0, 1), (0, 0), (5, 5))
+        joined = ConnectedSignature((0, 0), (0, 0), (0, 0), (0, 0))
+        table = {worse: "w", split: "s", better: "b", joined: "j", traded: "t"}
+        assert list(_prune(table).items()) == [
+            (split, "s"), (better, "b"), (joined, "j"), (traded, "t"),
+        ]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(bag_signatures((0, 1, 0)), max_size=12))
+    def test_matches_the_pairwise_definition(self, sigs):
+        table = {sig: i for i, sig in enumerate(sigs)}
+        kept = [
+            (sig, back) for sig, back in table.items()
+            if not any(other != sig and dominates(other, sig) for other in table)
+        ]
+        assert list(_prune(table).items()) == kept
+
+
+def connected_outcome(inst, cap, prune):
+    """(answer, peak_table) of the connected DP on its default decomposition,
+    with or without pruning; a capped run answers with its cap message."""
+    stats = {}
+    try:
+        if prune:
+            part = solve_connected_nash(inst, table_cap=cap, stats=stats)
+        else:
+            part = run_unpruned(inst, cap, stats)
+    except ResourceLimitError as exc:
+        return str(exc), stats["peak_table"]
+    if part is not None:
+        assert naive_is_stable(inst, part)
+        assert is_connected_partition(inst, part)[0]
+    return part is not None, stats["peak_table"]
+
+
+def beyond_oracle_cap():
+    """(name, instance, table cap): grids and trees with n = 13..40."""
+    rng = random.Random(1340)
+    cases = []
+    for rows, cols in ((3, 5), (3, 7), (3, 10), (3, 13), (4, 4), (4, 6), (4, 8), (5, 6)):
+        for lo in (-3, -1, 0):
+            cases.append((f"grid{rows}x{cols}{lo}", grid_instance(rows, cols, rng, lo, 3), 10**6))
+    for i in range(24):
+        n = rng.randint(13, 40)
+        lo = rng.choice((-3, -1, 0))
+        cases.append((f"tree{n}-{i}", tree_instance(n, rng, rng.randint(2, 4), lo, 3), 10**6))
+    return cases
+
+
+def test_pruned_dp_answers_as_the_unpruned_one():
+    # the unpruned DP is a second exact route beyond the oracle's n <= 12;
+    # pruned tables are subsets of unpruned ones, so pruning never adds a cap
+    answers = {True: 0, False: 0}
+    for name, inst, cap in CORPUS + beyond_oracle_cap():
+        got, got_peak = connected_outcome(inst, cap, prune=True)
+        want, want_peak = connected_outcome(inst, cap, prune=False)
+        assert got_peak <= want_peak, name
+        if isinstance(want, bool):
+            assert got == want, name
+            answers[want] += 1
+    assert min(answers.values()) >= 40, answers
