@@ -28,11 +28,7 @@ from .decomposition import (
     validate,
 )
 from .coloring import solve_nash_via_coloring
-from .connected import (
-    ConnectedSignature,
-    forget_filter_passes,
-    solve_connected_nash,
-)
+from .connected import ConnectedSignature, solve_connected_nash
 from .oracle import (
     brute_force_connected_nash,
     brute_force_nash,
@@ -65,7 +61,6 @@ __all__ = [
     "solve_nash_via_coloring",
     "ConnectedSignature",
     "solve_connected_nash",
-    "forget_filter_passes",
     "brute_force_nash",
     "brute_force_connected_nash",
     "CnfFormula",

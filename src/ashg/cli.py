@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="nash")
     p_solve.add_argument("--td", help="tree decomposition file for --mode connected-nash "
                          f"(default: a {MIN_DEGREE} tree of G; `ashg decompose --strategy` "
-                         "writes others); nash mode decomposes G^2 itself")
+                         "writes others); nash mode decomposes its check graph itself")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
     p_solve.add_argument("--max-steps", type=int, default=1000,

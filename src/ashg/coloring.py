@@ -1,21 +1,15 @@
-"""Stable colorings and the treewidth-based Nash stability solver.
+"""The treewidth-based Nash stability solver: a DP over bag partitions.
 
-A stable k-coloring assigns every vertex one of k colors so that each
-vertex weakly prefers its own color class to every other class and to
-the guaranteed-empty class k+1 (which forces own utility >= 0).  Only
-the colors of out-neighbors matter.  Nonempty classes of a stable
-coloring form a Nash Stable partition, and conversely a Nash Stable
-partition yields a stable k-coloring once k reaches (t+1) * (max degree)
-for a decomposition of G of width t: that budget is what a dynamic
-program coloring along a decomposition of G needs.
-
-The solver below needs no budget.  Its dynamic program runs on a
-decomposition of the square G^2, eliminated straight from G's neighbor
-lists (no G^2 instance is built), and vertex u's stability check compares
-classes within N[u] only.  N[u] is a clique of G^2, so it lies in one
-bag, and the check reads the bag's partition into classes directly.  A
-signature over bag B is that partition, with at most |B| classes, so
-no color count ever needs capping.
+Vertex u's stability reads only the classes of its check set H(u) = {u}
+∪ {t : w(u, t) != 0}: u's sum toward its own class must be nonnegative
+and at least its sum toward every other class.  The dynamic program runs on
+a decomposition of the check graph, in which x ~ y when some H(u) holds
+both, eliminated straight from G's arcs.  Every H(u) is a clique of the
+check graph, so it lies in one bag, and the check reads the bag's
+partition into classes directly.  The check graph is a subgraph of the
+square G^2, equal to it when every arc is nonzero and two-way, so its
+treewidth is at most G^2's.  A signature over bag B is that partition, with
+at most |B| classes, so no color count ever needs capping.
 """
 
 from __future__ import annotations
@@ -26,7 +20,8 @@ from .decomposition import (
     DEFAULT_TABLE_CAP,
     _check_table_cap,
     canonical_labels,
-    decompose_square,
+    check_sets,
+    decompose_check_graph,
     make_nice,
     run_nice_dp,
 )
@@ -40,33 +35,34 @@ def solve_nash_via_coloring(
 ) -> Partition | None:
     """Decide Nash stability by dynamic programming over bag partitions.
 
-    The DP runs on a min-fill decomposition of the square G^2, where
-    every closed neighborhood N[v] is a clique and therefore lies inside
-    some bag; decompose_square builds it from G's neighbor lists without
-    building G^2 itself.  A signature records how the current bag is
+    The DP runs on a min-fill decomposition of the check graph, where
+    every check set H(u), u and the targets of u's nonzero arcs, is a
+    clique and therefore lies inside some bag; decompose_check_graph
+    builds it from G's arcs.  A signature records how the current bag is
     split into classes, in canonical first-occurrence order; class names
     never matter because the stability test only compares sums within and
-    across classes, and u's test reads only the classes of N[u], all in
+    across classes, and u's test reads only the classes of H(u), all in
     one bag.  So no color budget is needed: a signature over bag B has at
     most |B| classes.  INTRODUCE branches over the existing classes plus
     one fresh class and applies at once the stability test of every bag
-    vertex u whose closed neighborhood just became fully visible.  Those
-    tests read u's class sums once per child signature; every class c is
-    then decided from the sums alone (v joining u's class adds w(u, v) to
-    u's own sum, v joining class c adds it to c's), and a surviving class
-    is inserted into the canonical signature in closed form.  FORGET
+    vertex u whose check set just became fully visible.  Those tests read
+    u's class sums once per child signature; every class c is then
+    decided from the sums alone (v joining u's class adds w(u, v) to u's
+    own sum, v joining class c adds it to c's), and a surviving class is
+    inserted into the canonical signature in closed form.  FORGET
     projects, JOIN intersects.  The partition returned is the first trace
     in the tables' insertion order, so the output is deterministic.
 
     Returns a Nash Stable partition or None; raises ResourceLimitError
     when a signature table would exceed table_cap, and ValueError for a
     negative table_cap before any decomposition work.  `stats` receives the
-    width of the G^2 decomposition, `peak_table` and `nice_nodes`, also
-    when the cap is hit (`peak_table` is then the size that crossed it).
+    width of the check graph's decomposition, `peak_table` and
+    `nice_nodes`, also when the cap is hit (`peak_table` is then the size
+    that crossed it).
     """
     _check_table_cap(table_cap)
     return run_nice_dp(
-        make_nice(decompose_square(instance)), table_cap, (), *_transitions(instance),
+        make_nice(decompose_check_graph(instance)), table_cap, (), *_transitions(instance),
         classes=lambda sig: sig,
         stats=stats,
     )
@@ -78,27 +74,32 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
 
     A signature is the bag's classes as a canonical label tuple, so the
     two children of a JOIN agree on it exactly and the left one stands.
+    The steps are exact on any tree in which every check set lies in some
+    bag: the check graph's, or G^2's.
     """
     weight = instance.arcs.get
-    closed = [frozenset()] + [
-        frozenset(instance.neighbors[v]) | {v} for v in range(1, instance.n + 1)
-    ]
+    check = check_sets(instance)
+    # watchers[v]: the u whose check reads v's class, v itself included
+    watchers = [[v] for v in range(instance.n + 1)]
+    for (u, t), w in instance.arcs.items():
+        if w:
+            watchers[t].append(u)
 
     def introduce(nd, child_bag):
         v = nd.vertex
         p = nd.bag.index(v)
         size = len(nd.bag)
-        # the checks that can newly pass here: u in N[v] (so v in N[u]) with
-        # N[u] in the bag, as (u's child position or -1 for v, arcs to
+        # the checks that can newly pass here: u with v in H(u) and H(u) in
+        # the bag, as (u's child position or -1 for v, nonzero arcs to
         # targets other than v by child position, w(u, v))
         bag_set = set(nd.bag)
         pos = None  # built only once some check fires
         checks = []
-        for u in closed[v]:
-            if closed[u] <= bag_set:
+        for u in watchers[v]:
+            if check[u] <= bag_set:
                 if pos is None:
                     pos = {u: q for q, u in enumerate(child_bag)}
-                arcs = [(pos[t], w) for t, w in instance.out[u] if t != v]
+                arcs = [(pos[t], w) for t, w in instance.out[u] if w and t != v]
                 checks.append((pos.get(u, -1), arcs, weight((u, v), 0)))
         shifts: dict[tuple[int, int], tuple[int, ...]] = {}
 

@@ -106,24 +106,6 @@ def _in_bag_sums(pi1: tuple[int, ...], p: int, arcs_from_x: Sequence[int]) -> li
     return sums
 
 
-def forget_filter_passes(sig: ConnectedSignature, p: int, in_bag: Sequence[int]) -> bool:
-    """Stability-and-connectivity test applied when bag position p is forgotten.
-
-    `in_bag` is the leaving vertex x's utility toward each pi1 class's
-    other bag members (as _in_bag_sums computes it).  x has its whole
-    neighborhood inside B+, so its stored row plus its in-bag class sums
-    is its exact utility toward every class, and the checks are exact:
-    own utility nonnegative, no better pi1 class, no better completed
-    coalition, and its pi2 component must still touch the bag if the
-    coalition is supposed to have other members.
-    """
-    pi1, pi2, util, best = sig
-    ncls = len(in_bag)
-    row = util[p * ncls : (p + 1) * ncls]
-    return (_stable_leaving(row, best[p], pi1[p], in_bag)
-            and _drop(pi2, p, pi1.count(pi1[p]) == 1) is not None)
-
-
 def _stable_leaving(row: tuple[int, ...], best: int, cls: int, in_bag: Sequence[int]) -> bool:
     """The leaving vertex's stability, from its stored row, best and class."""
     full = tuple(map(add, row, in_bag))

@@ -154,26 +154,36 @@ def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> T
     return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)}, strategy)
 
 
-def decompose_square(instance: AshgInstance) -> TreeDecomposition:
-    """MIN_FILL decomposition of the square G^2, built from G's neighbor lists.
+def decompose_check_graph(instance: AshgInstance) -> TreeDecomposition:
+    """MIN_FILL decomposition of the check graph, built from G's arcs.
 
-    The same as heuristic_decompose(square_instance(instance), MIN_FILL),
-    bag for bag, without building the square's arcs or instance.
+    Vertex u's check set is H(u) = {u} ∪ {t : w(u, t) != 0}, all the
+    vertices u's stability reads; in the check graph x ~ y when some H(u)
+    holds both.  It is a subgraph of G^2, equal to it when every arc is
+    nonzero and two-way.  Every H(u) is a clique, so it lies in one bag.
     """
-    return _eliminate(_square_adjacency(instance), MIN_FILL)
+    return _eliminate(_clique_adjacency(instance.n, check_sets(instance)), MIN_FILL)
 
 
-def _square_adjacency(instance: AshgInstance) -> dict[int, set[int]]:
-    """G^2's neighbor sets: N(v) ∪ N(N(v)) minus v, for every vertex v."""
-    nbrs = instance.neighbors
-    adj: dict[int, set[int]] = {}
-    for v in range(1, instance.n + 1):
-        row = set(nbrs[v])
-        for u in nbrs[v]:
-            row.update(nbrs[u])
-        row.discard(v)
-        adj[v] = row
-    return adj
+def check_sets(instance: AshgInstance) -> list[frozenset[int]]:
+    """H(u) for u = 1..n at index u; index 0 holds the empty set."""
+    check = [[u] for u in range(instance.n + 1)]
+    check[0] = []
+    for (u, t), w in instance.arcs.items():
+        if w:
+            check[u].append(t)
+    return list(map(frozenset, check))
+
+
+def _clique_adjacency(n: int, sets: Iterable[frozenset[int]]) -> dict[int, set[int]]:
+    """The graph on 1..n in which x ~ y when some one of `sets` holds both."""
+    rows: list[set[int]] = [set() for _ in range(n + 1)]
+    for members in sets:
+        for x in members:
+            rows[x] |= members
+    for v in range(1, n + 1):
+        rows[v].discard(v)
+    return dict(zip(range(1, n + 1), rows[1:]))
 
 
 def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
@@ -523,12 +533,13 @@ def square_instance(instance: AshgInstance) -> AshgInstance:
     split along distance >= 3 gaps without changing anyone's utility, so G
     has a Nash stable partition exactly when G^2 has a connected one (for
     existence only: a stable coalition of G may be disconnected in G^2).
-    `gen square` writes this instance; the nash solver never builds it and
-    decomposes G^2 with decompose_square instead.
+    `gen square` writes this instance.  G^2 is the graph in which x ~ y
+    when some closed neighborhood N[u] holds both.
     """
     arcs = dict(instance.arcs)
     nbrs = instance.neighbors
-    for u, row in _square_adjacency(instance).items():
+    closed = [frozenset((u, *nbrs[u])) for u in range(1, instance.n + 1)]
+    for u, row in _clique_adjacency(instance.n, closed).items():
         for x in row.difference(nbrs[u]):
             arcs[(u, x)] = 0
     return AshgInstance(instance.n, arcs)

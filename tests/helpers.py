@@ -14,9 +14,9 @@ from ashg import (
     CnfFormula,
     ConnectedSignature,
     Partition,
-    forget_filter_passes,
     is_nash_stable,
 )
+from ashg.connected import _drop, _stable_leaving
 from ashg.decomposition import FORGET, canonical_labels
 from ashg.oracle import _rgs
 
@@ -317,6 +317,25 @@ def in_bag_sums(pi1, p, arcs_from_x):
         sum(w for q, (lab, w) in enumerate(zip(pi1, arcs_from_x)) if lab == c and q != p)
         for c in range(max(pi1) + 1)
     ]
+
+
+def forget_filter_passes(sig, p, in_bag):
+    """Stability-and-connectivity test applied when bag position p is forgotten.
+
+    `in_bag` is the leaving vertex x's utility toward each pi1 class's
+    other bag members (as in_bag_sums computes it).  x has its whole
+    neighborhood inside B+, so its stored row plus its in-bag class sums
+    is its exact utility toward every class, and the checks are exact:
+    own utility nonnegative, no better pi1 class, no better completed
+    coalition, and its pi2 component must still touch the bag if the
+    coalition is supposed to have other members.  The connected DP runs
+    the same two kernels, _stable_leaving and _drop.
+    """
+    pi1, pi2, util, best = sig
+    ncls = len(in_bag)
+    row = util[p * ncls : (p + 1) * ncls]
+    return (_stable_leaving(row, best[p], pi1[p], in_bag)
+            and _drop(pi2, p, pi1.count(pi1[p]) == 1) is not None)
 
 
 def trace_survives_forget_filters(instance, nodes, partition):

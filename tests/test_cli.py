@@ -99,9 +99,9 @@ class TestSolve:
         assert main(["solve", golden("path3.ashg"), "--mode", mode, "--td", str(td)]) == 3
 
     @pytest.mark.parametrize("mode, expected", [
-        # nash mode decomposes G^2 once, from G's neighbor lists, and
+        # nash mode decomposes the check graph once, from G's arcs, and
         # validates nothing
-        ("nash", ["decompose_square"]),
+        ("nash", ["decompose_check_graph"]),
         # validate checks a --td tree once; the solver's own nice form of it
         # is valid by construction
         ("connected-nash", ["validate"]),
@@ -118,7 +118,7 @@ class TestSolve:
             return wrapper
 
         for module in (ashg.cli, ashg.coloring, ashg.connected, ashg.decomposition):
-            for name in ("validate", "heuristic_decompose", "decompose_square"):
+            for name in ("validate", "heuristic_decompose", "decompose_check_graph"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         args = ["solve", golden("path5.ashg"), "--mode", mode]
@@ -190,7 +190,7 @@ class TestSolve:
             return wrapper
 
         for module in (ashg.cli, ashg.coloring, ashg.connected, ashg.decomposition):
-            for name in ("heuristic_decompose", "decompose_square"):
+            for name in ("heuristic_decompose", "decompose_check_graph"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         solve = {"nash": ashg.solve_nash_via_coloring,
@@ -460,6 +460,19 @@ class TestGen:
         inst = parse_instance(capsys.readouterr().out)
         phi = parse_cnf(golden_text("phi.cnf"))
         assert inst.n == gen_sat_bounded_degree(phi)[0].n
+
+    def test_sat_bounded_degree_game_decided_under_the_cap(self, capsys, tmp_path):
+        # 130 vertices; G^2's min-fill tree has width 17 and capped at 3 * 10**5
+        # signatures, the check graph's has width 7
+        cnf = tmp_path / "phi.cnf"
+        cnf.write_text("p cnf 4 4\n4 2 -3 0\n2 -3 -1 0\n3 -4 -1 0\n3 2 -1 0\n",
+                       encoding="utf-8")
+        inst, part = tmp_path / "i.ashg", tmp_path / "i.part"
+        assert main(["gen", "sat-bd", str(cnf), "--out", str(inst)]) == 0
+        args = ["solve", str(inst), "--table-cap", "300000", "--out", str(part)]
+        assert main(args) == 0
+        assert "c answer SOME\n" in capsys.readouterr().out
+        assert main(["verify", str(inst), str(part)]) == 0
 
     def test_bin_packing_witness_verifies_connected(self, capsys, tmp_path):
         inst = tmp_path / "i.ashg"

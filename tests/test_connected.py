@@ -16,7 +16,6 @@ from ashg import (
     Partition,
     ResourceLimitError,
     brute_force_connected_nash,
-    forget_filter_passes,
     heuristic_decompose,
     is_connected_partition,
     is_nash_stable,
@@ -31,6 +30,7 @@ from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, canonical_labels, 
 from helpers import (
     caterpillar_instance,
     cycle_instance,
+    forget_filter_passes,
     friends,
     grid_instance,
     in_bag_sums,

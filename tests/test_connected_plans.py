@@ -17,7 +17,6 @@ from ashg import (
     AshgInstance,
     Partition,
     ResourceLimitError,
-    forget_filter_passes,
     heuristic_decompose,
     make_nice,
     solve_connected_nash,
@@ -25,13 +24,20 @@ from ashg import (
 from ashg import connected
 from ashg.connected import EMPTY_SIGNATURE, _transitions
 from ashg.decomposition import INTRODUCE, JOIN, LEAF
-from helpers import grid_instance, in_bag_sums, signature_of, suite_instance
+from helpers import (
+    forget_filter_passes,
+    grid_instance,
+    in_bag_sums,
+    signature_of,
+    suite_instance,
+)
 
 SHARED_PLANS = (
     connected._placements,
     connected._forget_plan,
     connected._drop,
     connected._pi2_union,
+    connected._cost_signs,
 )
 
 

@@ -27,9 +27,9 @@ from ashg.decomposition import (
     LEAF,
     MIN_DEGREE,
     MIN_FILL,
-    _eliminate,
-    _square_adjacency,
-    decompose_square,
+    _clique_adjacency,
+    check_sets,
+    decompose_check_graph,
     run_nice_dp,
 )
 from helpers import (
@@ -213,9 +213,9 @@ class TestHeuristicDecompose:
             for strategy in (MIN_DEGREE, MIN_FILL):
                 td = heuristic_decompose(inst, strategy)
                 assert (dict(td.bags), td.edges) == naive_elimination_bags(inst, strategy)
-                td = _eliminate(_square_adjacency(inst), strategy)
-                want = naive_elimination_bags(square_instance(inst), strategy)
-                assert (dict(td.bags), td.edges) == want
+                square = square_instance(inst)
+                td = heuristic_decompose(square, strategy)
+                assert (dict(td.bags), td.edges) == naive_elimination_bags(square, strategy)
 
     def test_deterministic(self):
         inst = suite_instance(random.Random(5), 1, n_max=8)
@@ -436,24 +436,57 @@ class TestRunNiceDp:
             )
 
 
+def check_graph_instance(inst: AshgInstance) -> AshgInstance:
+    """x ~ y when some vertex u has x and y in {u} ∪ {t : w(u, t) != 0}."""
+    reads = {u: {u} for u in range(1, inst.n + 1)}
+    for (u, t), w in inst.arcs.items():
+        if w:
+            reads[u].add(t)
+    pairs = {pair for h in reads.values() for pair in itertools.combinations(sorted(h), 2)}
+    return AshgInstance(inst.n, [(x, y, 1) for x, y in sorted(pairs)])
+
+
+def decomposition_instances(rng: random.Random) -> list[AshgInstance]:
+    instances = [suite_instance(rng, t, n_max=10) for t in range(150)]
+    instances += [grid_instance(r, c, rng) for r in (2, 3, 4) for c in (3, 5)]
+    instances += [tree_instance(60, rng, d) for d in (2, 3, 5)]
+    return instances + [AshgInstance(0), AshgInstance(3), AshgInstance(4, [(2, 3, 1)])]
+
+
+class TestDecomposeCheckGraph:
+    def test_same_decomposition_as_the_check_graph_instance(self):
+        for inst in decomposition_instances(random.Random(67)):
+            want = heuristic_decompose(check_graph_instance(inst), MIN_FILL)
+            got = decompose_check_graph(inst)
+            assert got.bags == want.bags and got.edges == want.edges
+            assert make_nice(got) == make_nice(want)
+
+
 class TestDecomposeSquare:
+    """decompose_check_graph where the check graph is G^2."""
+
     def test_same_decomposition_as_the_square_instance(self):
-        rng = random.Random(61)
-        instances = [suite_instance(rng, t, n_max=10) for t in range(150)]
-        instances += [grid_instance(r, c, rng) for r in (2, 3, 4) for c in (3, 5)]
-        instances += [tree_instance(60, rng, d) for d in (2, 3, 5)]
-        instances += [AshgInstance(0), AshgInstance(3), AshgInstance(4, [(2, 3, 1)])]
-        for inst in instances:
-            want = heuristic_decompose(square_instance(inst), MIN_FILL)
-            got = decompose_square(inst)
+        for inst in decomposition_instances(random.Random(61)):
+            # every arc nonzero and two-way, so that every H(u) is N[u]
+            both = {}
+            for u, v in inst.arcs:
+                both[u, v] = inst.arcs[u, v] or 1
+                both[v, u] = inst.arcs.get((v, u)) or 1
+            inst = AshgInstance(inst.n, both)
+            square = square_instance(inst)
+            adjacency = _clique_adjacency(inst.n, check_sets(inst))
+            assert adjacency == {v: set(square.neighbors[v]) for v in range(1, inst.n + 1)}
+            want = heuristic_decompose(square, MIN_FILL)
+            got = decompose_check_graph(inst)
             assert got.bags == want.bags and got.edges == want.edges
             assert make_nice(got) == make_nice(want)
 
     def test_square_of_a_large_star_is_quick(self):
-        # the square is one clique, closed as soon as it is seen; eliminating
+        # the center's check set holds every vertex, so the check graph is
+        # the square, one clique, closed as soon as it is seen; eliminating
         # it vertex by vertex took 6 to 7.5 s at n = 1 000 on a 2-core VM
         t0 = time.perf_counter()
-        td = decompose_square(star_instance(1_000))
+        td = decompose_check_graph(star_instance(1_000))
         assert time.perf_counter() - t0 < 2
         assert td.width == 999 and len(td.bags) == 1_000
 
@@ -467,9 +500,11 @@ class TestDecomposeSquare:
         while len(edges) < 2_000:
             u, v = sorted(rng.sample(range(1, 1_001), 2))
             edges.add((u, v))
-        inst = AshgInstance(1_000, [(u, v, 1) for u, v in sorted(edges)])
+        # arcs both ways, so that the check graph is G^2
+        arcs = [(u, v, 1) for u, v in sorted(edges)] + [(v, u, 1) for u, v in sorted(edges)]
+        inst = AshgInstance(1_000, arcs)
         t0 = time.perf_counter()
-        td = decompose_square(inst)
+        td = decompose_check_graph(inst)
         assert time.perf_counter() - t0 < 2
         assert len(td.bags) == 1_000
 

@@ -16,7 +16,7 @@ import pytest
 
 from ashg import Partition, ResourceLimitError, heuristic_decompose, make_nice
 from ashg import coloring, connected
-from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, decompose_square, run_nice_dp
+from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, decompose_check_graph, run_nice_dp
 from helpers import grid_instance, suite_instance, tree_instance
 
 
@@ -97,7 +97,7 @@ def reference_run_nice_dp(nodes, table_cap, leaf, introduce, forget, join, class
 def dp_arguments(instance, mode):
     """(nice nodes, leaf, introduce, forget, join, classes) of one solve."""
     if mode == "nash":
-        nodes = make_nice(decompose_square(instance))
+        nodes = make_nice(decompose_check_graph(instance))
         return nodes, (), *coloring._transitions(instance), lambda sig: sig
     nodes = make_nice(heuristic_decompose(instance))
     return nodes, connected.EMPTY_SIGNATURE, *connected._transitions(instance), attrgetter("pi1")
