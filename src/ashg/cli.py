@@ -20,8 +20,6 @@ from .coloring import solve_nash_via_coloring
 from .connected import solve_connected_nash
 from .decomposition import (
     DEFAULT_TABLE_CAP,
-    MIN_DEGREE,
-    MIN_FILL,
     _check_table_cap,
     heuristic_decompose,
     square_instance,
@@ -252,7 +250,7 @@ def cmd_oracle(args) -> int:
 def cmd_decompose(args) -> int:
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
-    td = heuristic_decompose(instance, args.strategy)
+    td = heuristic_decompose(instance)
     _report("decompose", instance, "SOME", t0, {"width": td.width})
     _emit(args.out, formats.serialize_decomposition(td, instance.n))
     return EXIT_SOME
@@ -280,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=["nash", "connected-nash", "dynamics"],
                          default="nash")
     p_solve.add_argument("--td", help="tree decomposition file for --mode connected-nash "
-                         f"(default: a {MIN_DEGREE} tree of G; `ashg decompose --strategy` "
-                         "writes others); nash mode decomposes its check graph itself")
+                         "(default: the tree of G that `ashg decompose` writes); "
+                         "nash mode decomposes its check graph itself")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
     p_solve.add_argument("--max-steps", type=int, default=1000,
@@ -337,10 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="refuse instances with more vertices than this")
     p_oracle.add_argument("--out", help="write the partition here instead of stdout")
 
-    p_dec = sub.add_parser("decompose", help="heuristic tree decomposition")
+    p_dec = sub.add_parser("decompose", help="min-fill tree decomposition of G")
     p_dec.add_argument("instance")
-    p_dec.add_argument("--strategy", choices=[MIN_DEGREE, MIN_FILL], default=MIN_DEGREE,
-                       help="elimination heuristic")
     p_dec.add_argument("--out", help="decomposition output file (default stdout)")
 
     return parser

@@ -16,10 +16,6 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 from .errors import ResourceLimitError
 from .game import AshgInstance, Partition
 
-MIN_DEGREE = "min-degree"
-MIN_FILL = "min-fill"
-
-
 class TreeDecomposition:
     """Bags keyed by integer node id plus undirected tree edges, rooted once.
 
@@ -131,38 +127,36 @@ def validate(td: TreeDecomposition, instance: AshgInstance) -> tuple[bool, list[
     return not violations, violations
 
 
-def heuristic_decompose(instance: AshgInstance, strategy: str = MIN_DEGREE) -> TreeDecomposition:
-    """Elimination-ordering decomposition of G, deterministic for a fixed input.
+def heuristic_decompose(instance: AshgInstance) -> TreeDecomposition:
+    """Min-fill elimination decomposition of G, deterministic for a fixed input.
 
-    MIN_DEGREE picks the vertex with fewest remaining neighbors, MIN_FILL
-    the vertex whose elimination adds the fewest fill edges, and among
-    simplicial vertices (no fill edge) the one of least degree; both break
-    remaining ties toward the lowest vertex id.  Once the least fill
-    exceeds that vertex's degree, MIN_FILL eliminates the rest by least
-    degree.  Bags are the closed neighborhoods at elimination time; each
-    bag hangs off the bag of its earliest later-eliminated neighbor.
+    Each step eliminates the vertex whose elimination adds the fewest fill
+    edges, and among simplicial vertices (no fill edge) the one of least
+    degree; remaining ties go to the lowest vertex id.  Once the least fill
+    exceeds that vertex's degree, the rest is eliminated by least degree.
+    Bags are the closed neighborhoods at elimination time; each bag hangs
+    off the bag of its earliest later-eliminated neighbor.
 
-    Both keep a lazy-deletion heap and re-push the eliminated vertex's
-    neighbors, so MIN_DEGREE costs O(sum |bag|^2 log n).  MIN_FILL keeps
-    every fill count exact as edges come and go: each fill edge ab costs
-    O(|N(a)| + |N(b)|) and re-pushes the common neighbors of a and b.  A
-    vertex's first count, O(degree^2), is taken when it first reaches the
-    top of the heap.  The switch to least degree caps the fill bookkeeping
-    at about the cost of the elimination itself.
+    A lazy-deletion heap keeps every fill count exact as edges come and go:
+    each fill edge ab costs O(|N(a)| + |N(b)|) and re-pushes the common
+    neighbors of a and b.  A vertex's first count, O(degree^2), is taken
+    when it first reaches the top of the heap.  The switch to least degree
+    caps the fill bookkeeping at about the cost of the elimination itself,
+    O(sum |bag|^2 log n).
     """
     nbrs = instance.neighbors
-    return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)}, strategy)
+    return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)})
 
 
 def decompose_check_graph(instance: AshgInstance) -> TreeDecomposition:
-    """MIN_FILL decomposition of the check graph, built from G's arcs.
+    """heuristic_decompose's elimination of the check graph, built from G's arcs.
 
     Vertex u's check set is H(u) = {u} ∪ {t : w(u, t) != 0}, all the
     vertices u's stability reads; in the check graph x ~ y when some H(u)
     holds both.  It is a subgraph of G^2, equal to it when every arc is
     nonzero and two-way.  Every H(u) is a clique, so it lies in one bag.
     """
-    return _eliminate(_clique_adjacency(instance.n, check_sets(instance)), MIN_FILL)
+    return _eliminate(_clique_adjacency(instance.n, check_sets(instance)))
 
 
 def check_sets(instance: AshgInstance) -> list[frozenset[int]]:
@@ -186,24 +180,22 @@ def _clique_adjacency(n: int, sets: Iterable[frozenset[int]]) -> dict[int, set[i
     return dict(zip(range(1, n + 1), rows[1:]))
 
 
-def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
-    """Eliminate the graph adj (vertices 1..n, consumed) by `strategy`; see
-    heuristic_decompose."""
-    if strategy not in (MIN_DEGREE, MIN_FILL):
-        raise ValueError(f"unknown strategy {strategy!r}")
+def _eliminate(adj: dict[int, set[int]]) -> TreeDecomposition:
+    """Eliminate the graph adj (vertices 1..n, consumed) by min fill, then
+    least degree; see heuristic_decompose."""
     n = len(adj)
     if n == 0:
         return TreeDecomposition({1: frozenset()})
 
     # A lazy-deletion heap of (fill, tie, vertex) entries, where tie is the
-    # degree for a simplicial vertex (fill 0) and 0 otherwise; min-degree
-    # keeps every fill at 0.  An entry is stale once its vertex is gone or
-    # its key differs from the vertex's current one.  `score` holds each
-    # vertex's exact fill count, taken the first time the vertex reaches
-    # the top of the heap and kept exact from then on; until then its key
-    # (0, degree) is a lower bound, so the pick order is the same as with
-    # every count taken up front.
-    by_degree = strategy == MIN_DEGREE
+    # degree for a simplicial vertex (fill 0) and 0 otherwise; after the
+    # switch to least degree every fill is 0.  An entry is stale once its
+    # vertex is gone or its key differs from the vertex's current one.
+    # `score` holds each vertex's exact fill count, taken the first time
+    # the vertex reaches the top of the heap and kept exact from then on;
+    # until then its key (0, degree) is a lower bound, so the pick order is
+    # the same as with every count taken up front.
+    by_degree = False
     score: dict[int, int] = {}
     heap = [(0, len(nbrs), v) for v, nbrs in adj.items()]
     heapq.heapify(heap)
@@ -221,9 +213,13 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
             s = score.get(v)
             if s is None:
                 # pairs of nbrs with no edge between them: nbrs - adj[a]
-                # holds a and a's non-neighbors in nbrs.  A single pair, the
-                # common case on sparse graphs, takes one lookup
-                if d == 2:
+                # holds a and a's non-neighbors in nbrs.  A leaf has no pair
+                # and a single pair takes one lookup, the common cases on
+                # sparse graphs; a leaf's 0 need not be kept, as a fresh
+                # count is exact too
+                if d < 2:
+                    s = 0
+                elif d == 2:
                     a, b = nbrs
                     s = score[v] = int(b not in adj[a])
                 else:
@@ -244,7 +240,7 @@ def _eliminate(adj: dict[int, set[int]], strategy: str) -> TreeDecomposition:
             # v sees every other vertex.  With the least degree, all do; with
             # the least fill, no pair is missing, since a vertex of a missing
             # pair would have less fill than v.  So what is left is a clique,
-            # every key ties but the id, and both heuristics eliminate it by id
+            # every key ties but the id, and either phase eliminates it by id
             rest = sorted(adj)
             bags.extend([frozenset(rest[i:]) for i in range(len(rest))])
             order.extend(rest)

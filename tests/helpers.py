@@ -356,15 +356,14 @@ def trace_survives_forget_filters(instance, nodes, partition):
     return True
 
 
-def naive_elimination_bags(instance, strategy):
-    """Elimination by a min() over all remaining vertices.  "min-degree"
-    keys by (degree, id).  "min-fill" keys by (fill count, degree, id),
-    the fill count being the non-adjacent neighbor pairs and the degree
-    counting only at fill 0, until the least key's fill exceeds its
-    degree; from then on it keys by (degree, id).
+def naive_elimination_bags(instance):
+    """Elimination by a min() over all remaining vertices, keyed by (fill
+    count, degree, id), the fill count being the non-adjacent neighbor
+    pairs and the degree counting only at fill 0, until the least key's
+    fill exceeds its degree; from then on it keys by (degree, id).
 
-    Reference for `heuristic_decompose(instance, strategy)`: returns the
-    (bags, edges) pair it must produce.
+    Reference for `heuristic_decompose(instance)`: returns the (bags,
+    edges) pair it must produce.
     """
     n = instance.n
     if n == 0:
@@ -378,7 +377,7 @@ def naive_elimination_bags(instance, strategy):
         pairs = itertools.combinations(sorted(adj[x]), 2)
         return sum(1 for a, b in pairs if b not in adj[a])
 
-    by_degree = strategy == "min-degree"
+    by_degree = False
     order, bags = [], []
     while adj:
         if not by_degree:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,8 +15,15 @@ from pathlib import Path
 import pytest
 
 import ashg
-from ashg import gen_sat_bounded_degree, parse_cnf, parse_instance, parse_partition
+from ashg import (
+    gen_sat_bounded_degree,
+    parse_cnf,
+    parse_instance,
+    parse_partition,
+    serialize_instance,
+)
 from ashg.cli import main
+from helpers import grid_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,22 +78,34 @@ class TestSolve:
         assert f"{flag} applies to --mode connected-nash only, not {mode}" in captured.err
         assert captured.out == ""
 
-    def test_strategy_with_connected_mode(self, tmp_path, capsys):
-        # the connected DP runs on a chosen heuristic's tree through a file;
-        # solve itself has no --strategy
-        td = tmp_path / "min-fill.td"
-        assert main(["decompose", golden("path5.ashg"), "--strategy", "min-fill",
-                     "--out", str(td)]) == 0
-        args = ["solve", golden("path5.ashg"), "--mode", "connected-nash"]
+    @pytest.mark.parametrize("game", ["path5", "friends", "grid4x6"])
+    def test_decompose_writes_the_connected_solvers_tree(self, game, tmp_path, capsys):
+        # `decompose` writes the tree connected mode builds for itself, so
+        # solving on that file prints what the solve without --td prints
+        if game == "grid4x6":
+            instance = tmp_path / "grid4x6.ashg"
+            instance.write_text(serialize_instance(grid_instance(4, 6, random.Random(46), 0, 3)),
+                                encoding="utf-8")
+        else:
+            instance = golden(f"{game}.ashg")
+        td = tmp_path / "t.td"
+        assert main(["decompose", str(instance), "--out", str(td)]) == 0
+        args = ["solve", str(instance), "--mode", "connected-nash"]
         capsys.readouterr()
-        assert main(args + ["--td", str(td)]) == 0
-        out = capsys.readouterr().out
-        assert "c answer SOME\n" in out and "c width 1\n" in out
-        assert main(args + ["--strategy", "min-fill"]) == 3
-        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+        code = main(args)
+        plain = capsys.readouterr().out
+        assert main(args + ["--td", str(td)]) == code
+        given = capsys.readouterr().out
+
+        def without_wall_time(out):
+            return [line for line in out.splitlines() if not line.startswith("c wall-time ")]
+
+        assert "c width " in plain
+        assert without_wall_time(given) == without_wall_time(plain)
 
     def test_nash_mode_reports_width_of_the_square(self, capsys):
-        # the DP runs on a decomposition of G^2, where a path has width 2
+        # nash mode decomposes the check graph; path5's arcs are all nonzero
+        # and two-way, so that is G^2, where a path has width 2
         assert main(["solve", golden("path5.ashg")]) == 0
         assert "c width 2\n" in capsys.readouterr().out
 
@@ -550,12 +570,16 @@ class TestDecompose:
 
     def test_output_file_round_trips(self, capsys, tmp_path):
         td_file = tmp_path / "out.td"
-        args = ["decompose", golden("path5.ashg"), "--strategy", "min-fill",
-                "--out", str(td_file)]
-        assert main(args) == 0
+        assert main(["decompose", golden("path5.ashg"), "--out", str(td_file)]) == 0
         args = ["solve", golden("path5.ashg"), "--mode", "connected-nash",
                 "--td", str(td_file)]
         assert main(args) == 0
+
+    @pytest.mark.parametrize("command", ["decompose", "solve"])
+    def test_strategy_is_refused(self, command, capsys):
+        # one elimination policy: no command selects another
+        assert main([command, golden("path5.ashg"), "--strategy", "min-fill"]) == 3
+        assert "unrecognized arguments: --strategy min-fill" in capsys.readouterr().err
 
 
 class TestUsageErrors:

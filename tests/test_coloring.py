@@ -25,7 +25,6 @@ from ashg.coloring import _transitions
 from ashg.decomposition import (
     FORGET,
     INTRODUCE,
-    MIN_FILL,
     NiceNode,
     canonical_labels,
     run_nice_dp,
@@ -153,7 +152,7 @@ class TestSolveNashViaColoring:
             # drop about half the zero-weight arcs, leaving some edges one-way
             game = AshgInstance(game.n, {a: w for a, w in game.arcs.items()
                                          if w or rng.random() < 0.5})
-            square_tree = make_nice(heuristic_decompose(square_instance(game), MIN_FILL))
+            square_tree = make_nice(heuristic_decompose(square_instance(game)))
             via_square = run_nice_dp(square_tree, 10**6, (), *_transitions(game),
                                      classes=lambda sig: sig)
             got = solve_nash_via_coloring(game)

@@ -408,12 +408,12 @@ def run_unpruned(inst, table_cap, stats):
 # (shape, size, weight low, weight high, seed, unpruned peak_table, nice_nodes,
 #  answer is SOME, pruned peak_table)
 PINNED_TABLE_WORK = [
-    ("grid", 5, -3, 3, 0, 40, 49, False, 31),
-    ("grid", 5, -3, 3, 1, 25, 49, False, 17),
+    ("grid", 5, -3, 3, 0, 47, 49, False, 31),
+    ("grid", 5, -3, 3, 1, 30, 49, False, 15),
     ("grid", 5, -3, 3, 2, 25, 49, False, 20),
-    ("grid", 5, 0, 3, 0, 199, 49, True, 119),
-    ("grid", 5, 0, 3, 1, 126, 49, True, 53),
-    ("grid", 5, 0, 3, 2, 57, 49, True, 50),
+    ("grid", 5, 0, 3, 0, 94, 49, True, 61),
+    ("grid", 5, 0, 3, 1, 126, 49, True, 47),
+    ("grid", 5, 0, 3, 2, 104, 49, True, 50),
     ("tree", 800, -3, 3, 0, 8, 2785, True, 2),
     ("tree", 800, -3, 3, 1, 16, 2825, True, 2),
 ]
@@ -437,6 +437,18 @@ def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some, kept):
     unpruned = {}
     assert (run_unpruned(inst, 10**6, unpruned) is not None) == some
     assert (unpruned["peak_table"], unpruned["nice_nodes"]) == (peak, nodes)
+
+
+@pytest.mark.parametrize("seed, kept", [(0, 1_498), (1, 10_330)])
+def test_five_by_eight_grid_work_pinned(seed, kept):
+    # the default route's min-fill tree of these grids has width 5; a
+    # min-degree tree has width 7, with peaks of 28 488 and 41 438
+    inst = grid_instance(5, 8, random.Random(seed), 0, 3)
+    stats = {}
+    part = solve_connected_nash(inst, stats=stats)
+    assert (stats["width"], stats["peak_table"]) == (5, kept)
+    assert is_nash_stable(inst, part)[0]
+    assert is_connected_partition(inst, part)[0]
 
 
 def test_coloring_dp_agrees_with_connected_dp_on_square_beyond_oracle_cap():

@@ -25,8 +25,6 @@ from ashg.decomposition import (
     INTRODUCE,
     JOIN,
     LEAF,
-    MIN_DEGREE,
-    MIN_FILL,
     _clique_adjacency,
     check_sets,
     decompose_check_graph,
@@ -152,7 +150,7 @@ class TestValidate:
                 inst = path_instance(rng.randint(3, 30), rng)
             if not inst.arcs:
                 continue
-            td = heuristic_decompose(inst, MIN_DEGREE if t % 3 else MIN_FILL)
+            td = heuristic_decompose(inst)
             if len(td.bags) < 3:
                 continue
             for kind, bags, edges in corrupted_decompositions(rng, inst, td):
@@ -172,33 +170,26 @@ class TestValidate:
 class TestHeuristicDecompose:
     def test_path_of_five_has_width_one(self):
         inst = path_instance(5)
-        for strategy in (MIN_DEGREE, MIN_FILL):
-            td = heuristic_decompose(inst, strategy)
-            assert validate(td, inst)[0]
-            assert td.width == 1
+        td = heuristic_decompose(inst)
+        assert validate(td, inst)[0]
+        assert td.width == 1
 
     def test_empty_graph_single_empty_bag(self):
         td = heuristic_decompose(AshgInstance(0))
         assert dict(td.bags) == {1: frozenset()}
         assert td.width == 0
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            heuristic_decompose(path_instance(3), "random")
-
     def test_valid_on_random_instances(self):
         rng = random.Random(31)
         for t in range(150):
             inst = suite_instance(rng, t, n_max=8)
-            for strategy in (MIN_DEGREE, MIN_FILL):
-                td = heuristic_decompose(inst, strategy)
-                ok, problems = validate(td, inst)
-                assert ok, problems
+            ok, problems = validate(heuristic_decompose(inst), inst)
+            assert ok, problems
 
     def test_min_degree_matches_min_loop_reference(self):
-        # both strategies, on G and on G^2's adjacency, sparse to dense:
-        # the lazy heap must pick what a min() over all vertices picks, also
-        # where it closes a clique at once (a star's square, a clique)
+        # on G and on G^2's adjacency, sparse to dense: the lazy heap must
+        # pick what a min() over all vertices picks, also where it closes a
+        # clique at once (a star's square, a clique)
         rng = random.Random(53)
         instances = [
             random_graph_instance(rng.randint(1, 60), (0.02, 0.05, 0.1, 0.2, 0.5)[t % 5], rng)
@@ -210,12 +201,11 @@ class TestHeuristicDecompose:
         # and on G^2
         instances += [random_graph_instance(40, 0.2, rng) for _ in range(6)]
         for inst in instances:
-            for strategy in (MIN_DEGREE, MIN_FILL):
-                td = heuristic_decompose(inst, strategy)
-                assert (dict(td.bags), td.edges) == naive_elimination_bags(inst, strategy)
-                square = square_instance(inst)
-                td = heuristic_decompose(square, strategy)
-                assert (dict(td.bags), td.edges) == naive_elimination_bags(square, strategy)
+            td = heuristic_decompose(inst)
+            assert (dict(td.bags), td.edges) == naive_elimination_bags(inst)
+            square = square_instance(inst)
+            td = heuristic_decompose(square)
+            assert (dict(td.bags), td.edges) == naive_elimination_bags(square)
 
     def test_deterministic(self):
         inst = suite_instance(random.Random(5), 1, n_max=8)
@@ -456,7 +446,7 @@ def decomposition_instances(rng: random.Random) -> list[AshgInstance]:
 class TestDecomposeCheckGraph:
     def test_same_decomposition_as_the_check_graph_instance(self):
         for inst in decomposition_instances(random.Random(67)):
-            want = heuristic_decompose(check_graph_instance(inst), MIN_FILL)
+            want = heuristic_decompose(check_graph_instance(inst))
             got = decompose_check_graph(inst)
             assert got.bags == want.bags and got.edges == want.edges
             assert make_nice(got) == make_nice(want)
@@ -476,7 +466,7 @@ class TestDecomposeSquare:
             square = square_instance(inst)
             adjacency = _clique_adjacency(inst.n, check_sets(inst))
             assert adjacency == {v: set(square.neighbors[v]) for v in range(1, inst.n + 1)}
-            want = heuristic_decompose(square, MIN_FILL)
+            want = heuristic_decompose(square)
             got = decompose_check_graph(inst)
             assert got.bags == want.bags and got.edges == want.edges
             assert make_nice(got) == make_nice(want)
@@ -494,7 +484,7 @@ class TestDecomposeSquare:
         # G^2 of G(1 000, 2 000) is dense and far from chordal: keeping exact
         # fill counts to the end took 12.8 s here on a 2-core VM; switching
         # to least degree once the least fill exceeds its vertex's degree
-        # takes 0.37 s, min-degree 0.34 s
+        # takes 0.37 s
         rng = random.Random(7)
         edges: set[tuple[int, int]] = set()
         while len(edges) < 2_000:

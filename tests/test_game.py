@@ -11,6 +11,7 @@ import pytest
 from ashg import (
     AshgInstance,
     Partition,
+    TreeDecomposition,
     better_response_dynamics,
     game,
     is_connected_partition,
@@ -165,6 +166,13 @@ class TestPartition:
     def test_members_bounds(self):
         with pytest.raises(ValueError, match="^no coalition with id 0$"):
             Partition([1]).members(0)
+
+
+def test_reprs_name_the_type_and_its_size():
+    assert repr(AshgInstance(3, [(1, 2, 1), (2, 1, -1), (2, 3, 2)])) == "AshgInstance(n=3, arcs=3)"
+    assert repr(Partition([4, 4, 9])) == "Partition([(1, 2), (3,)])"
+    td = TreeDecomposition({1: [1, 2], 2: [2, 3], 3: [3]}, [(1, 2), (2, 3)])
+    assert repr(td) == "TreeDecomposition(bags=3, width=1)"
 
 
 class TestUtilities:

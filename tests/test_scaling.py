@@ -23,7 +23,6 @@ from ashg import (
     solve_connected_nash,
     solve_nash_via_coloring,
 )
-from ashg.decomposition import MIN_FILL
 from helpers import path_instance
 
 
@@ -67,7 +66,7 @@ def seconds_per_arc(n):
 def seconds_per_vertex_min_fill(n):
     """Best of 3 min-fill decompositions of a path."""
     instance = path_instance(n, random.Random(n))
-    return best_of_3(lambda: heuristic_decompose(instance, MIN_FILL)) / n
+    return best_of_3(lambda: heuristic_decompose(instance)) / n
 
 
 @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
