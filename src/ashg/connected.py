@@ -94,18 +94,6 @@ def _gather(indices: Sequence[int]) -> Callable[[tuple], tuple]:
     return lambda seq: ()
 
 
-def _in_bag_sums(pi1: tuple[int, ...], p: int, arcs_from_x: Sequence[int]) -> list[int]:
-    """Utility of the vertex at bag position p toward each pi1 class's other bag members.
-
-    arcs_from_x[q] is w(x, bag[q]); position p itself is skipped.
-    """
-    sums = [0] * (max(pi1) + 1)
-    for q, lab in enumerate(pi1):
-        if q != p:
-            sums[lab] += arcs_from_x[q]
-    return sums
-
-
 def _stable_leaving(row: tuple[int, ...], best: int, cls: int, in_bag: Sequence[int]) -> bool:
     """The leaving vertex's stability, from its stored row, best and class."""
     full = tuple(map(add, row, in_bag))
@@ -156,22 +144,48 @@ def _placements(pi1: tuple, pi2: tuple, p: int, adjacent: tuple[bool, ...]) -> t
 
 @_shared_plan
 def _forget_plan(pi1: tuple[int, ...], p: int) -> tuple:
-    """(new pi1, util gather, new column of the leaving class, its column gather).
+    """Everything a FORGET of bag position p reads from pi1 alone:
 
-    The gather keeps the survivors' rows with relabelled columns.  When
-    the leaving vertex was its class's last bag member the class leaves
-    the bag: the column is then None and the last entry gathers the
-    survivors' stored values toward it; otherwise that entry is None.
+      new_pi1   pi1 of the bag without p,
+      gather    the survivors' util rows with relabelled columns,
+      row       slice of the leaving vertex's util row,
+      cls       the leaving vertex's class,
+      alone     whether it was its class's last bag member,
+      classes   per class, a gather of its other bag members' entries
+                from a vector over the bag,
+      spread    when the class stays in the bag: maps a vector over the
+                survivors plus one trailing zero into the new util layout,
+                the vector's entries in the class's new column and zeros
+                elsewhere; otherwise None,
+      column    when the class leaves the bag: gathers the survivors'
+                stored values toward it; otherwise None.
     """
     ncls = max(pi1) + 1
     cls = pi1[p]
-    survivors = [q for q in range(len(pi1)) if q != p]
+    survivors = [*range(p), *range(p + 1, len(pi1))]
     new_pi1, cmap = canonical_labels([pi1[q] for q in survivors])
     old_class = list(cmap)  # old label of each new label
-    gather = _gather([q * ncls + c for q in survivors for c in old_class])
-    if cls in cmap:
-        return new_pi1, gather, cmap[cls], None
-    return new_pi1, gather, None, _gather([q * ncls + cls for q in survivors])
+    members: list[list[int]] = [[] for _ in range(ncls)]
+    for q in survivors:
+        members[pi1[q]].append(q)
+    alone = not members[cls]
+    plan = (
+        new_pi1,
+        _gather([q * ncls + c for q in survivors for c in old_class]),
+        slice(p * ncls, (p + 1) * ncls),
+        cls,
+        alone,
+        tuple(map(_gather, members)),
+    )
+    if alone:
+        return plan + (None, _gather([q * ncls + cls for q in survivors]))
+    zero = len(survivors)
+    row = [zero] * len(cmap)  # one survivor's row: its entry in the class's column
+    spread: list[int] = []
+    for i in range(zero):
+        row[cmap[cls]] = i
+        spread += row
+    return plan + (_gather(spread), None)
 
 
 @_shared_plan
@@ -218,6 +232,8 @@ def _prune(table: dict) -> dict:
     what it dominates, so one pass in cost order meets every dominator
     first, and the costs it keeps are the group's frontier.
     """
+    if len(table) < 2:
+        return table
     groups: dict[tuple, list] = {}
     for sig in table:
         groups.setdefault(sig[:2], []).append(sig)
@@ -307,31 +323,22 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
         x = nd.vertex
         p = child_bag.index(x)
         arcs_from_x = tuple(weight((x, u), 0) for u in child_bag)
-        wcol = tuple(weight((u, x), 0) for u in child_bag[:p] + child_bag[p + 1 :])
+        # w(u, x) for the survivors u, and the zero the spread reads
+        wcol = tuple(weight((u, x), 0) for u in child_bag[:p] + child_bag[p + 1 :]) + _ZERO
         plans: dict[tuple[int, ...], tuple] = {}
 
         def step(sig):
             pi1, pi2, util, best = sig
-            new_pi2 = _drop(pi2, p, pi1.count(pi1[p]) == 1)
-            if new_pi2 is None:
-                return None
             plan = plans.get(pi1)
             if plan is None:
-                new_pi1, gather, col, column = _forget_plan(pi1, p)
-                addvec = None
-                if column is None:
-                    # x's class stays in the bag: survivors gain w(q, x) toward it
-                    ncls = max(new_pi1) + 1
-                    vec = [0] * (len(wcol) * ncls)
-                    vec[col::ncls] = wcol
-                    addvec = tuple(vec)
-                ncls = max(pi1) + 1
+                new_pi1, gather, row, cls, alone, classes, spread, column = _forget_plan(pi1, p)
                 plan = plans[pi1] = (
-                    p * ncls, (p + 1) * ncls, pi1[p], _in_bag_sums(pi1, p, arcs_from_x),
-                    new_pi1, gather, addvec, column,
+                    row, cls, alone, [sum(g(arcs_from_x)) for g in classes], new_pi1, gather,
+                    None if spread is None else spread(wcol), column,
                 )
-            lo, hi, cls, in_bag, new_pi1, gather, addvec, column = plan
-            if not _stable_leaving(util[lo:hi], best[p], cls, in_bag):
+            row, cls, alone, in_bag, new_pi1, gather, addvec, column = plan
+            new_pi2 = _drop(pi2, p, alone)
+            if new_pi2 is None or not _stable_leaving(util[row], best[p], cls, in_bag):
                 return None
             rest = best[:p] + best[p + 1 :]
             if addvec is None:
@@ -340,6 +347,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
                     new_pi1, new_pi2, gather(util),
                     tuple(map(max, rest, map(add, column(util), wcol))),
                 ))
+            # x's class stays in the bag: survivors gain w(q, x) toward it
             return signature(ConnectedSignature, (
                 new_pi1, new_pi2, tuple(map(add, gather(util), addvec)), rest
             ))

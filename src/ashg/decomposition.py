@@ -438,8 +438,12 @@ def run_nice_dp(
     entries) after it; a capped run records as `peak_table` the size that
     crossed the cap before the error propagates.
 
-    Returns None when the root table is empty.  Otherwise the first root
-    signature is followed down its back-pointers.  The root bag is empty,
+    Returns None at the first empty table: every transition maps an empty
+    table to an empty one, so the root's is empty too.  `peak_table` then
+    counts only the tables built up to that one, and a later table that
+    would have crossed the cap is never built, so such a run answers None
+    instead of raising.  Otherwise the first root signature is followed
+    down its back-pointers.  The root bag is empty,
     so every vertex in a node's bag was forgotten at an ancestor and
     already has its coalition: only FORGET nodes assign one.  The leaving
     vertex joins a bag vertex that shares its class in the child
@@ -493,16 +497,18 @@ def run_nice_dp(
             table[leaf] = None
         if len(table) > peak:
             peak = len(table)
+        if not table:
+            # every transition maps an empty table to an empty one, so the
+            # root's, at an ancestor of every node, is empty too
+            stats["peak_table"] = peak
+            return None
         tables.append(table)
 
     stats["peak_table"] = peak
 
     root = len(nodes) - 1
-    root_table = tables[root]
-    if not root_table:
-        return None
     assign: dict[int, int] = {}
-    stack = [(root, next(iter(root_table)))]
+    stack = [(root, next(iter(tables[root])))]
     while stack:
         idx, sig = stack.pop()
         kind, bag, x, kids = nodes[idx]

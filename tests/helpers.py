@@ -16,7 +16,7 @@ from ashg import (
     Partition,
     is_nash_stable,
 )
-from ashg.connected import _drop, _stable_leaving
+from ashg.connected import _drop, _forget_plan, _stable_leaving
 from ashg.decomposition import FORGET, canonical_labels
 from ashg.oracle import _rgs
 
@@ -317,6 +317,56 @@ def in_bag_sums(pi1, p, arcs_from_x):
         sum(w for q, (lab, w) in enumerate(zip(pi1, arcs_from_x)) if lab == c and q != p)
         for c in range(max(pi1) + 1)
     ]
+
+
+def plan_in_bag_sums(pi1, p, arcs_from_x):
+    """The same sums as the connected DP takes them, from the class gathers
+    of its shared FORGET plan."""
+    classes = _forget_plan(pi1, p)[5]
+    return [sum(g(arcs_from_x)) for g in classes]
+
+
+def reference_forget(instance):
+    """The connected DP's FORGET step factory, every signature worked out
+    on its own with list operations: in-bag sums by in_bag_sums, the
+    leaving class's column and the survivors' column additions by index,
+    and the "alone in its class" flag by counting pi1.
+    Reference for `_transitions(instance)[1]`: same signature or None for
+    every node and child signature.
+    """
+    weight = instance.arcs.get
+
+    def forget(nd, child_bag):
+        x = nd.vertex
+        p = child_bag.index(x)
+        arcs_from_x = [weight((x, u), 0) for u in child_bag]
+        wcol = [weight((u, x), 0) for u in child_bag if u != x]
+
+        def step(sig):
+            pi1, pi2, util, best = sig
+            new_pi2 = _drop(pi2, p, pi1.count(pi1[p]) == 1)
+            if new_pi2 is None:
+                return None
+            ncls = max(pi1) + 1
+            cls = pi1[p]
+            row = util[p * ncls : (p + 1) * ncls]
+            if not _stable_leaving(row, best[p], cls, in_bag_sums(pi1, p, arcs_from_x)):
+                return None
+            survivors = [q for q in range(len(pi1)) if q != p]
+            new_pi1, cmap = canonical_labels([pi1[q] for q in survivors])
+            new_util = [util[q * ncls + c] for q in survivors for c in cmap]
+            rest = [best[q] for q in survivors]
+            if cls in cmap:  # survivors gain w(q, x) toward x's class
+                new_ncls = len(cmap)
+                for i, w in enumerate(wcol):
+                    new_util[i * new_ncls + cmap[cls]] += w
+            else:  # x's class completes: its final value for each survivor feeds best
+                rest = [max(b, util[q * ncls + cls] + w) for b, q, w in zip(rest, survivors, wcol)]
+            return ConnectedSignature(new_pi1, new_pi2, tuple(new_util), tuple(rest))
+
+        return step
+
+    return forget
 
 
 def forget_filter_passes(sig, p, in_bag):

@@ -70,9 +70,9 @@ class TestSolve:
         assert "invalid decomposition: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["nash", "dynamics"])
-    @pytest.mark.parametrize("flag, value", [("--td", golden("path5.td"))])
-    def test_decomposition_refused_outside_connected_mode(self, flag, value, mode, capsys):
-        args = ["solve", golden("path5.ashg"), "--mode", mode, flag, value]
+    @pytest.mark.parametrize("flag, name", [("--td", "path5.td")])
+    def test_decomposition_refused_outside_connected_mode(self, flag, name, mode, capsys):
+        args = ["solve", golden("path5.ashg"), "--mode", mode, flag, golden(name)]
         assert main(args) == 3
         captured = capsys.readouterr()
         assert f"{flag} applies to --mode connected-nash only, not {mode}" in captured.err
@@ -238,6 +238,18 @@ class TestSolve:
         assert main(args) == 2
         out = capsys.readouterr().out
         assert "c peak-table 2\n" in out and "c answer UNKNOWN" in out
+
+    @pytest.mark.parametrize("mode, seed, peak", [("nash", 1, 3), ("connected-nash", 2, 20)])
+    def test_empty_table_before_the_cap_answers_none(self, mode, seed, peak, tmp_path, capsys):
+        # NONE grids whose DP empties a table before a later table would cross
+        # a cap of `peak` (tests/test_traceback.py): the solve stops there
+        game = tmp_path / "grid.ashg"
+        game.write_text(serialize_instance(grid_instance(3, 5, random.Random(seed))), encoding="utf-8")
+        args = ["solve", str(game), "--mode", mode, "--table-cap"]
+        assert main(args + [str(peak)]) == 1
+        out = capsys.readouterr().out
+        assert f"c peak-table {peak}\n" in out and "c answer NONE" in out
+        assert main(args + [str(peak - 1)]) == 2
 
     @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
     @pytest.mark.parametrize("text, part", [

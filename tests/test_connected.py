@@ -25,7 +25,7 @@ from ashg import (
     square_instance,
     TreeDecomposition,
 )
-from ashg.connected import EMPTY_SIGNATURE, _in_bag_sums, _prune, _transitions
+from ashg.connected import EMPTY_SIGNATURE, _prune, _transitions
 from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, canonical_labels, run_nice_dp
 from helpers import (
     caterpillar_instance,
@@ -36,6 +36,7 @@ from helpers import (
     in_bag_sums,
     naive_is_stable,
     path_instance,
+    plan_in_bag_sums,
     signature_of,
     stalker,
     suite_instance,
@@ -89,7 +90,7 @@ class TestSignatureOf:
         assert sig.util[0:2] == (0, 2)
         # adding its in-bag sums, w(1,3), gives the whole class: w(1,2)+w(1,3)
         arcs_from_1 = (0, inst.weight(1, 3))
-        full = [a + b for a, b in zip(sig.util[0:2], _in_bag_sums(sig.pi1, 0, arcs_from_1))]
+        full = [a + b for a, b in zip(sig.util[0:2], plan_in_bag_sums(sig.pi1, 0, arcs_from_1))]
         assert full == [0, 1]
 
 
@@ -134,11 +135,12 @@ class TestForgetFilter:
         assert passes(sig, 0, (0, 0))
 
     def test_cached_in_bag_sums_agree(self):
-        # the DP caches _in_bag_sums per FORGET plan; the reference sums apart
-        pi1 = (0, 1, 0)
-        for arcs in ((0, 0, 0), (0, 3, 0), (0, 0, -2), (0, -1, 1), (4, -1, 1)):
-            for p in range(3):
-                assert _in_bag_sums(pi1, p, arcs) == in_bag_sums(pi1, p, arcs)
+        # the DP sums through the shared FORGET plan's class gathers; the reference sums apart
+        for pi1 in ((0,), (0, 0), (0, 1), (0, 1, 0), (0, 1, 2), (0, 0, 1, 2, 1)):
+            for arcs in ((0, 0, 0, 0, 0), (0, 3, 0, 1, 0), (0, 0, -2, 5, 1), (4, -1, 1, -3, 2)):
+                arcs = arcs[: len(pi1)]
+                for p in range(len(pi1)):
+                    assert plan_in_bag_sums(pi1, p, arcs) == in_bag_sums(pi1, p, arcs)
 
 
 class TestTraceSurvival:
@@ -379,7 +381,7 @@ class TestTransitions:
                 arcs = tuple(inst.weight(x, u) for u in bag)
                 full = [
                     a + b
-                    for a, b in zip(sig.util[p * ncls : (p + 1) * ncls], _in_bag_sums(sig.pi1, p, arcs))
+                    for a, b in zip(sig.util[p * ncls : (p + 1) * ncls], plan_in_bag_sums(sig.pi1, p, arcs))
                 ]
                 first = {lab: bag[q] for q, lab in reversed(list(enumerate(sig.pi1)))}
                 expected = [
@@ -403,14 +405,15 @@ def run_unpruned(inst, table_cap, stats):
 
 # Peak table of the connected DP with every table kept whole and with FORGET
 # tables pruned to their undominated signatures, and the node count; a change
-# to the transitions or the pruning must not move them.  A case is named by
-# its instance and its unpruned work.
+# to the transitions or the pruning must not move them.  On a NONE answer the
+# peak counts the tables up to the first empty one.  A case is named by its
+# instance and its unpruned work.
 # (shape, size, weight low, weight high, seed, unpruned peak_table, nice_nodes,
 #  answer is SOME, pruned peak_table)
 PINNED_TABLE_WORK = [
     ("grid", 5, -3, 3, 0, 47, 49, False, 31),
     ("grid", 5, -3, 3, 1, 30, 49, False, 15),
-    ("grid", 5, -3, 3, 2, 25, 49, False, 20),
+    ("grid", 5, -3, 3, 2, 20, 49, False, 20),
     ("grid", 5, 0, 3, 0, 94, 49, True, 61),
     ("grid", 5, 0, 3, 1, 126, 49, True, 47),
     ("grid", 5, 0, 3, 2, 104, 49, True, 50),
@@ -437,6 +440,40 @@ def test_table_work_pinned(shape, size, lo, hi, seed, peak, nodes, some, kept):
     unpruned = {}
     assert (run_unpruned(inst, 10**6, unpruned) is not None) == some
     assert (unpruned["peak_table"], unpruned["nice_nodes"]) == (peak, nodes)
+
+
+def test_no_factory_runs_after_the_first_empty_table():
+    # a NONE grid of PINNED_TABLE_WORK; every transition maps an empty table
+    # to an empty one, so the engine stops at the first
+    inst = grid_instance(3, 5, random.Random(2), -3, 3)
+    nodes = make_nice(heuristic_decompose(inst))
+    introduce, forget, join = _transitions(inst)
+    index = {id(nd): i for i, nd in enumerate(nodes)}
+    built = []  # [node index, signatures its step produced], in call order
+
+    def spy(factory):
+        def make(nd, child_bag):
+            step = factory(nd, child_bag)
+            record = [index[id(nd)], 0]
+            built.append(record)
+
+            def counted(sig):
+                out = step(sig)
+                record[1] += len(out) if nd.kind == INTRODUCE else out is not None
+                return out
+
+            return counted
+
+        return make
+
+    stats = {}
+    part = run_nice_dp(nodes, 10**6, EMPTY_SIGNATURE, spy(introduce), spy(forget), join,
+                       classes=attrgetter("pi1"), stats=stats, prune=_prune)
+    assert part is None and stats["peak_table"] == 20
+    *before, (last, produced) = built
+    assert produced == 0 and all(n > 0 for _, n in before)
+    stepped = [i for i, nd in enumerate(nodes) if nd.kind in (INTRODUCE, FORGET)]
+    assert [i for i, _ in built] == [i for i in stepped if i <= last] != stepped
 
 
 @pytest.mark.parametrize("seed, kept", [(0, 1_498), (1, 10_330)])

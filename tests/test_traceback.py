@@ -4,12 +4,14 @@
 worked only at FORGET nodes: one generator of (signature, back-pointer)
 pairs per node, and a traceback that carries coalition ids through every
 node's classes.  Both must build the same tables and trace the same
-partition on every solve, capped and NONE cases included.
+partition on every solve, capped and NONE cases included.  The engine
+also stops at the first empty table, where the reference builds them all.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from operator import attrgetter
 
 import pytest
@@ -142,3 +144,39 @@ def test_forget_only_traceback_matches_reference(mode):
     # the corpus reaches every kind of outcome in both modes
     assert kinds == {"capped", "none", "some"}
 
+
+
+def counted_outcome(engine, instance, mode):
+    """Answer of one uncapped solve, and how many FORGET steps were built."""
+    nodes, leaf, introduce, forget, join, classes = dp_arguments(instance, mode)
+    calls = 0
+
+    def counted(nd, child_bag):
+        nonlocal calls
+        calls += 1
+        return forget(nd, child_bag)
+
+    return engine(nodes, 10**6, leaf, introduce, counted, join, classes), calls
+
+
+@pytest.mark.parametrize("mode", ["nash", "connected-nash"])
+def test_early_exit_answers_as_the_reference_engine(mode):
+    rng = random.Random(2025)
+    kinds = Counter()
+    for i in range(200):  # oracle-sized: n <= 8
+        instance = suite_instance(rng, i)
+        got, calls = counted_outcome(run_nice_dp, instance, mode)
+        want, all_calls = counted_outcome(reference_run_nice_dp, instance, mode)
+        assert got == want, i
+        assert calls == all_calls or got is None, i
+        kinds["some" if got is not None else "early" if calls < all_calls else "none"] += 1
+    assert kinds["some"] >= 50 and kinds["early"] >= 50, kinds
+
+
+@pytest.mark.parametrize("mode, seed, peak", [("nash", 1, 3), ("connected-nash", 2, 20)])
+def test_empty_table_before_the_cap_answers_none(mode, seed, peak):
+    # the first empty table comes before a table, in another branch, that
+    # crosses a cap of `peak`: the reference raises, the engine answers None
+    instance = grid_instance(3, 5, random.Random(seed))
+    assert outcome(run_nice_dp, instance, mode, peak) is None
+    assert outcome(reference_run_nice_dp, instance, mode, peak).endswith(f"exceeds cap {peak}")
