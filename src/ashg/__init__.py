@@ -28,7 +28,7 @@ from .decomposition import (
     validate,
 )
 from .coloring import solve_nash_via_coloring
-from .connected import ConnectedSignature, solve_connected_nash
+from .connected import solve_connected_nash
 from .oracle import (
     brute_force_connected_nash,
     brute_force_nash,
@@ -59,7 +59,6 @@ __all__ = [
     "make_nice",
     "square_instance",
     "solve_nash_via_coloring",
-    "ConnectedSignature",
     "solve_connected_nash",
     "brute_force_nash",
     "brute_force_connected_nash",

@@ -4,7 +4,7 @@ Coalitions must induce connected subgraphs of the underlying graph, so a
 bag signature has to remember, besides who is grouped with whom, how
 much connectivity each group has already realized strictly inside the
 processed part of the tree.  A signature over bag B with processed
-vertex set B+ ("below") holds:
+vertex set B+ ("below") is the plain tuple (pi1, pi2, util, best):
 
   pi1   partition of B induced by the intended coalitions,
   pi2   refinement of pi1: x, y are together iff some path inside their
@@ -57,8 +57,8 @@ cost more time than it saved.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, attrgetter, itemgetter, le, mul
-from typing import Callable, NamedTuple, Sequence
+from operator import add, itemgetter, le, mul
+from typing import Callable, Sequence
 
 from .decomposition import (
     DEFAULT_TABLE_CAP,
@@ -73,14 +73,6 @@ from .decomposition import (
 from .game import AshgInstance, Partition
 
 
-class ConnectedSignature(NamedTuple):
-    pi1: tuple[int, ...]
-    pi2: tuple[int, ...]
-    util: tuple[int, ...]
-    best: tuple[int, ...]
-
-
-EMPTY_SIGNATURE = ConnectedSignature((), (), (), ())
 _ZERO = (0,)
 
 
@@ -243,7 +235,7 @@ def _prune(table: dict) -> dict:
             continue
         signs = _cost_signs(pi1)
         front: list[tuple[int, ...]] = []
-        costs = sorted([(tuple(map(mul, sig.util, signs)) + sig.best, sig) for sig in sigs])
+        costs = sorted([(tuple(map(mul, sig[2], signs)) + sig[3], sig) for sig in sigs])
         for cost, sig in costs:
             for kept in front:
                 if all(map(le, kept, cost)):
@@ -286,8 +278,8 @@ def solve_connected_nash(
         if not ok:
             raise ValueError("invalid decomposition: " + "; ".join(violations))
     return run_nice_dp(
-        make_nice(td), table_cap, EMPTY_SIGNATURE, *_transitions(instance),
-        classes=attrgetter("pi1"),
+        make_nice(td), table_cap, ((), (), (), ()), *_transitions(instance),
+        classes=itemgetter(0),
         stats=stats,
         prune=_prune,
     )
@@ -301,7 +293,6 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
     """
     weight = instance.arcs.get
     nbr_sets = [set(s) for s in instance.neighbors]
-    signature = tuple.__new__  # ConnectedSignature's own __new__ is a Python-level call
 
     def introduce(nd, child_bag):
         v = nd.vertex
@@ -313,7 +304,7 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
             ext = util + _ZERO
             new_best = best[:p] + _ZERO + best[p:]
             return [
-                signature(ConnectedSignature, (new_pi1, new_pi2, gather(ext), new_best))
+                (new_pi1, new_pi2, gather(ext), new_best)
                 for new_pi1, new_pi2, gather in _placements(pi1, pi2, p, adjacent)
             ]
 
@@ -343,25 +334,23 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
             rest = best[:p] + best[p + 1 :]
             if addvec is None:
                 # x's class completes: each survivor's final value toward it feeds best
-                return signature(ConnectedSignature, (
+                return (
                     new_pi1, new_pi2, gather(util),
                     tuple(map(max, rest, map(add, column(util), wcol))),
-                ))
+                )
             # x's class stays in the bag: survivors gain w(q, x) toward it
-            return signature(ConnectedSignature, (
-                new_pi1, new_pi2, tuple(map(add, gather(util), addvec)), rest
-            ))
+            return new_pi1, new_pi2, tuple(map(add, gather(util), addvec)), rest
 
         return step
 
     def join(left, right):
         pi1, pi2, util, best = left
         _, right_pi2, right_util, right_best = right
-        return signature(ConnectedSignature, (
+        return (
             pi1,
             pi2 if pi2 == right_pi2 else _pi2_union(pi2, right_pi2),
             tuple(map(add, util, right_util)),
             tuple(map(max, best, right_best)),
-        ))
+        )
 
     return introduce, forget, join

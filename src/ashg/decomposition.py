@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ResourceLimitError
-from .game import AshgInstance, Partition
+from .game import MAX_ARCS, AshgInstance, Partition
 
 class TreeDecomposition:
     """Bags keyed by integer node id plus undirected tree edges, rooted once.
@@ -69,7 +69,7 @@ class TreeDecomposition:
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "parent", parent)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("TreeDecomposition is immutable")
 
     @property
@@ -536,12 +536,21 @@ def square_instance(instance: AshgInstance) -> AshgInstance:
     has a Nash stable partition exactly when G^2 has a connected one (for
     existence only: a stable coalition of G may be disconnected in G^2).
     `gen square` writes this instance.  G^2 is the graph in which x ~ y
-    when some closed neighborhood N[u] holds both.
+    when some closed neighborhood N[u] holds both.  ValueError refuses a
+    square past MAX_ARCS, counted one row at a time before it is built.
     """
-    arcs = dict(instance.arcs)
     nbrs = instance.neighbors
     closed = [frozenset((u, *nbrs[u])) for u in range(1, instance.n + 1)]
-    for u, row in _clique_adjacency(instance.n, closed).items():
-        for x in row.difference(nbrs[u]):
-            arcs[(u, x)] = 0
+
+    def new_rows():  # per u: the union of N[x] over x in N[u], minus N[u]
+        return (frozenset().union(*[closed[x - 1] for x in row]) - row for row in closed)
+
+    count = len(instance.arcs)
+    for row in new_rows():
+        count += len(row)
+        if count > MAX_ARCS:
+            raise ValueError(f"the square needs at least {count} arcs, above the limit {MAX_ARCS}")
+    arcs = dict(instance.arcs)
+    for u, row in enumerate(new_rows(), 1):
+        arcs.update(((u, x), 0) for x in row)
     return AshgInstance(instance.n, arcs)

@@ -77,7 +77,7 @@ class AshgInstance:
         object.__setattr__(self, "max_degree", max((len(s) for s in nbr[1:]), default=0))
         object.__setattr__(self, "max_abs_weight", w_max)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("AshgInstance is immutable")
 
     def weight(self, u: int, v: int) -> int:
@@ -116,7 +116,7 @@ class Partition:
         object.__setattr__(self, "labels", tuple(out))
         object.__setattr__(self, "_blocks", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     @classmethod

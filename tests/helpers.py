@@ -12,7 +12,6 @@ import itertools
 from ashg import (
     AshgInstance,
     CnfFormula,
-    ConnectedSignature,
     Partition,
     is_nash_stable,
 )
@@ -34,6 +33,12 @@ def friends():
 def path3():
     """The path 1-2-3 with unit weights both ways."""
     return AshgInstance(3, [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)])
+
+
+def two_way_star(n):
+    """Center 1 and leaves 2..n, with a unit arc each way on every edge."""
+    leaves = range(2, n + 1)
+    return AshgInstance(n, [(1, v, 1) for v in leaves] + [(v, 1, 1) for v in leaves])
 
 
 def uniform_instance(rng, n_max=8, max_degree=4, w_lo=-3, w_hi=3):
@@ -133,6 +138,26 @@ def tree_instance(n, rng, max_degree=3, w_lo=-3, w_hi=3, symmetric=False):
             open_vertices[i] = open_vertices[-1]
             open_vertices.pop()
         open_vertices.append(v)
+    return AshgInstance(n, arcs)
+
+
+def bounded_degree_instance(n, rng, w_lo=-3, w_hi=3, symmetric=False):
+    """A random tree of maximum degree 3 on 1..n (tree_instance) plus up to
+    n // 6 chords, each between two non-adjacent vertices of degree < 3."""
+    tree = tree_instance(n, rng, w_lo=w_lo, w_hi=w_hi, symmetric=symmetric)
+    arcs = dict(tree.arcs)
+    nbrs = [set(s) for s in tree.neighbors]
+    for _ in range(rng.randint(0, n // 6)):
+        room = [v for v in range(1, n + 1) if len(nbrs[v]) < 3]
+        if len(room) < 2:
+            break
+        u, v = rng.sample(room, 2)
+        if v in nbrs[u]:
+            continue
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        arcs[(u, v)] = w = rng.randint(w_lo, w_hi)
+        arcs[(v, u)] = w if symmetric else rng.randint(w_lo, w_hi)
     return AshgInstance(n, arcs)
 
 
@@ -239,7 +264,7 @@ def naive_validate(td, instance):
 
 
 def signature_of(instance, nodes, node_id, partition):
-    """The signature a full partition induces at one node, computed directly.
+    """The signature (pi1, pi2, util, best) a full partition induces at one node.
 
     This is the independent reference for the connected DP's transitions:
     it looks at the real coalitions, restricted to the vertices below the
@@ -306,7 +331,7 @@ def signature_of(instance, nodes, node_id, partition):
                 continue
             cand = max(cand, sum(w for u, w in instance.out[x] if u in blk_set))
         best.append(cand)
-    return ConnectedSignature(pi1, pi2, util, tuple(best))
+    return pi1, pi2, util, tuple(best)
 
 
 def in_bag_sums(pi1, p, arcs_from_x):
@@ -362,7 +387,7 @@ def reference_forget(instance):
                     new_util[i * new_ncls + cmap[cls]] += w
             else:  # x's class completes: its final value for each survivor feeds best
                 rest = [max(b, util[q * ncls + cls] + w) for b, q, w in zip(rest, survivors, wcol)]
-            return ConnectedSignature(new_pi1, new_pi2, tuple(new_util), tuple(rest))
+            return new_pi1, new_pi2, tuple(new_util), tuple(rest)
 
         return step
 
@@ -401,7 +426,7 @@ def trace_survives_forget_filters(instance, nodes, partition):
         sig = signature_of(instance, nodes, nd.children[0], partition)
         arcs_from_x = tuple(instance.weight(nd.vertex, u) for u in child_bag)
         p = child_bag.index(nd.vertex)
-        if not forget_filter_passes(sig, p, in_bag_sums(sig.pi1, p, arcs_from_x)):
+        if not forget_filter_passes(sig, p, in_bag_sums(sig[0], p, arcs_from_x)):
             return False
     return True
 

@@ -23,7 +23,7 @@ from ashg import (
     serialize_instance,
 )
 from ashg.cli import main
-from helpers import grid_instance
+from helpers import grid_instance, two_way_star
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -519,6 +519,22 @@ class TestGen:
         assert main(["gen", "square", golden("path3.ashg")]) == 0
         out = capsys.readouterr().out
         assert "a 1 3 0" in out and "a 3 1 0" in out
+
+    def test_oversize_square_exits_three_before_it_is_built(self, tmp_path, capsys):
+        # 5 198 arcs (a 55 KB file) whose square would have 6 757 400
+        source = tmp_path / "star.ashg"
+        source.write_text(serialize_instance(two_way_star(2_600)), encoding="utf-8")
+        out = tmp_path / "square.ashg"
+        tracemalloc.start()
+        try:
+            code = main(["gen", "square", str(source), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "above the limit" in capsys.readouterr().err
+        assert peak < 50 * 10**6
+        assert not out.exists()
 
     def test_square_output_pinned_on_every_golden_instance(self, capsys):
         # sha256 of the text `gen square` writes for each tests/golden/*.ashg

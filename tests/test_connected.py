@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from operator import attrgetter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ashg import (
     AshgInstance,
-    ConnectedSignature,
     NiceNode,
     Partition,
     ResourceLimitError,
@@ -25,7 +24,7 @@ from ashg import (
     square_instance,
     TreeDecomposition,
 )
-from ashg.connected import EMPTY_SIGNATURE, _prune, _transitions
+from ashg.connected import _prune, _transitions
 from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, canonical_labels, run_nice_dp
 from helpers import (
     caterpillar_instance,
@@ -64,7 +63,7 @@ class TestSignatureOf:
         inst = friends()
         nodes = make_nice(heuristic_decompose(inst))
         part = Partition([1, 1])
-        assert signature_of(inst, nodes, len(nodes) - 1, part) == EMPTY_SIGNATURE
+        assert signature_of(inst, nodes, len(nodes) - 1, part) == ((), (), (), ())
 
     def test_best_completed_coalition_value(self):
         # bag {1}; coalition {2,3} finished below with w(1,2)=2, w(1,3)=-1:
@@ -73,65 +72,65 @@ class TestSignatureOf:
         nodes = triangle_nodes()
         part = Partition.from_blocks([[1], [2, 3]])
         node = next(i for i, nd in enumerate(nodes) if nd.bag == (1,))
-        sig = signature_of(inst, nodes, node, part)
-        assert sig.pi1 == (0,)
-        assert sig.best == (1,)
-        assert sig.util == (0,)  # vertex 1 is alone in its class
+        pi1, _, util, best = signature_of(inst, nodes, node, part)
+        assert pi1 == (0,)
+        assert best == (1,)
+        assert util == (0,)  # vertex 1 is alone in its class
 
     def test_cross_class_utilities_tracked(self):
         inst = AshgInstance(3, [(1, 2, 2), (1, 3, -1), (2, 3, 0), (2, 1, 0), (3, 1, 0)])
         nodes = triangle_nodes()
         part = Partition.from_blocks([[1], [2, 3]])
         node = next(i for i, nd in enumerate(nodes) if nd.bag == (1, 3))
-        sig = signature_of(inst, nodes, node, part)
+        pi1, _, util, _ = signature_of(inst, nodes, node, part)
         # classes: vertex 1 alone (class 0), vertex 3 with forgotten 2 (class 1)
-        assert sig.pi1 == (0, 1)
+        assert pi1 == (0, 1)
         # row of vertex 1 counts the forgotten member only: w(1,2) toward class 1
-        assert sig.util[0:2] == (0, 2)
+        assert util[0:2] == (0, 2)
         # adding its in-bag sums, w(1,3), gives the whole class: w(1,2)+w(1,3)
         arcs_from_1 = (0, inst.weight(1, 3))
-        full = [a + b for a, b in zip(sig.util[0:2], plan_in_bag_sums(sig.pi1, 0, arcs_from_1))]
+        full = [a + b for a, b in zip(util[0:2], plan_in_bag_sums(pi1, 0, arcs_from_1))]
         assert full == [0, 1]
 
 
 def passes(sig, p, arcs_from_x):
     """The forget filter, fed the in-bag sums of the test reference."""
-    return forget_filter_passes(sig, p, in_bag_sums(sig.pi1, p, arcs_from_x))
+    return forget_filter_passes(sig, p, in_bag_sums(sig[0], p, arcs_from_x))
 
 
 class TestForgetFilter:
     # util is flat and row-major: util[q * ncls + c]
     def test_negative_own_rejected(self):
-        sig = ConnectedSignature((0,), (0,), (-1,), (0,))
+        sig = ((0,), (0,), (-1,), (0,))
         assert not passes(sig, 0, (0,))
 
     def test_negative_own_from_in_bag_arcs_rejected(self):
         # stored row is 0, but the in-bag partner at position 1 is disliked
-        sig = ConnectedSignature((0, 0), (0, 0), (0, 0), (0, 0))
+        sig = ((0, 0), (0, 0), (0, 0), (0, 0))
         assert not passes(sig, 0, (0, -1))
 
     def test_better_cross_class_rejected(self):
-        sig = ConnectedSignature((0, 1), (0, 1), (0, 2, 0, 0), (0, 0))
+        sig = ((0, 1), (0, 1), (0, 2, 0, 0), (0, 0))
         assert not passes(sig, 0, (0, 0))
 
     def test_better_cross_class_from_in_bag_arcs_rejected(self):
         # the other class's bag member at position 1 is worth 2 to position 0
-        sig = ConnectedSignature((0, 1), (0, 1), (0, 0, 0, 0), (0, 0))
+        sig = ((0, 1), (0, 1), (0, 0, 0, 0), (0, 0))
         assert not passes(sig, 0, (0, 2))
         assert passes(sig, 0, (0, 0))
 
     def test_better_completed_coalition_rejected(self):
-        sig = ConnectedSignature((0,), (0,), (1,), (2,))
+        sig = ((0,), (0,), (1,), (2,))
         assert not passes(sig, 0, (0,))
 
     def test_unreachable_component_rejected(self):
         # vertex at position 1 shares its class with position 0 but sits in
         # its own connectivity component: it can never reconnect
-        sig = ConnectedSignature((0, 0), (0, 1), (1, 1), (0, 0))
+        sig = ((0, 0), (0, 1), (1, 1), (0, 0))
         assert not passes(sig, 1, (0, 0))
 
     def test_happy_path_passes(self):
-        sig = ConnectedSignature((0, 0), (0, 0), (1, 1), (0, 0))
+        sig = ((0, 0), (0, 0), (1, 1), (0, 0))
         assert passes(sig, 0, (0, 0))
 
     def test_cached_in_bag_sums_agree(self):
@@ -320,7 +319,7 @@ class TestTransitions:
             sigs = [signature_of(inst, nodes, i, part) for i in range(len(nodes))]
             for i, nd in enumerate(nodes):
                 if nd.kind == LEAF:
-                    assert sigs[i] == EMPTY_SIGNATURE
+                    assert sigs[i] == ((), (), (), ())
                     continue
                 kinds[nd.kind] += 1
                 if nd.kind == JOIN:
@@ -344,12 +343,12 @@ class TestTransitions:
                     continue
                 p = nd.bag.index(nd.vertex)
                 child = nd.children[0]
-                for sig in introduce(nd, nodes[child].bag)(
+                for pi1, _, util, best in introduce(nd, nodes[child].bag)(
                     signature_of(inst, nodes, child, part)
                 ):
-                    ncls = max(sig.pi1) + 1
-                    assert sig.util[p * ncls : (p + 1) * ncls] == (0,) * ncls
-                    assert sig.best[p] == 0
+                    ncls = max(pi1) + 1
+                    assert util[p * ncls : (p + 1) * ncls] == (0,) * ncls
+                    assert best[p] == 0
 
     def test_join_adds_utilities(self):
         # the two children's forgotten sets are disjoint, so their rows add
@@ -359,10 +358,12 @@ class TestTransitions:
                 if nd.kind != JOIN:
                     continue
                 joins += 1
-                left, right = (signature_of(inst, nodes, c, part) for c in nd.children)
-                here = signature_of(inst, nodes, i, part)
-                assert here.util == tuple(a + b for a, b in zip(left.util, right.util))
-                assert here.best == tuple(max(a, b) for a, b in zip(left.best, right.best))
+                (*_, lutil, lbest), (*_, rutil, rbest) = (
+                    signature_of(inst, nodes, c, part) for c in nd.children
+                )
+                *_, util, best = signature_of(inst, nodes, i, part)
+                assert util == tuple(a + b for a, b in zip(lutil, rutil))
+                assert best == tuple(max(a, b) for a, b in zip(lbest, rbest))
         assert joins > 0
 
     def test_in_bag_sums_complete_the_forgotten_row(self):
@@ -376,14 +377,14 @@ class TestTransitions:
                 below = vertices_below(nodes, child)
                 x = nd.vertex
                 p = bag.index(x)
-                sig = signature_of(inst, nodes, child, part)
-                ncls = max(sig.pi1) + 1
+                pi1, _, util, _ = signature_of(inst, nodes, child, part)
+                ncls = max(pi1) + 1
                 arcs = tuple(inst.weight(x, u) for u in bag)
                 full = [
                     a + b
-                    for a, b in zip(sig.util[p * ncls : (p + 1) * ncls], plan_in_bag_sums(sig.pi1, p, arcs))
+                    for a, b in zip(util[p * ncls : (p + 1) * ncls], plan_in_bag_sums(pi1, p, arcs))
                 ]
-                first = {lab: bag[q] for q, lab in reversed(list(enumerate(sig.pi1)))}
+                first = {lab: bag[q] for q, lab in reversed(list(enumerate(pi1)))}
                 expected = [
                     sum(
                         inst.weight(x, u)
@@ -398,8 +399,8 @@ class TestTransitions:
 def run_unpruned(inst, table_cap, stats):
     """The connected DP on its default decomposition, every table kept whole."""
     return run_nice_dp(
-        make_nice(heuristic_decompose(inst)), table_cap, EMPTY_SIGNATURE, *_transitions(inst),
-        classes=attrgetter("pi1"), stats=stats,
+        make_nice(heuristic_decompose(inst)), table_cap, ((), (), (), ()), *_transitions(inst),
+        classes=itemgetter(0), stats=stats,
     )
 
 
@@ -467,8 +468,8 @@ def test_no_factory_runs_after_the_first_empty_table():
         return make
 
     stats = {}
-    part = run_nice_dp(nodes, 10**6, EMPTY_SIGNATURE, spy(introduce), spy(forget), join,
-                       classes=attrgetter("pi1"), stats=stats, prune=_prune)
+    part = run_nice_dp(nodes, 10**6, ((), (), (), ()), spy(introduce), spy(forget), join,
+                       classes=itemgetter(0), stats=stats, prune=_prune)
     assert part is None and stats["peak_table"] == 20
     *before, (last, produced) = built
     assert produced == 0 and all(n > 0 for _, n in before)
@@ -516,15 +517,17 @@ def dominates(a, b) -> bool:
     """Whether signature a is at least as good as b for every bag vertex:
     same (pi1, pi2), util toward the own class no lower, util toward every
     other class and best no higher."""
-    if (a.pi1, a.pi2) != (b.pi1, b.pi2):
+    pi1, pi2, a_util, a_best = a
+    if (pi1, pi2) != b[:2]:
         return False
-    ncls = max(a.pi1, default=-1) + 1
-    for q, own in enumerate(a.pi1):
+    _, _, b_util, b_best = b
+    ncls = max(pi1, default=-1) + 1
+    for q, own in enumerate(pi1):
         for c in range(ncls):
-            x, y = a.util[q * ncls + c], b.util[q * ncls + c]
+            x, y = a_util[q * ncls + c], b_util[q * ncls + c]
             if (x < y) if c == own else (x > y):
                 return False
-    return all(x <= y for x, y in zip(a.best, b.best))
+    return all(x <= y for x, y in zip(a_best, b_best))
 
 
 @st.composite
@@ -540,7 +543,7 @@ def bag_signatures(draw, pi1=None):
     ncls = max(pi1) + 1
     util = draw(st.lists(st.integers(-4, 4), min_size=m * ncls, max_size=m * ncls))
     best = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
-    return ConnectedSignature(pi1, pi2, tuple(util), tuple(best))
+    return (pi1, pi2, tuple(util), tuple(best))
 
 
 @st.composite
@@ -549,15 +552,16 @@ def dominance_cases(draw):
     the bag of every vertex but the introduced one, A dominates B, and the
     partner shares their pi1."""
     b = draw(bag_signatures())
-    m = len(b.pi1)
-    ncls = max(b.pi1) + 1
+    pi1, pi2, b_util, b_best = b
+    m = len(pi1)
+    ncls = max(pi1) + 1
     gain = draw(st.lists(st.integers(0, 3), min_size=m * ncls + m, max_size=m * ncls + m))
     util = tuple(
-        x + d if i % ncls == b.pi1[i // ncls] else x - d
-        for i, (x, d) in enumerate(zip(b.util, gain))
+        x + d if i % ncls == pi1[i // ncls] else x - d
+        for i, (x, d) in enumerate(zip(b_util, gain))
     )
-    best = tuple(x - d for x, d in zip(b.best, gain[m * ncls :]))
-    a = ConnectedSignature(b.pi1, b.pi2, util, best)
+    best = tuple(x - d for x, d in zip(b_best, gain[m * ncls :]))
+    a = (pi1, pi2, util, best)
     n = m + 1
     arcs = {}
     for u in range(1, n + 1):
@@ -565,7 +569,7 @@ def dominance_cases(draw):
             if u != v and draw(st.booleans()):
                 arcs[(u, v)] = draw(st.integers(-3, 3))
     v = draw(st.integers(1, n))
-    return AshgInstance(n, arcs), v, a, b, draw(bag_signatures(b.pi1))
+    return AshgInstance(n, arcs), v, a, b, draw(bag_signatures(pi1))
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -593,13 +597,13 @@ def test_transitions_keep_dominance(case):
 class TestPrune:
     def test_keeps_the_undominated_in_order_with_back_pointers(self):
         # two singleton classes; util is row-major [q0 own, q0 other, q1 other, q1 own]
-        worse = ConnectedSignature((0, 1), (0, 1), (1, 2, 0, 1), (0, 0))
-        better = ConnectedSignature((0, 1), (0, 1), (2, 1, 0, 1), (0, 0))
+        worse = ((0, 1), (0, 1), (1, 2, 0, 1), (0, 0))
+        better = ((0, 1), (0, 1), (2, 1, 0, 1), (0, 0))
         # more for q0's own class but a higher best: neither dominates the other
-        traded = ConnectedSignature((0, 1), (0, 1), (3, 2, 0, 1), (1, 0))
+        traded = ((0, 1), (0, 1), (3, 2, 0, 1), (1, 0))
         # same pi1, other pi2: never compared, though its values are lower
-        split = ConnectedSignature((0, 0), (0, 1), (0, 0), (5, 5))
-        joined = ConnectedSignature((0, 0), (0, 0), (0, 0), (0, 0))
+        split = ((0, 0), (0, 1), (0, 0), (5, 5))
+        joined = ((0, 0), (0, 0), (0, 0), (0, 0))
         table = {worse: "w", split: "s", better: "b", joined: "j", traded: "t"}
         assert list(_prune(table).items()) == [
             (split, "s"), (better, "b"), (joined, "j"), (traded, "t"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from operator import attrgetter
+from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +27,7 @@ from ashg import (
     solve_connected_nash,
 )
 from ashg import connected
-from ashg.connected import EMPTY_SIGNATURE, ConnectedSignature, _prune, _transitions
+from ashg.connected import _prune, _transitions
 from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, canonical_labels, run_nice_dp
 from helpers import (
     forget_filter_passes,
@@ -135,7 +135,7 @@ def test_transitions_reproduce_signature_of_on_connected_partitions(case):
     sigs = [signature_of(inst, nodes, i, part) for i in range(len(nodes))]
     for i, nd in enumerate(nodes):
         if nd.kind == LEAF:
-            assert sigs[i] == EMPTY_SIGNATURE
+            assert sigs[i] == ((), (), (), ())
         elif nd.kind == JOIN:
             left, right = nd.children
             assert join(sigs[left], sigs[right]) == sigs[i]
@@ -147,7 +147,7 @@ def test_transitions_reproduce_signature_of_on_connected_partitions(case):
             else:
                 p = child_bag.index(nd.vertex)
                 arcs_from_x = tuple(inst.weight(nd.vertex, u) for u in child_bag)
-                in_bag = in_bag_sums(sigs[child].pi1, p, arcs_from_x)
+                in_bag = in_bag_sums(sigs[child][0], p, arcs_from_x)
                 passes = forget_filter_passes(sigs[child], p, in_bag)
                 expected = sigs[i] if passes else None
                 assert forget(nd, child_bag)(sigs[child]) == expected
@@ -188,7 +188,7 @@ def forget_cases(draw):
         for _ in range(draw(st.integers(1, 3))):
             util = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
             best = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
-            sigs.append(ConnectedSignature(pi1, pi2, tuple(util), tuple(best)))
+            sigs.append((pi1, pi2, tuple(util), tuple(best)))
     return AshgInstance(9, arcs), bag, bag[p], sigs
 
 
@@ -196,11 +196,12 @@ def forget_node(child_bag: tuple[int, ...], x: int) -> NiceNode:
     return NiceNode(FORGET, tuple(u for u in child_bag if u != x), x, (0,))
 
 
-def forget_kind(sig: ConnectedSignature, p: int, out) -> str:
+def forget_kind(sig: tuple, p: int, out) -> str:
     """Which path a FORGET of bag position p took on sig."""
     if out is None:
         return "dropped"
-    return "completes" if sig.pi1.count(sig.pi1[p]) == 1 else "stays"
+    pi1 = sig[0]
+    return "completes" if pi1.count(pi1[p]) == 1 else "stays"
 
 
 def test_forget_matches_the_reference_step():
@@ -253,8 +254,8 @@ def test_forget_matches_the_reference_on_pinned_grids_and_trees():
             return compare
 
         part = run_nice_dp(
-            make_nice(heuristic_decompose(inst)), 10**6, EMPTY_SIGNATURE, introduce, checked, join,
-            classes=attrgetter("pi1"), prune=_prune,
+            make_nice(heuristic_decompose(inst)), 10**6, ((), (), (), ()), introduce, checked, join,
+            classes=itemgetter(0), prune=_prune,
         )
         assert (part is not None) == some
     assert min(kinds[kind] for kind in ("dropped", "completes", "stays")) >= 100, kinds

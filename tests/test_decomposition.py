@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from ashg import (
     square_instance,
     validate,
 )
+from ashg import decomposition
 from ashg.decomposition import (
     FORGET,
     INTRODUCE,
@@ -39,6 +41,7 @@ from helpers import (
     random_graph_instance,
     suite_instance,
     tree_instance,
+    two_way_star,
     uniform_instance,
 )
 
@@ -53,6 +56,11 @@ class TestTreeDecomposition:
         td = TreeDecomposition({1: [1, 2], 2: [2, 3]}, [(1, 2)])
         assert td.max_bag_size == 2
         assert td.width == 1
+
+    def test_immutable(self):
+        td = TreeDecomposition({1: [1, 2]}, [])
+        with pytest.raises(AttributeError):
+            td.bags = {}
 
     def test_empty_bag_width_normalized_to_zero(self):
         assert TreeDecomposition({1: []}, []).width == 0
@@ -518,6 +526,27 @@ class TestSquareInstance:
     def test_stalker_plus_isolated_unchanged(self):
         inst = AshgInstance(3, [(1, 2, 1), (2, 1, -1)])
         assert square_instance(inst).arcs == inst.arcs
+
+    def test_square_at_the_arc_limit_is_built_and_past_it_refused(self, monkeypatch):
+        # the square of path3 is the triangle: 6 arcs
+        monkeypatch.setattr(decomposition, "MAX_ARCS", 6)
+        assert len(square_instance(path3()).arcs) == 6
+        monkeypatch.setattr(decomposition, "MAX_ARCS", 5)
+        with pytest.raises(ValueError, match="above the limit 5"):
+            square_instance(path3())
+
+    def test_oversize_square_is_refused_before_it_is_built(self):
+        # a star on 2 600 vertices with arcs both ways has 5 198 arcs; its
+        # square, one clique, would have 6 757 400, past MAX_ARCS
+        star = two_way_star(2_600)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the limit"):
+                square_instance(star)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 10**6
 
     def test_matches_distance_two_closure_on_random_instances(self):
         rng = random.Random(60)

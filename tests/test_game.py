@@ -138,6 +138,11 @@ class TestAshgInstanceInputShapes:
 
 
 class TestPartition:
+    def test_immutable(self):
+        part = Partition([1, 1])
+        with pytest.raises(AttributeError):
+            part.labels = (1, 2)
+
     def test_labels_normalized_to_first_appearance(self):
         assert Partition([7, 7, 2]).labels == (1, 1, 2)
 

@@ -454,6 +454,13 @@ class TestBinPacking:
 class TestSizedBeforeBuilt:
     """Each generator's precomputed counts are the counts it then builds."""
 
+    def test_builder_refuses_a_duplicate_arc(self):
+        builder = reductions._Builder()
+        u, v = builder.vertex(), builder.vertex()
+        builder.arc(u, v, 1)
+        with pytest.raises(AssertionError, match="duplicate arc"):
+            builder.arc(u, v, 2)
+
     @staticmethod
     def constructions():
         rng = random.Random(11)

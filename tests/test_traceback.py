@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from operator import attrgetter
+from operator import itemgetter
 
 import pytest
 
@@ -102,7 +102,7 @@ def dp_arguments(instance, mode):
         nodes = make_nice(decompose_check_graph(instance))
         return nodes, (), *coloring._transitions(instance), lambda sig: sig
     nodes = make_nice(heuristic_decompose(instance))
-    return nodes, connected.EMPTY_SIGNATURE, *connected._transitions(instance), attrgetter("pi1")
+    return nodes, ((), (), (), ()), *connected._transitions(instance), itemgetter(0)
 
 
 def outcome(engine, instance, mode, table_cap):
