@@ -24,7 +24,6 @@ from .decomposition import (
     TreeDecomposition,
     heuristic_decompose,
     make_nice,
-    square_instance,
     validate,
 )
 from .coloring import solve_nash_via_coloring
@@ -86,9 +85,10 @@ __all__ = [
     "ResourceLimitError",
 ]
 
-# The generators and their layouts live in .reductions, which is imported
-# on the first use of one of their names (PEP 562), not with the package.
-# Every other name in __all__ is bound above, so only those reach here.
+# The generators, `square_instance` and the layouts live in .reductions,
+# which is imported on the first use of one of their names (PEP 562), not
+# with the package.  Every other name in __all__ is bound above, so only
+# those reach here.
 
 
 def __getattr__(name: str):

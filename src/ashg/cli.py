@@ -18,16 +18,10 @@ from pathlib import Path
 from . import formats
 from .coloring import solve_nash_via_coloring
 from .connected import solve_connected_nash
-from .decomposition import (
-    DEFAULT_TABLE_CAP,
-    _check_table_cap,
-    heuristic_decompose,
-    square_instance,
-)
-from .errors import ResourceLimitError
+from .decomposition import DEFAULT_TABLE_CAP, heuristic_decompose
+from .errors import ResourceLimitError, _check_nonnegative
 from .game import (
     AshgInstance,
-    _check_max_steps,
     better_response_dynamics,
     is_connected_partition,
     is_nash_stable,
@@ -93,8 +87,8 @@ def cmd_solve(args) -> int:
     if args.td and args.mode != "connected-nash":
         raise ValueError(f"--td applies to --mode connected-nash only, not {args.mode}")
     # every mode refuses a negative limit, also one it does not use
-    _check_table_cap(args.table_cap)
-    _check_max_steps(args.max_steps)
+    _check_nonnegative(args.table_cap, "table cap")
+    _check_nonnegative(args.max_steps, "max_steps")
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     stats: dict[str, int] = {}
@@ -179,6 +173,7 @@ def cmd_gen(args) -> int:
         gen_sat_bounded_degree,
         gen_sat_high_degree,
         gen_three_partition_star,
+        square_instance,
         witness_bin_packing,
         witness_sat_bounded_degree,
         witness_sat_high_degree,

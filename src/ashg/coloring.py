@@ -4,7 +4,8 @@ Vertex u's stability reads only the classes of its check set H(u) = {u}
 ∪ {t : w(u, t) != 0}: u's sum toward its own class must be nonnegative
 and at least its sum toward every other class.  The dynamic program runs on
 a decomposition of the check graph, in which x ~ y when some H(u) holds
-both, eliminated straight from G's arcs.  Every H(u) is a clique of the
+both.  This module builds the check sets and the check graph from G's
+arcs and eliminates it by min-fill.  Every H(u) is a clique of the
 check graph, so it lies in one bag, and the check reads the bag's
 partition into classes directly.  The check graph is a subgraph of the
 square G^2, equal to it when every arc is nonzero and two-way, so its
@@ -14,17 +15,17 @@ at most |B| classes, so no color count ever needs capping.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from .decomposition import (
     DEFAULT_TABLE_CAP,
-    _check_table_cap,
+    TreeDecomposition,
+    _eliminate,
     canonical_labels,
-    check_sets,
-    decompose_check_graph,
     make_nice,
     run_nice_dp,
 )
+from .errors import _check_nonnegative
 from .game import AshgInstance, Partition
 
 
@@ -60,12 +61,44 @@ def solve_nash_via_coloring(
     `nice_nodes`, also when the cap is hit (`peak_table` is then the size
     that crossed it).
     """
-    _check_table_cap(table_cap)
+    _check_nonnegative(table_cap, "table cap")
     return run_nice_dp(
         make_nice(decompose_check_graph(instance)), table_cap, (), *_transitions(instance),
         classes=lambda sig: sig,
         stats=stats,
     )
+
+
+def decompose_check_graph(instance: AshgInstance) -> TreeDecomposition:
+    """heuristic_decompose's elimination of the check graph, built from G's arcs.
+
+    Vertex u's check set is H(u) = {u} ∪ {t : w(u, t) != 0}, all the
+    vertices u's stability reads; in the check graph x ~ y when some H(u)
+    holds both.  It is a subgraph of G^2, equal to it when every arc is
+    nonzero and two-way.  Every H(u) is a clique, so it lies in one bag.
+    """
+    return _eliminate(_clique_adjacency(instance.n, check_sets(instance)))
+
+
+def check_sets(instance: AshgInstance) -> list[frozenset[int]]:
+    """H(u) for u = 1..n at index u; index 0 holds the empty set."""
+    check = [[u] for u in range(instance.n + 1)]
+    check[0] = []
+    for (u, t), w in instance.arcs.items():
+        if w:
+            check[u].append(t)
+    return list(map(frozenset, check))
+
+
+def _clique_adjacency(n: int, sets: Iterable[frozenset[int]]) -> dict[int, set[int]]:
+    """The graph on 1..n in which x ~ y when some one of `sets` holds both."""
+    rows: list[set[int]] = [set() for _ in range(n + 1)]
+    for members in sets:
+        for x in members:
+            rows[x] |= members
+    for v in range(1, n + 1):
+        rows[v].discard(v)
+    return dict(zip(range(1, n + 1), rows[1:]))
 
 
 def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
@@ -79,11 +112,12 @@ def _transitions(instance: AshgInstance) -> tuple[Callable, Callable, Callable]:
     """
     weight = instance.arcs.get
     check = check_sets(instance)
-    # watchers[v]: the u whose check reads v's class, v itself included
+    # watchers[v]: the u whose check reads v's class, v itself first
     watchers = [[v] for v in range(instance.n + 1)]
-    for (u, t), w in instance.arcs.items():
-        if w:
-            watchers[t].append(u)
+    for u, members in enumerate(check):
+        for t in members:
+            if t != u:
+                watchers[t].append(u)
 
     def introduce(nd, child_bag):
         v = nd.vertex

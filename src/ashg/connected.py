@@ -63,13 +63,13 @@ from typing import Callable, Sequence
 from .decomposition import (
     DEFAULT_TABLE_CAP,
     TreeDecomposition,
-    _check_table_cap,
     canonical_labels,
     heuristic_decompose,
     make_nice,
     run_nice_dp,
     validate,
 )
+from .errors import _check_nonnegative
 from .game import AshgInstance, Partition
 
 
@@ -268,7 +268,7 @@ def solve_connected_nash(
     ResourceLimitError when a signature table would exceed table_cap, and
     ValueError for a negative table_cap before any decomposition work.
     """
-    _check_table_cap(table_cap)
+    _check_nonnegative(table_cap, "table cap")
     if td is None:
         td = heuristic_decompose(instance)
     elif not isinstance(td, TreeDecomposition):

@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, heuristics, nice form, the DP engine, squaring.
+"""Tree decompositions: validation, elimination, nice form, the DP engine.
 
 A decomposition is a tree of bags satisfying the usual three axioms:
 every vertex is in some bag, every underlying edge is inside some bag,
@@ -13,8 +13,9 @@ from bisect import insort
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
-from .errors import ResourceLimitError
-from .game import MAX_ARCS, AshgInstance, Partition
+from .errors import ResourceLimitError, _check_nonnegative
+from .game import AshgInstance, Partition
+
 
 class TreeDecomposition:
     """Bags keyed by integer node id plus undirected tree edges, rooted once.
@@ -146,38 +147,6 @@ def heuristic_decompose(instance: AshgInstance) -> TreeDecomposition:
     """
     nbrs = instance.neighbors
     return _eliminate({v: set(nbrs[v]) for v in range(1, instance.n + 1)})
-
-
-def decompose_check_graph(instance: AshgInstance) -> TreeDecomposition:
-    """heuristic_decompose's elimination of the check graph, built from G's arcs.
-
-    Vertex u's check set is H(u) = {u} ∪ {t : w(u, t) != 0}, all the
-    vertices u's stability reads; in the check graph x ~ y when some H(u)
-    holds both.  It is a subgraph of G^2, equal to it when every arc is
-    nonzero and two-way.  Every H(u) is a clique, so it lies in one bag.
-    """
-    return _eliminate(_clique_adjacency(instance.n, check_sets(instance)))
-
-
-def check_sets(instance: AshgInstance) -> list[frozenset[int]]:
-    """H(u) for u = 1..n at index u; index 0 holds the empty set."""
-    check = [[u] for u in range(instance.n + 1)]
-    check[0] = []
-    for (u, t), w in instance.arcs.items():
-        if w:
-            check[u].append(t)
-    return list(map(frozenset, check))
-
-
-def _clique_adjacency(n: int, sets: Iterable[frozenset[int]]) -> dict[int, set[int]]:
-    """The graph on 1..n in which x ~ y when some one of `sets` holds both."""
-    rows: list[set[int]] = [set() for _ in range(n + 1)]
-    for members in sets:
-        for x in members:
-            rows[x] |= members
-    for v in range(1, n + 1):
-        rows[v].discard(v)
-    return dict(zip(range(1, n + 1), rows[1:]))
 
 
 def _eliminate(adj: dict[int, set[int]]) -> TreeDecomposition:
@@ -392,13 +361,6 @@ def canonical_labels(labels: Iterable[int]) -> tuple[tuple[int, ...], dict[int, 
 DEFAULT_TABLE_CAP = 1_000_000
 
 
-def _check_table_cap(table_cap: int) -> None:
-    """Both solvers and `ashg solve` call this before any decomposition
-    work, so a bad cap costs nothing."""
-    if table_cap < 0:
-        raise ValueError(f"table cap must be nonnegative, got {table_cap}")
-
-
 def run_nice_dp(
     nodes: tuple[NiceNode, ...],
     table_cap: int,
@@ -450,7 +412,7 @@ def run_nice_dp(
     signature, or opens a coalition of its own.  Vertices must be 1..n,
     each forgotten once, as in a validated decomposition.
     """
-    _check_table_cap(table_cap)
+    _check_nonnegative(table_cap, "table cap")
     if stats is None:
         stats = {}
     stats["width"] = max(0, max(map(len, map(itemgetter(1), nodes)), default=0) - 1)
@@ -527,30 +489,3 @@ def run_nice_dp(
                 assign[x] = assign[bag[rest.index(lab)]] if lab in rest else x
     return Partition([assign[v] for v in range(1, len(assign) + 1)])
 
-
-def square_instance(instance: AshgInstance) -> AshgInstance:
-    """The square G^2: add zero-weight arc pairs between distance-2 vertices.
-
-    Utilities are unchanged for every partition, and a coalition can be
-    split along distance >= 3 gaps without changing anyone's utility, so G
-    has a Nash stable partition exactly when G^2 has a connected one (for
-    existence only: a stable coalition of G may be disconnected in G^2).
-    `gen square` writes this instance.  G^2 is the graph in which x ~ y
-    when some closed neighborhood N[u] holds both.  ValueError refuses a
-    square past MAX_ARCS, counted one row at a time before it is built.
-    """
-    nbrs = instance.neighbors
-    closed = [frozenset((u, *nbrs[u])) for u in range(1, instance.n + 1)]
-
-    def new_rows():  # per u: the union of N[x] over x in N[u], minus N[u]
-        return (frozenset().union(*[closed[x - 1] for x in row]) - row for row in closed)
-
-    count = len(instance.arcs)
-    for row in new_rows():
-        count += len(row)
-        if count > MAX_ARCS:
-            raise ValueError(f"the square needs at least {count} arcs, above the limit {MAX_ARCS}")
-    arcs = dict(instance.arcs)
-    for u, row in enumerate(new_rows(), 1):
-        arcs.update(((u, x), 0) for x in row)
-    return AshgInstance(instance.n, arcs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .decomposition import TreeDecomposition
+from .errors import _check_nonnegative
 from .game import MAX_VERTICES, AshgInstance, Partition
 
 if TYPE_CHECKING:
@@ -88,6 +89,7 @@ def parse_partition(text: str) -> Partition:
     if not rows or rows[0][:2] != ["s", "part"] or len(rows[0]) != 4:
         raise ValueError("partition file must start with 's part <n> <class-count>'")
     n = _int(rows[0][2], "vertex count")
+    _check_nonnegative(n, "vertex count")
     k = _int(rows[0][3], "class count")
     assign: dict[int, int] = {}
     for fields in rows[1:]:
@@ -132,6 +134,7 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     num_bags = _int(rows[0][2], "bag count")
     max_bag = _int(rows[0][3], "max bag size")
     n = _int(rows[0][4], "vertex count")
+    _check_nonnegative(n, "vertex count")
     bags: dict[int, list[int]] = {}
     edges = []
     for fields in rows[1:]:

@@ -12,6 +12,8 @@ import heapq
 import sys
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .errors import _check_nonnegative
+
 # Constructor guard: utility sums stay below this with room for 4x slack.
 _MAX_REPRESENTABLE = sys.maxsize
 # Largest vertex count parse_instance and the reduction generators accept;
@@ -37,8 +39,7 @@ class AshgInstance:
     __slots__ = ("n", "arcs", "out", "neighbors", "max_degree", "max_abs_weight")
 
     def __init__(self, n: int, arcs: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        _check_nonnegative(n, "vertex count")
         if isinstance(arcs, Mapping):
             arcs = ((u, v, w) for (u, v), w in arcs.items())
         # One pass validates each arc in order and tracks the largest |w|,
@@ -291,12 +292,6 @@ def is_connected_partition(
     return True, None
 
 
-def _check_max_steps(max_steps: int) -> None:
-    """`better_response_dynamics` and `ashg solve` call this before any work."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-
-
 def better_response_dynamics(
     instance: AshgInstance,
     max_steps: int = 1000,
@@ -322,7 +317,7 @@ def better_response_dynamics(
     step, then O((outdeg(v) + indeg(v)) log n) per move of v, plus the
     stable vertices that move wakes.
     """
-    _check_max_steps(max_steps)
+    _check_nonnegative(max_steps, "max_steps")
     n = instance.n
     labels = list(range(1, n + 1))
     into: list[list[int]] = [[] for _ in range(n + 1)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _check_nonnegative
 from .game import AshgInstance, Partition, _connected_block, _first_violation
 
 DEFAULT_PARTITION_CAP = 12  # Bell(12) = 4,213,597 partitions
@@ -45,8 +45,7 @@ def _rgs(n: int) -> Iterator[list[int]]:
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if cap < 0:
-        raise ValueError(f"oracle cap must be nonnegative, got {cap}")
+    _check_nonnegative(cap, "oracle cap")
     if n > cap:
         raise ResourceLimitError(f"n={n} exceeds the enumeration cap {cap}")
 

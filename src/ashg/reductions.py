@@ -1,12 +1,14 @@
 """Instance generators that embed hard source problems, plus witnesses.
 
 Each generator sizes its construction from the inputs and refuses one
-past MAX_VERTICES or MAX_ARCS before building anything.  It returns
-(instance, layout): the layout records the gadgets' vertex ids and the
-vertex count `n`.  Each witness builder takes that layout and a
-certificate of the source problem (satisfying assignment, triple cover,
-packing) and returns a partition that passes the stability verifiers,
-without building the instance again.
+past MAX_VERTICES or MAX_ARCS before building anything.  The four
+embeddings return (instance, layout): the layout records the gadgets'
+vertex ids and the vertex count `n`.  Each witness builder takes that
+layout and a certificate of the source problem (satisfying assignment,
+triple cover, packing) and returns a partition that passes the
+stability verifiers, without building the instance again.
+`square_instance`, which `gen square` writes, adds zero-weight arcs to a
+given game and returns an instance with no layout.
 """
 
 from __future__ import annotations
@@ -90,6 +92,34 @@ def _check_size(what: str, vertices: int, arcs: int) -> None:
         raise ValueError(f"{what} needs {vertices} vertices, above the limit {MAX_VERTICES}")
     if arcs > MAX_ARCS:
         raise ValueError(f"{what} needs {arcs} arcs, above the limit {MAX_ARCS}")
+
+
+def square_instance(instance: AshgInstance) -> AshgInstance:
+    """The square G^2: add zero-weight arc pairs between distance-2 vertices.
+
+    Utilities are unchanged for every partition, and a coalition can be
+    split along distance >= 3 gaps without changing anyone's utility, so G
+    has a Nash stable partition exactly when G^2 has a connected one (for
+    existence only: a stable coalition of G may be disconnected in G^2).
+    `gen square` writes this instance.  G^2 is the graph in which x ~ y
+    when some closed neighborhood N[u] holds both.  ValueError refuses a
+    square past MAX_ARCS, counted one row at a time before it is built.
+    """
+    nbrs = instance.neighbors
+    closed = [frozenset((u, *nbrs[u])) for u in range(1, instance.n + 1)]
+
+    def new_rows():  # per u: the union of N[x] over x in N[u], minus N[u]
+        return (frozenset().union(*[closed[x - 1] for x in row]) - row for row in closed)
+
+    count = len(instance.arcs)
+    for row in new_rows():
+        count += len(row)
+        if count > MAX_ARCS:
+            raise ValueError(f"the square needs at least {count} arcs, above the limit {MAX_ARCS}")
+    arcs = dict(instance.arcs)
+    for u, row in enumerate(new_rows(), 1):
+        arcs.update(((u, x), 0) for x in row)
+    return AshgInstance(instance.n, arcs)
 
 
 def _bits(assignment: Sequence[bool], start: int, width: int) -> int:

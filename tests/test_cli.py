@@ -317,6 +317,12 @@ class TestVerify:
         args = ["verify", golden("path3.ashg"), golden("grand2.part")]
         assert main(args) == 3
 
+    def test_negative_partition_vertex_count_exits_three(self, tmp_path, capsys):
+        part = tmp_path / "negative.part"
+        part.write_text("s part -1 0\n", encoding="utf-8")
+        assert main(["verify", golden("path3.ashg"), str(part)]) == 3
+        assert "vertex count must be nonnegative, got -1" in capsys.readouterr().err
+
 
 class TestGen:
     def test_three_partition_matches_golden_bytes(self, capsys):

@@ -40,13 +40,9 @@ from helpers import (
 )
 from test_connected import PINNED_TABLE_WORK
 
-SHARED_PLANS = (
-    connected._placements,
-    connected._forget_plan,
-    connected._drop,
-    connected._pi2_union,
-    connected._cost_signs,
-)
+# every process-wide memo of the connected DP, found rather than listed, so
+# that a new one cannot be left out of clear_plans
+SHARED_PLANS = tuple(memo for memo in vars(connected).values() if hasattr(memo, "cache_clear"))
 
 
 def clear_plans() -> None:
@@ -73,6 +69,7 @@ def outcome(game: AshgInstance) -> tuple:
 
 def test_answers_do_not_depend_on_solve_order():
     games = order_games()
+    assert len(SHARED_PLANS) >= 5
     clear_plans()
     forward = [outcome(g) for g in games]
     misses = [memo.cache_info().misses for memo in SHARED_PLANS]

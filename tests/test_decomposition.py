@@ -21,17 +21,9 @@ from ashg import (
     square_instance,
     validate,
 )
-from ashg import decomposition
-from ashg.decomposition import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
-    _clique_adjacency,
-    check_sets,
-    decompose_check_graph,
-    run_nice_dp,
-)
+from ashg import reductions
+from ashg.coloring import _clique_adjacency, check_sets, decompose_check_graph
+from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, run_nice_dp
 from helpers import (
     grid_instance,
     naive_elimination_bags,
@@ -529,9 +521,9 @@ class TestSquareInstance:
 
     def test_square_at_the_arc_limit_is_built_and_past_it_refused(self, monkeypatch):
         # the square of path3 is the triangle: 6 arcs
-        monkeypatch.setattr(decomposition, "MAX_ARCS", 6)
+        monkeypatch.setattr(reductions, "MAX_ARCS", 6)
         assert len(square_instance(path3()).arcs) == 6
-        monkeypatch.setattr(decomposition, "MAX_ARCS", 5)
+        monkeypatch.setattr(reductions, "MAX_ARCS", 5)
         with pytest.raises(ValueError, match="above the limit 5"):
             square_instance(path3())
 

@@ -116,6 +116,10 @@ class TestPartitionFormat:
         with pytest.raises(ValueError, match="s part"):
             parse_partition("1 1\n")
 
+    def test_negative_vertex_count_refused_at_the_header(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+            parse_partition("s part -1 0\n")
+
 
 class TestDecompositionFormat:
     def test_canonical_form(self):
@@ -165,6 +169,10 @@ class TestDecompositionFormat:
     def test_bag_line_without_id_rejected(self):
         with pytest.raises(ValueError, match="bag line needs an id"):
             parse_decomposition("s td 1 1 1\nb\n")
+
+    def test_negative_vertex_count_refused_at_the_header(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+            parse_decomposition("s td 1 0 -1\nb 1\n")
 
     def test_non_tree_rejected_by_the_parser(self):
         # the type's own message, before any axiom is checked

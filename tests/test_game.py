@@ -242,7 +242,7 @@ class TestBetterResponseDynamics:
         assert better_response_dynamics(AshgInstance(0)) == Partition([])
 
     def test_negative_step_budget_rejected(self):
-        with pytest.raises(ValueError, match="^max_steps must be nonnegative$"):
+        with pytest.raises(ValueError, match="^max_steps must be nonnegative, got -1$"):
             better_response_dynamics(friends(), max_steps=-1)
 
     def test_converged_results_are_stable(self):

@@ -2,7 +2,7 @@
 export once, every listed name exists, so a removed export cannot linger
 in it, every module parses as the oldest Python that `pyproject.toml`
 admits, the runtime imports nothing outside the standard library, and
-the generators' module loads only when a generator name is used."""
+the generators' module loads only when one of its names is used."""
 
 from __future__ import annotations
 
@@ -51,16 +51,18 @@ def test_imports_are_relative_or_stdlib(path):
 
 def test_reductions_imported_only_on_use():
     # its dataclasses cost about a third of the package's import time, and
-    # only `ashg gen`, `parse_cnf` and the generator names need them; the
-    # rest of the package loads no `dataclasses` module at all
+    # only `ashg gen`, `parse_cnf` and the names it defines, the generators
+    # and `square_instance` among them, need them; the rest of the package
+    # loads no `dataclasses` module at all
     probe = (
         "import sys, ashg, ashg.cli\n"
         "print('ashg.reductions' in sys.modules, 'dataclasses' in sys.modules)\n"
         "print(hasattr(ashg, 'no_such_name'), 'ashg.reductions' in sys.modules)\n"
         "ashg.gen_bin_packing\n"
         "print('ashg.reductions' in sys.modules)\n"
+        "print(ashg.square_instance.__module__)\n"
     )
     src = str(Path(ashg.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "False", "False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "True", "ashg.reductions"]

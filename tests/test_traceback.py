@@ -18,7 +18,8 @@ import pytest
 
 from ashg import Partition, ResourceLimitError, heuristic_decompose, make_nice
 from ashg import coloring, connected
-from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, decompose_check_graph, run_nice_dp
+from ashg.coloring import decompose_check_graph
+from ashg.decomposition import FORGET, INTRODUCE, JOIN, LEAF, run_nice_dp
 from helpers import grid_instance, suite_instance, tree_instance
 
 
