@@ -65,10 +65,8 @@ def parse_instance(text: str) -> AshgInstance:
             raise ValueError(f"expected 'a <u> <v> <w>', got {' '.join(fields)!r}")
         try:
             arcs.append((int(fields[1], 10), int(fields[2], 10), int(fields[3], 10)))
-        except ValueError:
-            for t in fields[1:]:
-                _int(t, "arc field")  # names the bad token
-            raise
+        except ValueError:  # the same value through _int, which names the bad token
+            arcs.append(tuple(_int(t, "arc field") for t in fields[1:]))
     if len(arcs) != arc_count:
         raise ValueError(f"header promises {arc_count} arcs, file has {len(arcs)}")
     return AshgInstance(n, arcs)
@@ -97,10 +95,8 @@ def parse_partition(text: str) -> Partition:
             raise ValueError(f"expected '<vertex> <class-id>', got {' '.join(fields)!r}")
         try:
             v, cid = int(fields[0], 10), int(fields[1], 10)
-        except ValueError:
-            _int(fields[0], "vertex")  # names the bad token
-            _int(fields[1], "class id")
-            raise
+        except ValueError:  # the same values through _int, which names the bad token
+            v, cid = _int(fields[0], "vertex"), _int(fields[1], "class id")
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} outside 1..{n}")
         if v in assign:

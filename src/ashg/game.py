@@ -218,24 +218,24 @@ def _first_violation(
     negative; it is None (with target utility 0) when only the empty
     coalition improves.  Only coalitions holding an out-neighbor can beat
     a nonnegative own utility, so the scan per vertex is over out-arcs only.
+    One pass over the other classes' sums finds the best: a class replaces
+    it when it pays more, or the same with a lower id (the sums are in arc
+    order, not id order).
     """
     out = instance.out
     for v in range(1, instance.n + 1) if vertices is None else vertices:
         row = out[v]
         if not row:
             continue
-        cid = labels[v - 1]
         sums: dict[int, int] = {}
         for u, w in row:
             c = labels[u - 1]
             sums[c] = sums.get(c, 0) + w
-        own = sums.get(cid, 0)
-        best_c = None
-        best = own
-        for c in sorted(sums):
-            if c != cid and sums[c] > best:
-                best = sums[c]
-                best_c = c
+        own = sums.pop(labels[v - 1], 0)
+        best_c, best = None, own
+        for c, s in sums.items():
+            if s > best or (s == best and best_c is not None and c < best_c):
+                best_c, best = c, s
         if best_c is not None:
             return (v, own, best_c, best)
         if own < 0:
@@ -310,12 +310,13 @@ def better_response_dynamics(
     to the number of deviations applied.
 
     A vertex's options depend only on its own label and its
-    out-neighbors' labels, so only the moved vertex and its in-neighbors
-    can turn unstable after a step.  A min-heap holds the vertices not
-    known to be stable; popping it yields the lowest-id improving vertex
-    without rescanning the stable ones.  Cost O(n + m) to reach the first
-    step, then O((outdeg(v) + indeg(v)) log n) per move of v, plus the
-    stable vertices that move wakes.
+    out-neighbors' labels, so a move of v wakes only v's in-neighbors:
+    v took its best class, or a fresh singleton when every class paid
+    less than 0, and stays stable until an out-neighbor moves.  A
+    min-heap holds the vertices not known to be stable; popping it
+    yields the lowest-id improving vertex without rescanning the stable
+    ones.  Cost O(n + m) to reach the first step, then O(indeg(v) log n)
+    per move of v, plus the scans of the vertices that move wakes.
     """
     _check_nonnegative(max_steps, "max_steps")
     n = instance.n
@@ -347,7 +348,7 @@ def better_response_dynamics(
         else:
             labels[v - 1] = target
         applied += 1
-        for u in (v, *into[v]):
+        for u in into[v]:
             if not queued[u]:
                 queued[u] = True
                 heapq.heappush(dirty, u)

@@ -220,6 +220,30 @@ def naive_is_stable(instance, partition):
     return True
 
 
+def sorted_first_violation(instance, labels, vertices=None):
+    """The stability scan with its best class read off the class ids in
+    sorted order, so the first of equal sums is the lowest id by position.
+
+    Reference for `game._first_violation`: the same (vertex, own utility,
+    target, target utility) or None for every labeling and vertex order.
+    """
+    for v in range(1, instance.n + 1) if vertices is None else vertices:
+        mine = labels[v - 1]
+        sums = {}
+        for u, w in instance.out[v]:
+            sums[labels[u - 1]] = sums.get(labels[u - 1], 0) + w
+        own = sums.get(mine, 0)
+        best_c, best = None, own
+        for c in sorted(sums):
+            if c != mine and sums[c] > best:
+                best_c, best = c, sums[c]
+        if best_c is not None:
+            return v, own, best_c, best
+        if own < 0:
+            return v, own, None, 0
+    return None
+
+
 def naive_validate(td, instance):
     """Quadratic decomposition check: every vertex and edge scans every bag.
 

@@ -7,6 +7,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ashg import (
     AshgInstance,
@@ -21,8 +23,10 @@ from ashg import (
 from helpers import (
     friends,
     frustrated_instance,
+    grid_instance,
     naive_is_stable,
     path3,
+    sorted_first_violation,
     stalker,
     suite_instance,
 )
@@ -320,3 +324,55 @@ class TestBetterResponseDynamics:
         rng = random.Random(93)
         for _ in range(40):
             check(frustrated_instance(rng, n_max=40), 150)
+
+    def test_mover_is_stable_after_its_move(self, monkeypatch):
+        # the dynamics wakes only the mover's in-neighbors, so the mover
+        # itself must have no improving move left; weights -1..1 on grids
+        # make ties and zero arcs common
+        scan = game._first_violation
+        calls = []
+
+        def recording_scan(instance, labels, vertices=None):
+            hit = scan(instance, labels, vertices)
+            calls.append((tuple(labels), hit))
+            return hit
+
+        monkeypatch.setattr(game, "_first_violation", recording_scan)
+
+        def check(inst, max_steps):
+            calls.clear()
+            result = better_response_dynamics(inst, max_steps=max_steps)
+            # every scan but the last was followed by its hit's move
+            for (_, (v, *_)), (after, _) in zip(calls, calls[1:]):
+                assert scan(inst, after, [v]) is None, (inst.arcs, after, v)
+            if result is not None:
+                assert scan(inst, result.labels) is None
+
+        rng = random.Random(95)
+        for t in range(150):
+            check(suite_instance(rng, t), 150)
+        for _ in range(40):
+            check(frustrated_instance(rng, n_max=40), 150)
+        for _ in range(60):
+            check(grid_instance(3, 5, rng, w_lo=-1, w_hi=1), 150)
+
+
+@st.composite
+def scan_cases(draw):
+    """A game with weights -1..1 (zero arcs included) on up to 8 vertices,
+    labels from a few classes, and a vertex order or None for 1..n."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    weights = draw(st.lists(st.sampled_from((None, None, -1, 0, 1)),
+                            min_size=len(pairs), max_size=len(pairs)))
+    inst = AshgInstance(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None])
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    order = draw(st.none() | st.permutations(range(1, n + 1)))
+    return inst, labels, order
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scan_cases())
+def test_first_violation_matches_sorted_reference(case):
+    inst, labels, order = case
+    assert game._first_violation(inst, labels, order) == sorted_first_violation(inst, labels, order)

@@ -6,6 +6,8 @@ node must stay about flat from n = 2 000 to n = 20 000: a linear layer
 keeps the ratio near 1, a quadratic one takes it near 10.  Reading the
 instance file back is held to the same bound per arc, and the min-fill
 heuristic, which no solve runs by default, to the same bound per vertex.
+Better-response dynamics is held to it per applied move: its weights are
+symmetric, so the run converges and every counted step is a real move.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 import pytest
 
 from ashg import (
+    better_response_dynamics,
     heuristic_decompose,
     parse_instance,
     serialize_instance,
@@ -69,6 +72,17 @@ def seconds_per_vertex_min_fill(n):
     return best_of_3(lambda: heuristic_decompose(instance)) / n
 
 
+def seconds_per_move(n):
+    """Best of 3 dynamics runs on a path, each to convergence."""
+    instance = path_instance(n, random.Random(n))
+    stats: dict = {}
+    # symmetric integer weights: each move raises the sum of w(u, v) over
+    # pairs inside coalitions by at least 1, and that sum stays below 5 * n
+    best = best_of_3(lambda: better_response_dynamics(instance, max_steps=5 * n, stats=stats))
+    assert stats["steps"] < 5 * n  # converged, not stopped by the budget
+    return best / stats["steps"]
+
+
 @pytest.mark.parametrize("mode", ["nash", "connected-nash"])
 def test_time_per_nice_node_flat_on_paths(mode):
     small = seconds_per_nice_node(2_000, mode)
@@ -86,3 +100,9 @@ def test_min_fill_time_per_vertex_flat_on_paths():
     small = seconds_per_vertex_min_fill(2_000)
     large = seconds_per_vertex_min_fill(20_000)
     assert large / small < 3, f"{large * 1e6:.2f} vs {small * 1e6:.2f} us per vertex"
+
+
+def test_dynamics_time_per_move_flat_on_paths():
+    small = seconds_per_move(2_000)
+    large = seconds_per_move(20_000)
+    assert large / small < 3, f"{large * 1e6:.2f} vs {small * 1e6:.2f} us per move"
