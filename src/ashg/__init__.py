@@ -33,7 +33,6 @@ from .oracle import (
     brute_force_nash,
 )
 from .formats import (
-    parse_cnf,
     parse_decomposition,
     parse_instance,
     parse_int_list,
@@ -85,10 +84,10 @@ __all__ = [
     "ResourceLimitError",
 ]
 
-# The generators, `square_instance` and the layouts live in .reductions,
-# which is imported on the first use of one of their names (PEP 562), not
-# with the package.  Every other name in __all__ is bound above, so only
-# those reach here.
+# The generators, `square_instance`, `parse_cnf` and the layouts live in
+# .reductions, which is imported on the first use of one of their names
+# (PEP 562), not with the package.  Every other name in __all__ is bound
+# above, so only those reach here.
 
 
 def __getattr__(name: str):

@@ -21,6 +21,7 @@ from .connected import solve_connected_nash
 from .decomposition import DEFAULT_TABLE_CAP, heuristic_decompose
 from .errors import ResourceLimitError, _check_nonnegative
 from .game import (
+    DEFAULT_MAX_STEPS,
     AshgInstance,
     better_response_dynamics,
     is_connected_partition,
@@ -173,6 +174,7 @@ def cmd_gen(args) -> int:
         gen_sat_bounded_degree,
         gen_sat_high_degree,
         gen_three_partition_star,
+        parse_cnf,
         square_instance,
         witness_bin_packing,
         witness_sat_bounded_degree,
@@ -184,7 +186,7 @@ def cmd_gen(args) -> int:
     if args.generator == "square":
         instance = square_instance(_load_instance(args.source))
     elif args.generator in ("sat-hd", "sat-bd"):
-        phi = formats.parse_cnf(_read(args.source))
+        phi = parse_cnf(_read(args.source))
         if args.generator == "sat-hd":
             instance, layout = gen_sat_high_degree(phi, args.degree)
             build_witness = witness_sat_high_degree
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "nash mode decomposes its check graph itself")
     p_solve.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                          help="abort when a DP table would exceed this size")
-    p_solve.add_argument("--max-steps", type=int, default=1000,
+    p_solve.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                          help="deviation budget for --mode dynamics")
     p_solve.add_argument("--out", help="write the partition here instead of stdout")
 
@@ -378,5 +380,5 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,4 @@
-"""Text formats: instance, partition, tree decomposition, CNF, int lists.
+"""Text formats: instance, partition, tree decomposition, int lists.
 
 All serializers are canonical (fixed ordering, single spaces, trailing
 newline), so parse -> serialize -> parse is the identity and canonical
@@ -8,21 +8,9 @@ comment lines and raise ValueError on anything malformed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .decomposition import TreeDecomposition
 from .errors import _check_nonnegative
 from .game import MAX_VERTICES, AshgInstance, Partition
-
-if TYPE_CHECKING:
-    from .reductions import CnfFormula
-
-# Largest variable count parse_cnf accepts.  The SAT generators size
-# their gadgets by it: at 1024 variables `gen sat-bd` already builds
-# about 250 000 vertices, at the next power of four (4096) about 3
-# million, past MAX_VERTICES.
-MAX_CNF_VARIABLES = 1024
-
 
 def _data_lines(text: str) -> list[list[str]]:
     out = []
@@ -159,33 +147,7 @@ def parse_decomposition(text: str) -> TreeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# DIMACS CNF (read-only) and plain integer lists
-
-
-def parse_cnf(text: str) -> CnfFormula:
-    rows = _data_lines(text)
-    if not rows or rows[0][:2] != ["p", "cnf"] or len(rows[0]) != 4:
-        raise ValueError("CNF file must start with 'p cnf <vars> <clauses>'")
-    num_vars = _int(rows[0][2], "variable count")
-    if num_vars > MAX_CNF_VARIABLES:
-        raise ValueError(f"variable count {num_vars} exceeds the limit {MAX_CNF_VARIABLES}")
-    num_clauses = _int(rows[0][3], "clause count")
-    stream = [_int(t, "literal") for fields in rows[1:] for t in fields]
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for lit in stream:
-        if lit == 0:
-            clauses.append(current)
-            current = []
-        else:
-            current.append(lit)
-    if current:
-        raise ValueError("last clause is not 0-terminated")
-    if len(clauses) != num_clauses:
-        raise ValueError(f"header promises {num_clauses} clauses, file has {len(clauses)}")
-    from .reductions import CnfFormula  # the generators' module, imported on use
-
-    return CnfFormula.from_clauses(num_vars, clauses)
+# Plain integer lists
 
 
 def parse_int_list(text: str) -> list[int]:

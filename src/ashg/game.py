@@ -104,7 +104,7 @@ class Partition:
     Two Partition objects are equal iff they have the same coalitions.
     """
 
-    __slots__ = ("n", "labels", "_blocks")
+    __slots__ = ("n", "labels")
 
     def __init__(self, labels: Sequence[int]):
         relabel: dict[int, int] = {}
@@ -115,7 +115,6 @@ class Partition:
             out.append(relabel[raw])
         object.__setattr__(self, "n", len(out))
         object.__setattr__(self, "labels", tuple(out))
-        object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -153,14 +152,10 @@ class Partition:
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Coalitions in id order, members ascending."""
-        cached = self._blocks
-        if cached is None:
-            groups: list[list[int]] = [[] for _ in range(self.num_classes)]
-            for v, cid in enumerate(self.labels, start=1):
-                groups[cid - 1].append(v)
-            cached = tuple(tuple(g) for g in groups)
-            object.__setattr__(self, "_blocks", cached)
-        return cached
+        groups: list[list[int]] = [[] for _ in range(self.num_classes)]
+        for v, cid in enumerate(self.labels, start=1):
+            groups[cid - 1].append(v)
+        return tuple(tuple(g) for g in groups)
 
     def members(self, cid: int) -> tuple[int, ...]:
         if not (1 <= cid <= self.num_classes):
@@ -292,9 +287,12 @@ def is_connected_partition(
     return True, None
 
 
+DEFAULT_MAX_STEPS = 1000
+
+
 def better_response_dynamics(
     instance: AshgInstance,
-    max_steps: int = 1000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     stats: dict | None = None,
 ) -> Partition | None:
     """Run deviation dynamics from the all-singletons partition.

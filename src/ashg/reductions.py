@@ -8,7 +8,8 @@ layout and a certificate of the source problem (satisfying assignment,
 triple cover, packing) and returns a partition that passes the
 stability verifiers, without building the instance again.
 `square_instance`, which `gen square` writes, adds zero-weight arcs to a
-given game and returns an instance with no layout.
+given game and returns an instance with no layout.  `parse_cnf` reads
+the DIMACS input of the two SAT embeddings.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+from .formats import _data_lines, _int
 from .game import _MAX_REPRESENTABLE, MAX_ARCS, MAX_VERTICES, AshgInstance, Partition
+
+# Largest variable count parse_cnf accepts.  The SAT generators size
+# their gadgets by it: at 1024 variables `gen sat-bd` already builds
+# about 250 000 vertices, at the next power of four (4096) about 3
+# million, past MAX_VERTICES.
+MAX_CNF_VARIABLES = 1024
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,30 @@ class CnfFormula:
             any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
             for clause in self.clauses
         )
+
+
+def parse_cnf(text: str) -> CnfFormula:
+    rows = _data_lines(text)
+    if not rows or rows[0][:2] != ["p", "cnf"] or len(rows[0]) != 4:
+        raise ValueError("CNF file must start with 'p cnf <vars> <clauses>'")
+    num_vars = _int(rows[0][2], "variable count")
+    if num_vars > MAX_CNF_VARIABLES:
+        raise ValueError(f"variable count {num_vars} exceeds the limit {MAX_CNF_VARIABLES}")
+    num_clauses = _int(rows[0][3], "clause count")
+    stream = [_int(t, "literal") for fields in rows[1:] for t in fields]
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    for lit in stream:
+        if lit == 0:
+            clauses.append(current)
+            current = []
+        else:
+            current.append(lit)
+    if current:
+        raise ValueError("last clause is not 0-terminated")
+    if len(clauses) != num_clauses:
+        raise ValueError(f"header promises {num_clauses} clauses, file has {len(clauses)}")
+    return CnfFormula.from_clauses(num_vars, clauses)
 
 
 class _Builder:

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -678,6 +679,16 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "c answer SOME" in proc.stdout
+
+    def test_module_main_block_in_process(self, monkeypatch, capsys):
+        # the `__main__` block, run here so that the in-process line tracer
+        # sees it; a loaded ashg.cli would make runpy warn
+        monkeypatch.delitem(sys.modules, "ashg.cli")
+        monkeypatch.setattr(sys, "argv", ["ashg", "solve", golden("friends.ashg")])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("ashg.cli", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert "c answer SOME" in capsys.readouterr().out
 
 
 class TestCollectorPause:

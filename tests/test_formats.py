@@ -20,7 +20,7 @@ from ashg import (
     serialize_instance,
     serialize_partition,
 )
-from ashg.formats import MAX_CNF_VARIABLES
+from ashg.reductions import MAX_CNF_VARIABLES
 from helpers import suite_instance
 
 

@@ -1,8 +1,9 @@
 """The package's public names and sources: `ashg.__all__` lists each
 export once, every listed name exists, so a removed export cannot linger
 in it, every module parses as the oldest Python that `pyproject.toml`
-admits, the runtime imports nothing outside the standard library, and
-the generators' module loads only when one of its names is used."""
+admits, the runtime imports nothing outside the standard library, every
+relative import points down the module ranks, and the generators'
+module loads only when one of its names is used."""
 
 from __future__ import annotations
 
@@ -47,6 +48,35 @@ def test_imports_are_relative_or_stdlib(path):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# A module imports only from modules of strictly lower rank: no import
+# runs upward, whether at module level, inside a function or under
+# TYPE_CHECKING.
+RANKS = {
+    "errors": 0,
+    "game": 1,
+    "decomposition": 2,
+    "formats": 3,
+    "coloring": 3,
+    "connected": 3,
+    "oracle": 3,
+    "reductions": 4,
+    "cli": 5,
+    "__init__": 6,
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_relative_imports_point_down(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from .game import x` names its module; `from . import x` lists them
+            targets += [node.module] if node.module else [a.name for a in node.names]
+    upward = [t for t in targets if RANKS[t] >= RANKS[path.stem]]
+    assert upward == []
 
 
 def test_reductions_imported_only_on_use():
